@@ -481,13 +481,20 @@ def _cmd_replay(args) -> int:
     if not path.is_file():
         raise DomainError(f"manifest not found: {args.manifest}")
     manifest = json.loads(path.read_text())
-    for key in ("command", "parameters", "seed", "params_checksum", "outputs"):
+    for key in (
+        "command", "artifact_version", "parameters", "seed", "params_checksum", "outputs"
+    ):
         if key not in manifest:
             raise ValidationError(f"manifest is missing the {key!r} field")
     command = manifest["command"]
     runner = _RUNNERS.get(command)
     if runner is None:
         raise ValidationError(f"manifest names an unknown command: {command}")
+    if manifest["artifact_version"] != __version__:
+        raise ValidationError(
+            f"manifest was written by measdiscrim {manifest['artifact_version']}, "
+            f"this is measdiscrim {__version__}"
+        )
     expected = _params_checksum(command, manifest["parameters"], manifest["seed"])
     if expected != manifest["params_checksum"]:
         raise ValidationError("manifest checksum does not match its parameters")

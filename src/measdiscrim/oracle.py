@@ -13,6 +13,12 @@ blocks, by penalized gradient ascent from random starts or by a rank-1
 grid scan; `brute_force_single` is the analogous exhaustive scan over
 single-qubit protocols. Both exist to check the closed forms in
 `strategies`, never to replace them.
+
+The ascent's objective and gradient (`_penalized_objective`) are a scalar
+kernel on Python floats: the three blocks are built entry by entry and the
+negative part of H_I, which the feasibility penalty needs, comes from the
+closed-form eigenvalues mean ± r of a symmetric 2×2 matrix, so no numpy
+array is built per call except the returned gradient.
 """
 
 from __future__ import annotations
@@ -206,6 +212,84 @@ def _mix_to_target(
     return h_m, h_n
 
 
+def _kernel_coefficients(m0: np.ndarray, n0: np.ndarray, target: float) -> tuple:
+    """The entries `_penalized_objective` reads, as Python floats.
+
+    Order: (m00, m01, m11, n00, n01, n11, s00, s01, s11, target) with
+    s = m0 + n0; the projectors are real symmetric, so m01 stands for m10.
+    """
+    s0 = m0 + n0
+    return (
+        float(m0[0, 0]), float(m0[0, 1]), float(m0[1, 1]),
+        float(n0[0, 0]), float(n0[0, 1]), float(n0[1, 1]),
+        float(s0[0, 0]), float(s0[0, 1]), float(s0[1, 1]),
+        float(target),
+    )
+
+
+def _penalized_objective(
+    v: np.ndarray, mu: float, nu: float, coeffs: tuple
+) -> tuple[float, np.ndarray]:
+    """Negated penalized success and its gradient, in closed form.
+
+    v holds the Cholesky-like factors L_M = [[v0, 0], [v1, v2]] and
+    L_N = [[v3, 0], [v4, v5]], so H_M = L_M L_Mᵀ and H_N = L_N L_Nᵀ are PSD
+    and H_I = 𝕀/2 − H_M − H_N. The objective is
+
+        P_S − mu (P_I − target)² − nu ‖(H_I)₋‖²_F,
+
+    where (H_I)₋ = z is the negative part of H_I. Its 2×2 eigenvalues are
+    lo, hi = mean ± r; with lo < 0 < hi, z = lo (H_I − hi 𝕀) / (lo − hi) is
+    lo times the projector onto the lower eigenvector, and with hi ≤ 0,
+    z = H_I.
+    `coeffs` comes from `_kernel_coefficients`.
+    """
+    a, b, c, d, e, f = v.tolist()
+    m00, m01, m11, n00, n01, n11, s00, s01, s11, target = coeffs
+    hm00, hm01, hm11 = a * a, a * b, b * b + c * c
+    hn00, hn01, hn11 = d * d, d * e, e * e + f * f
+    i00 = 0.5 - hm00 - hn00
+    i01 = -hm01 - hn01
+    i11 = 0.5 - hm11 - hn11
+    ps = (hm00 * m00 + 2.0 * hm01 * m01 + hm11 * m11
+          + hn00 * n00 + 2.0 * hn01 * n01 + hn11 * n11)
+    slack = i00 * s00 + 2.0 * i01 * s01 + i11 * s11 - target
+
+    mean = 0.5 * (i00 + i11)
+    half = 0.5 * (i00 - i11)
+    r = math.sqrt(half * half + i01 * i01)
+    lo, hi = mean - r, mean + r
+    if lo >= 0.0:
+        pen = 0.0
+        z00 = z01 = z11 = 0.0
+    elif hi > 0.0:
+        pen = lo * lo
+        k = lo / (lo - hi)
+        z00, z01, z11 = k * (i00 - hi), k * i01, k * (i11 - hi)
+    else:
+        pen = lo * lo + hi * hi
+        z00, z01, z11 = i00, i01, i11
+    obj = ps - mu * slack * slack - nu * pen
+
+    # dObj/dH_M = m0 + 2 mu slack s + 2 nu z (likewise for N); the chain
+    # rule through H = L Lᵀ gives 2 D L, of which we keep the free entries.
+    ws, wz = 2.0 * mu * slack, 2.0 * nu
+    c00, c01, c11 = ws * s00 + wz * z00, ws * s01 + wz * z01, ws * s11 + wz * z11
+    dm00, dm01, dm11 = m00 + c00, m01 + c01, m11 + c11
+    dn00, dn01, dn11 = n00 + c00, n01 + c01, n11 + c11
+    grad = np.array(
+        [
+            -2.0 * (dm00 * a + dm01 * b),
+            -2.0 * (dm01 * a + dm11 * b),
+            -2.0 * dm11 * c,
+            -2.0 * (dn00 * d + dn01 * e),
+            -2.0 * (dn01 * d + dn11 * e),
+            -2.0 * dn11 * f,
+        ]
+    )
+    return -obj, grad
+
+
 def _ascent_restart(
     m0: np.ndarray,
     n0: np.ndarray,
@@ -213,28 +297,7 @@ def _ascent_restart(
     rng: np.random.Generator,
     tol: float,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    msum = m0 + n0
-
-    def objective(v: np.ndarray, mu: float, nu: float):
-        lm = np.array([[v[0], 0.0], [v[1], v[2]]])
-        ln = np.array([[v[3], 0.0], [v[4], v[5]]])
-        h_m = lm @ lm.T
-        h_n = ln @ ln.T
-        h_i = 0.5 * EYE2 - h_m - h_n
-        ps = np.sum(h_m * m0) + np.sum(h_n * n0)
-        pi = np.sum(h_i * msum)
-        evals, evecs = np.linalg.eigh(h_i)
-        neg = np.minimum(evals, 0.0)
-        pen = float(np.sum(neg * neg))
-        z = evecs @ np.diag(neg) @ evecs.T
-        obj = ps - mu * (pi - target) ** 2 - nu * pen
-        d_m = m0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
-        d_n = n0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
-        gm = 2.0 * d_m @ lm
-        gn = 2.0 * d_n @ ln
-        grad = np.array([gm[0, 0], gm[1, 0], gm[1, 1], gn[0, 0], gn[1, 0], gn[1, 1]])
-        return -obj, -grad
-
+    coeffs = _kernel_coefficients(m0, n0, target)
     w = rng.dirichlet((1.0, 1.0, 1.0))
     angles = rng.uniform(0.0, math.pi, 2)
     v = np.array(
@@ -249,9 +312,9 @@ def _ascent_restart(
     )
     for mu in (1e2, 1e3, 1e4, 1e6):
         res = minimize(
-            objective,
+            _penalized_objective,
             v,
-            args=(mu, 100.0 * mu),
+            args=(mu, 100.0 * mu, coeffs),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
@@ -355,7 +418,11 @@ def optimize_povm(
 
     `ascent` runs penalized L-BFGS ascent from `restarts` seeded random
     starts and keeps the best feasible result (ties to the lowest restart
-    index); `grid` scans rank-1 blocks, bins them by achieved rate, and
+    index). Each start passes through four penalty stages mu = 1e2, 1e3,
+    1e4, 1e6 with a PSD penalty nu = 100 mu, each minimizing the closed-form
+    2×2 kernel `_penalized_objective`; a final polish scales the blocks
+    inside the constraint and, if needed, mixes them onto the target rate.
+    `grid` scans rank-1 blocks, bins them by achieved rate, and
     interpolates the binned upper hull at the target (hull chords are
     two-tester mixtures, hence achievable). If no run lands within `tol`
     of the target the best attempt is returned with converged=False.
@@ -363,7 +430,14 @@ def optimize_povm(
     `free_rho` is a diagnostic: it re-runs the search without fixing
     rho = 𝕀/2 (normalizing total trace instead) to confirm the fixed
     choice loses nothing.
+
+    Raises DomainError for a target outside [0, cos 2θ], `restarts` < 1,
+    a `tol` that is not finite and positive, or an unknown method.
     """
+    if restarts < 1:
+        raise DomainError(f"restarts must be at least 1, got {restarts}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     c = math.cos(2.0 * pair.theta)
     if not -1e-12 <= p_inc_target <= c + 1e-12:
         raise DomainError("inconclusive target outside [0, cos(2*theta)]")

@@ -309,3 +309,35 @@ def random_tester(rng: np.random.Generator):
             element = g_isqrt @ raw[k] @ g_isqrt
             blocks[(label, i)] = s @ element @ s
     return blocks, rho
+
+
+def penalized_objective(v, m0, n0, target: float, mu: float, nu: float):
+    """The tester search's penalized objective by dense 2x2 linear algebra.
+
+    The blocks are H_M = L_M L_M^T and H_N = L_N L_N^T with lower-triangular
+    factors L_M = [[v0, 0], [v1, v2]] and L_N = [[v3, 0], [v4, v5]], and
+    H_I = I/2 - H_M - H_N. The objective is
+    P_S - mu (P_I - target)^2 - nu |negative part of H_I|_F^2, with the
+    negative part taken from a full eigendecomposition. Returns the negated
+    objective and its gradient in v, as the minimizer sees them.
+    """
+    eye = np.eye(2)
+    msum = m0 + n0
+    lm = np.array([[v[0], 0.0], [v[1], v[2]]])
+    ln = np.array([[v[3], 0.0], [v[4], v[5]]])
+    h_m = lm @ lm.T
+    h_n = ln @ ln.T
+    h_i = 0.5 * eye - h_m - h_n
+    ps = np.sum(h_m * m0) + np.sum(h_n * n0)
+    pi = np.sum(h_i * msum)
+    evals, evecs = np.linalg.eigh(h_i)
+    neg = np.minimum(evals, 0.0)
+    pen = float(np.sum(neg * neg))
+    z = evecs @ np.diag(neg) @ evecs.T
+    obj = ps - mu * (pi - target) ** 2 - nu * pen
+    d_m = m0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
+    d_n = n0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
+    gm = 2.0 * d_m @ lm
+    gn = 2.0 * d_n @ ln
+    grad = np.array([gm[0, 0], gm[1, 0], gm[1, 1], gn[0, 0], gn[1, 0], gn[1, 1]])
+    return -obj, -grad

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from measdiscrim import PovmTriple, boundary_PIB, tangent_PIT
+from measdiscrim import PovmTriple, __version__, boundary_PIB, tangent_PIT
 from measdiscrim.cli import main
 
 from oracles import FROZEN
@@ -247,6 +247,19 @@ def test_oracle_rejects_unreachable_targets(tmp_path, capsys):
     assert "inconclusive target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--restarts", "0"), ("--restarts", "-3"), ("--tol", "nan"), ("--tol", "-1")],
+)
+def test_oracle_rejects_bad_search_settings(tmp_path, capsys, flag, value):
+    code = main(
+        ["oracle", "--theta", PI6, "--pi", "0.3", flag, value, "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # --- simulate ---
 
 
@@ -325,6 +338,19 @@ def test_replay_detects_tampered_parameters(tmp_path, capsys):
     path.write_text(json.dumps(manifest))
     assert main(["replay", str(path)]) == 2
     assert "checksum does not match" in capsys.readouterr().err
+
+
+def test_replay_names_a_version_mismatch(tmp_path, capsys):
+    run_small_simulate(tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["artifact_version"] = "0.0.9"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "0.0.9" in err
+    assert __version__ in err
+    assert "checksum" not in err
 
 
 def test_replay_detects_tampered_outputs(tmp_path, capsys):

@@ -15,6 +15,7 @@ from measdiscrim import (
     single_optimal,
 )
 from measdiscrim.geometry import SIGMA_Y
+from measdiscrim.oracle import _kernel_coefficients, _penalized_objective
 
 import oracles
 from oracles import FROZEN
@@ -232,6 +233,68 @@ def test_search_target_domain():
         md.optimize_povm(pair, 0.6)
     with pytest.raises(DomainError, match="method"):
         md.optimize_povm(pair, 0.1, method="annealing")
+    for restarts in (0, -3):
+        with pytest.raises(DomainError, match="restarts"):
+            md.optimize_povm(pair, 0.1, restarts=restarts)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(DomainError, match="tol"):
+            md.optimize_povm(pair, 0.1, tol=tol)
+
+
+# --- the closed-form objective kernel ---
+
+
+def kernel_sample(rng: np.random.Generator):
+    """A random search point, scaled so H_I has 0, 1 or 2 negative eigenvalues."""
+    theta = rng.uniform(0.01, math.pi / 4.0)
+    pair = measurement_pair(theta)
+    target = rng.uniform(0.0, math.cos(2.0 * theta))
+    mu = float(rng.choice([1e2, 1e3, 1e4, 1e6]))
+    v = rng.normal(size=6) * rng.choice([0.2, 0.4, 0.6, 1.0])
+    lm = np.array([[v[0], 0.0], [v[1], v[2]]])
+    ln = np.array([[v[3], 0.0], [v[4], v[5]]])
+    h_i = 0.5 * EYE2 - lm @ lm.T - ln @ ln.T
+    negatives = int(np.sum(np.linalg.eigvalsh(h_i) < 0.0))
+    return pair, target, mu, v, negatives
+
+
+def test_kernel_matches_the_dense_objective():
+    rng = np.random.default_rng(20031)
+    hits = [0, 0, 0]
+    for _ in range(3000):
+        pair, target, mu, v, negatives = kernel_sample(rng)
+        hits[negatives] += 1
+        ref_val, ref_grad = oracles.penalized_objective(
+            v, pair.m0, pair.n0, target, mu, 100.0 * mu
+        )
+        coeffs = _kernel_coefficients(pair.m0, pair.n0, target)
+        val, grad = _penalized_objective(v, mu, 100.0 * mu, coeffs)
+        assert grad.shape == (6,)
+        assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+    # every branch of the negative-part formula was exercised
+    assert min(hits) >= 100, hits
+
+
+def test_kernel_gradient_matches_central_differences():
+    rng = np.random.default_rng(67012)
+    hits = [0, 0, 0]
+    step = 1e-6
+    for _ in range(300):
+        pair, target, _, v, negatives = kernel_sample(rng)
+        hits[negatives] += 1
+        mu = 1e2
+        coeffs = _kernel_coefficients(pair.m0, pair.n0, target)
+        _, grad = _penalized_objective(v, mu, 100.0 * mu, coeffs)
+        numeric = np.empty(6)
+        for k in range(6):
+            dv = np.zeros(6)
+            dv[k] = step
+            up, _ = _penalized_objective(v + dv, mu, 100.0 * mu, coeffs)
+            down, _ = _penalized_objective(v - dv, mu, 100.0 * mu, coeffs)
+            numeric[k] = (up - down) / (2.0 * step)
+        assert np.linalg.norm(numeric - grad) <= 1e-6 * max(np.linalg.norm(grad), 1.0)
+    assert min(hits) >= 10, hits
 
 
 def test_grid_search_brackets_the_curve():
