@@ -1,10 +1,15 @@
-"""Closed-form real-root solver for low-degree polynomials.
+"""Closed-form real-root solver for cubics, one polynomial or many at once.
 
 Solves a3*x^3 + a2*x^2 + a1*x + a0 = 0 by the trigonometric method when
 three real roots exist and by Cardano's formula otherwise, with graceful
 degradation to quadratic/linear solves when leading coefficients vanish.
 A bisection fallback guards the nearly-degenerate discriminant region and
 every root is polished by a few Newton steps.
+
+`real_roots_array` takes coefficient arrays and solves every row with
+numpy; only rows with a vanishing leading coefficient or a near-degenerate
+discriminant go through the scalar fallback `_fallback_roots`.
+`real_roots` is the one-polynomial wrapper.
 """
 
 from __future__ import annotations
@@ -15,21 +20,24 @@ import numpy as np
 
 # Relative threshold below which a leading coefficient is treated as zero.
 _COEF_EPS = 1e-14
-# Discriminant region where closed forms lose accuracy; see real_roots.
+# Discriminant region where closed forms lose accuracy; see real_roots_array.
 _DEGENERATE_DISC = 1e-14
+# Roots closer than this (relative) are one root.
+_DUPLICATE = 1e-9
+_THIRDS = 2.0 * math.pi * np.arange(3) / 3.0
 
 
-def _newton_polish(coefs: tuple[float, float, float, float], x: float) -> float:
+def _newton_polish(coefs, x: np.ndarray) -> np.ndarray:
+    """Three Newton steps on every entry of x; coefficients broadcast.
+
+    An entry whose derivative vanishes stays put; NaN entries stay NaN.
+    """
     a3, a2, a1, a0 = coefs
+    da3, da2 = 3.0 * a3, 2.0 * a2
     for _ in range(3):
+        df = (da3 * x + da2) * x + a1
         f = ((a3 * x + a2) * x + a1) * x + a0
-        df = (3.0 * a3 * x + 2.0 * a2) * x + a1
-        if df == 0.0:
-            break
-        step = f / df
-        x -= step
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
+        x = x - np.divide(f, df, out=np.zeros(x.shape), where=df != 0.0)
     return x
 
 
@@ -56,66 +64,106 @@ def _bisect(coefs: tuple[float, float, float, float], lo: float, hi: float) -> f
     return 0.5 * (lo + hi)
 
 
-def real_roots(a3: float, a2: float, a1: float, a0: float) -> np.ndarray:
-    """All real roots of the cubic, ascending, without multiplicity."""
-    scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
-    if scale == 0.0:
-        raise ValueError("all coefficients are zero")
-    a3, a2, a1, a0 = a3 / scale, a2 / scale, a1 / scale, a0 / scale
+def real_roots_array(a3, a2, a1, a0) -> np.ndarray:
+    """Real roots of many cubics: row k solves a3[k] x^3 + ... + a0[k] = 0.
 
+    The coefficients broadcast to one shape and are flattened. Returns an
+    (n, 3) array whose row k holds the distinct real roots of polynomial k
+    in ascending order, padded with NaN.
+    """
+    coefs = np.array(np.broadcast_arrays(a3, a2, a1, a0), dtype=float).reshape(4, -1)
+    scale = np.abs(coefs).max(axis=0)
+    if not scale.all():
+        raise ValueError("all coefficients are zero")
+    coefs /= scale
+    a3 = coefs[0]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Depressed form t^3 + p t + q with x = t - a2/(3 a3).
+        b2, b1, b0 = coefs[1:] / a3
+        shift = b2 / 3.0
+        p = b1 - b2 * b2 / 3.0
+        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+        disc = -4.0 * p**3 - 27.0 * q * q
+        # Near a multiple root the closed forms cancel badly.
+        fallback = (np.abs(a3) < _COEF_EPS) | (
+            np.abs(disc) < _DEGENERATE_DISC * np.maximum(1.0, p * p * p * p)
+        )
+        # Roots by column: three (trigonometric method) where disc > 0,
+        # else one (Cardano) in the first column.
+        one = disc <= 0.0
+        m = 2.0 * np.sqrt(-p / 3.0)
+        phi = np.arccos(np.minimum(np.maximum(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
+        roots = m * np.cos(phi - _THIRDS[:, None]) - shift
+        rad = np.sqrt(q * q / 4.0 + p**3 / 27.0)
+        cardano = np.cbrt(-q / 2.0 + rad) + np.cbrt(-q / 2.0 - rad) - shift
+    roots[0] = np.where(one, cardano, roots[0])
+    roots[1:, one] = np.nan
+    roots[:, fallback] = np.nan
+    roots = _newton_polish(coefs[:, None, :], roots).T
+
+    for k in np.flatnonzero(fallback):
+        found = _fallback_roots(tuple(coefs[:, k].tolist()), float(p[k]), float(shift[k]))
+        roots[k, : len(found)] = found
+
+    roots.sort(axis=1)
+    # Collapse duplicates: drop a root within _DUPLICATE of the last kept one.
+    r0, r1, r2 = roots.T
+    dup1 = np.abs(r1 - r0) <= _DUPLICATE * np.maximum(1.0, np.abs(r1))
+    dup2 = np.abs(r2 - np.where(dup1, r0, r1)) <= _DUPLICATE * np.maximum(1.0, np.abs(r2))
+    roots[dup1, 1] = np.nan
+    roots[dup2, 2] = np.nan
+    # Keep NaN padding at the end of each row.
+    roots.sort(axis=1)
+    return roots
+
+
+def real_roots(a3: float, a2: float, a1: float, a0: float) -> np.ndarray:
+    """All real roots of one cubic, ascending, without multiplicity."""
+    roots = real_roots_array(a3, a2, a1, a0)[0]
+    return roots[~np.isnan(roots)]
+
+
+def _fallback_roots(
+    coefs: tuple[float, float, float, float], p: float, shift: float
+) -> list[float]:
+    """Scalar path for one normalized polynomial the array path cannot trust.
+
+    A vanishing leading coefficient leaves a quadratic or linear solve;
+    otherwise the discriminant is nearly zero, so the distinct roots are
+    bracketed off the stationary points, bisected and polished.
+    """
+    a3, a2, a1, a0 = coefs
     if abs(a3) < _COEF_EPS:
         return _quadratic_roots(a2, a1, a0)
-
-    # Depressed form t^3 + p t + q with x = t - a2/(3 a3).
-    b2, b1, b0 = a2 / a3, a1 / a3, a0 / a3
-    shift = b2 / 3.0
-    p = b1 - b2 * b2 / 3.0
-    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-    disc = -4.0 * p**3 - 27.0 * q * q
-
-    coefs = (a3, a2, a1, a0)
-    if abs(disc) < _DEGENERATE_DISC * max(1.0, p * p * p * p):
-        # Near a multiple root the closed forms cancel badly; bracket the
-        # distinct roots off the stationary points and bisect instead.
-        roots = _degenerate_roots(coefs, p, shift)
-    elif disc > 0.0:
-        # Three distinct real roots (trigonometric method).
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg) / 3.0
-        roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
-    else:
-        # One real root (Cardano).
-        half_q = q / 2.0
-        rad = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-        u = math.copysign(abs(-half_q + rad) ** (1.0 / 3.0), -half_q + rad)
-        v = math.copysign(abs(-half_q - rad) ** (1.0 / 3.0), -half_q - rad)
-        roots = [u + v - shift]
-
-    polished = sorted(_newton_polish(coefs, x) for x in roots)
-    # Collapse duplicates the degenerate path may produce.
+    candidates = np.array(_degenerate_roots(coefs, p, shift))
+    found = sorted(_newton_polish(coefs, candidates).tolist())
     out: list[float] = []
-    for x in polished:
-        if not out or abs(x - out[-1]) > 1e-9 * max(1.0, abs(x)):
+    for x in found:
+        if not out or abs(x - out[-1]) > _DUPLICATE * max(1.0, abs(x)):
             out.append(x)
-    return np.array(out)
+    # Polishing next to a double root can split it into near-copies that
+    # survive the duplicate test; a cubic has at most three roots, so merge
+    # the closest pair until three remain.
+    while len(out) > 3:
+        del out[min(range(1, len(out)), key=lambda i: out[i] - out[i - 1])]
+    return out
 
 
-def _quadratic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
+def _quadratic_roots(a2: float, a1: float, a0: float) -> list[float]:
     if abs(a2) < _COEF_EPS:
         if abs(a1) < _COEF_EPS:
             raise ValueError("degenerate polynomial with no finite roots")
-        return np.array([-a0 / a1])
+        return [-a0 / a1]
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0.0:
-        return np.array([])
+        return []
     s = math.sqrt(disc)
     # Citardauq form for the cancellation-prone root.
     q = -0.5 * (a1 + math.copysign(s, a1))
     r1 = q / a2
     r2 = a0 / q if q != 0.0 else -a1 / a2 - r1
-    return np.array(sorted({r1, r2}))
+    return sorted({r1, r2})
 
 
 def _degenerate_roots(

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import finite_difference_check
-from .errors import ConvergenceError, DomainError, SingularityError, ValidationError
+from .convexity import check_step, finite_difference_check_array
+from .errors import ConvergenceError, DomainError, ValidationError
 from .geometry import measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
@@ -35,10 +35,10 @@ from .strategies import (
     boundary_PIB,
     default_pi_grid,
     entangled_success,
+    entangled_success_array,
     hull_verify,
-    relative_success,
-    single_optimal,
-    single_pure_curve,
+    single_optimal_array,
+    single_pure_curve_array,
 )
 
 EXIT_OK = 0
@@ -185,25 +185,20 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     if grid[0] < -1e-12 or grid[-1] > p_max + 1e-12:
         raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
 
-    rows = []
-    for p_raw in grid:
-        p = min(max(p_raw, 0.0), p_max)
-        opt_point, _ = single_optimal(theta, p)
-        pure_point, _ = single_pure_curve(theta, p)
-        ps_opt = opt_point.p_success
-        if p <= c + 1e-12:
-            ent = entangled_success(theta, min(p, c))
-            ps_ent = ent.p_success
-            pts_ent = (
-                relative_success(ent) if ent.p_inconclusive < 1.0 - 1e-12 else None
-            )
-            adv = ps_ent - ps_opt
-        else:
-            ps_ent = pts_ent = adv = None
-        pts_single = relative_success(opt_point) if p < 1.0 - 1e-12 else None
-        rows.append(
-            (p, ps_ent, ps_opt, pure_point.p_success, pts_ent, pts_single, adv)
-        )
+    # NaN marks an empty cell: past the entangled endpoint, or a relative
+    # success at P_I = 1.
+    p = np.clip(np.array(grid), 0.0, p_max)
+    ps_opt = single_optimal_array(theta, p).p_success
+    ps_pure = single_pure_curve_array(theta, p).p_success
+    has_ent = p <= c + 1e-12
+    p_ent = np.minimum(p, c)
+    ps_ent = np.where(has_ent, entangled_success_array(theta, p_ent).p_success, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts_ent = np.where(p_ent < 1.0 - 1e-12, ps_ent / (1.0 - p_ent), np.nan)
+        pts_single = np.where(p < 1.0 - 1e-12, ps_opt / (1.0 - p), np.nan)
+    adv = ps_ent - ps_opt
+    columns = (p, ps_ent, ps_opt, ps_pure, pts_ent, pts_single, adv)
+    rows = list(zip(*(col.tolist() for col in columns)))
 
     checksum = _params_checksum("curves", parameters, seed)
     name = f"curves.{fmt}"
@@ -268,9 +263,7 @@ def _convexity_default_budgets(c: float) -> list[float]:
 
 def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     fmt = parameters["format"]
-    h = parameters["h"]
-    if h <= 0.0:
-        raise DomainError("step h must be positive")
+    h = check_step(parameters["h"])
     rows = []
     breach = False
     for c in parameters["c_grid"]:
@@ -278,38 +271,35 @@ def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, in
             raise DomainError("overlap grid must stay strictly inside (0, 1)")
         pib = boundary_PIB(c)
         p_top = 0.5 * (1.0 + c * c)
-        budgets = (
+        budgets = np.array(
             parameters["pi_grid"]
             if parameters["pi_grid"] is not None
             else _convexity_default_budgets(c)
         )
-        for p in budgets:
-            if p < -1e-12 or p > p_top + 1e-12:
-                raise DomainError(
-                    "budget grid outside the achievable range [0, (1+c^2)/2]"
-                )
-            p = min(max(p, 0.0), p_top)
-            near_edge = (
-                abs(p - pib) < FD_BOUNDARY
-                or p < FD_BOUNDARY
-                or p > p_top - FD_BOUNDARY
-            )
-            if near_edge:
-                rows.append((c, p, None, None, None, "boundary"))
-                continue
-            branch = "convex" if p < pib else "concave"
-            margin = min(p, pib - p) if branch == "convex" else min(p - pib, p_top - p)
-            h_eff = min(h, 0.4 * margin)
-            try:
-                analytic, numeric, rel_err = finite_difference_check(c, p, h_eff)
-            except SingularityError:
-                rows.append((c, p, None, None, None, branch))
-                continue
-            rows.append((c, p, analytic, numeric, rel_err, branch))
-            if branch == "convex" and analytic < CONVEX_FLOOR:
-                breach = True
-            if rel_err > REL_ERR_LIMIT:
-                breach = True
+        if not np.all((budgets >= -1e-12) & (budgets <= p_top + 1e-12)):
+            raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
+        p = np.clip(budgets, 0.0, p_top)
+        convex = p < pib
+        near_edge = (
+            (np.abs(p - pib) < FD_BOUNDARY)
+            | (p < FD_BOUNDARY)
+            | (p > p_top - FD_BOUNDARY)
+        )
+        margin = np.where(convex, np.minimum(p, pib - p), np.minimum(p - pib, p_top - p))
+        fd = ~near_edge
+        # NaN marks the empty cells of boundary rows and of singular rows.
+        analytic, numeric, rel_err = (np.full(len(p), np.nan) for _ in range(3))
+        analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(
+            c, p[fd], np.minimum(h, 0.4 * margin[fd])
+        )
+        branch = np.where(near_edge, "boundary", np.where(convex, "convex", "concave"))
+        rows.extend(
+            zip([c] * len(p), p.tolist(), analytic.tolist(), numeric.tolist(),
+                rel_err.tolist(), branch.tolist())
+        )
+        breach |= bool(
+            np.any(convex & (analytic < CONVEX_FLOOR)) or np.any(rel_err > REL_ERR_LIMIT)
+        )
 
     checksum = _params_checksum("convexity", parameters, seed)
     name = f"convexity.{fmt}"

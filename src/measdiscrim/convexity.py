@@ -12,6 +12,11 @@ which is non-negative up to the q = 0 boundary budget; past it the curve
 follows the q = 0 arc whose curvature -c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2)
 is strictly negative. finite_difference_check validates either branch
 numerically.
+
+`finite_difference_check_array` takes arrays: one array cubic solve gives
+the analytic curvature of every row and one array call of the pure curve
+evaluates every five-point stencil. The other functions take scalars and
+run on the same array code.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _cubic
-from .errors import BranchCrossingError, DomainError, SingularityError, ValidationError
-from .strategies import boundary_PIB, single_pure_curve
+import numpy as np
 
-TOL = 1e-12
+from . import _cubic
+from .errors import BranchCrossingError, DomainError, SingularityError
+from .strategies import TOL, best_root, boundary_PIB, single_pure_curve_array
+
 DENOM_FLOOR = 1e-10
 
 
@@ -40,47 +46,62 @@ class DerivativeBundle:
     d2PS_dPI2: float
 
 
-def _check_convex_domain(c: float, p_inc: float) -> float:
-    if not TOL < c < 1.0 - TOL:
-        raise DomainError("overlap c must lie strictly inside (0, 1)")
-    pib = boundary_PIB(c)
-    if not -TOL <= p_inc < pib:
+def _check_convex_domain(c, p_inc) -> None:
+    _check_overlap_inside(c)
+    if not np.all((p_inc >= -TOL) & (p_inc < boundary_PIB(c))):
         raise DomainError("budget outside [0, boundary_PIB)")
-    return pib
 
 
-def _success_from_y(c: float, p_inc: float, y: float) -> float:
-    sq = math.sqrt(max(0.0, c * c - y * y))
-    return 0.5 * (1.0 - p_inc) + (math.sqrt(1.0 - c * c) / (2.0 * c)) * sq * (
-        1.0 - p_inc / (1.0 - y)
-    )
+def _check_overlap_inside(c) -> None:
+    if not np.all((c > TOL) & (c < 1.0 - TOL)):
+        raise DomainError("overlap c must lie strictly inside (0, 1)")
+
+
+def check_step(h):
+    """The finite-difference step(s), which must be finite and positive."""
+    if not np.all(np.isfinite(h) & (np.asarray(h) > 0.0)):
+        raise DomainError(f"step h must be finite and positive, got {h}")
+    return h
+
+
+def _y_roots(c: np.ndarray, p_inc: np.ndarray) -> np.ndarray:
+    """y_root on 1-D arrays inside the convex domain."""
+    roots = _cubic.real_roots_array(1.0, -2.0, 1.0 - p_inc, p_inc * c * c)
+    k, _, _, _ = best_root(c, p_inc, roots / c[:, None])
+    return np.clip(roots[np.arange(len(k)), k], -c, c)
 
 
 def y_root(c: float, p_inc: float) -> float:
-    """The maximizing root of the substituted cubic, consistent with c*x."""
+    """The maximizing root y = c*x of the substituted cubic.
+
+    Its roots are c times those of the conclusive-rate cubic, so the root
+    is chosen among them by `best_root`, the rule of the pure curve.
+    """
     _check_convex_domain(c, p_inc)
-    roots = _cubic.real_roots(1.0, -2.0, 1.0 - p_inc, p_inc * c * c)
-    best: float | None = None
-    best_ps = -math.inf
-    for y in roots:
-        if abs(y) > c + 1e-9 or y >= 1.0:
-            continue
-        q = 1.0 - 2.0 * p_inc / (1.0 - y)
-        if not -1e-9 <= q <= 1.0 + 1e-9:
-            continue
-        y = min(max(float(y), -c), c)
-        ps = _success_from_y(c, p_inc, y)
-        if ps > best_ps + TOL or (ps > best_ps - TOL and (best is None or y > best)):
-            best, best_ps = y, ps
-    if best is None:
-        raise DomainError("no admissible root of the substituted cubic")
-    theta = 0.5 * math.acos(c)
-    x = single_pure_curve(theta, p_inc)[1].x
-    if abs(best - c * x) > 1e-10:
-        raise ValidationError(
-            f"substituted root {best} disagrees with c*x = {c * x}"
-        )
-    return best
+    return float(_y_roots(np.array([c]), np.array([p_inc]))[0])
+
+
+def _derivatives(c: np.ndarray, p_inc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """y, y', y'', alpha, beta, gamma, the curvature and the implicit
+    denominator on 1-D arrays inside the convex domain."""
+    y = _y_roots(c, p_inc)
+    denom = 3.0 * y * y - 4.0 * y + 1.0 - p_inc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_prime = (y - c * c) / denom
+        y_double_prime = 2.0 * (y_prime + y_prime * y_prime * (2.0 - 3.0 * y)) / denom
+    c2 = c * c
+    one = 1.0 - y
+    sq = np.sqrt(np.maximum(1e-300, c2 - y * y))
+    alpha = 2.0 * (y - c2) / (sq * one * one)
+    beta = (
+        p_inc * (3.0 * c2 * y * y + c2 - 2.0 * c2 * c2 - 2.0 * y**3)
+        - c2 * one**3
+    ) / (sq**3 * one**3)
+    gamma = (y - c2) * p_inc / (sq * one * one) - y / sq
+    d2 = (np.sqrt(1.0 - c2) / (2.0 * c)) * (
+        alpha * y_prime + beta * y_prime * y_prime + gamma * y_double_prime
+    )
+    return y, y_prime, y_double_prime, alpha, beta, gamma, d2, denom
 
 
 def second_derivative(c: float, p_inc: float) -> DerivativeBundle:
@@ -88,56 +109,76 @@ def second_derivative(c: float, p_inc: float) -> DerivativeBundle:
     _check_convex_domain(c, p_inc)
     if p_inc <= TOL:
         raise DomainError("curvature defined on the open interval (0, boundary_PIB)")
-    y = y_root(c, p_inc)
-    denom = 3.0 * y * y - 4.0 * y + 1.0 - p_inc
+    *values, denom = (float(v[0]) for v in _derivatives(np.array([c]), np.array([p_inc])))
     if abs(denom) <= DENOM_FLOOR:
         raise SingularityError(
             f"implicit-derivative denominator 3y^2-4y+1-P_I = {denom:.3e} "
             f"vanishes at c = {c}, p_inc = {p_inc}"
         )
-    y_prime = (y - c * c) / denom
-    y_double_prime = 2.0 * (y_prime + y_prime * y_prime * (2.0 - 3.0 * y)) / denom
+    return DerivativeBundle(*values)
 
-    c2 = c * c
-    one = 1.0 - y
-    sq = math.sqrt(max(1e-300, c2 - y * y))
-    alpha = 2.0 * (y - c2) / (sq * one * one)
-    beta = (
-        p_inc * (3.0 * c2 * y * y + c2 - 2.0 * c2 * c2 - 2.0 * y**3)
-        - c2 * one**3
-    ) / (sq**3 * one**3)
-    gamma = (y - c2) * p_inc / (sq * one * one) - y / sq
-    d2 = (math.sqrt(1.0 - c2) / (2.0 * c)) * (
-        alpha * y_prime + beta * y_prime * y_prime + gamma * y_double_prime
-    )
-    return DerivativeBundle(
-        y=y,
-        y_prime=y_prime,
-        y_double_prime=y_double_prime,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        d2PS_dPI2=d2,
-    )
+
+def _concave_curvature(c, p_inc):
+    return -c * np.sqrt(1.0 - c * c) * (c * c - (1.0 - 2.0 * p_inc) ** 2) ** -1.5
 
 
 def concave_second_derivative(c: float, p_inc: float) -> float:
     """Curvature of the q = 0 arc; strictly negative on its domain."""
-    if not TOL < c < 1.0 - TOL:
-        raise DomainError("overlap c must lie strictly inside (0, 1)")
+    _check_overlap_inside(c)
     if not boundary_PIB(c) < p_inc < 0.5 * (1.0 + c * c):
         raise DomainError("budget outside (boundary_PIB, (1 + c^2)/2)")
-    bracket = c * c - (1.0 - 2.0 * p_inc) ** 2
-    if bracket <= 0.0:
+    if c * c - (1.0 - 2.0 * p_inc) ** 2 <= 0.0:
         raise DomainError("q = 0 arc curvature undefined: c^2 - (1-2*p_inc)^2 <= 0")
-    return -c * math.sqrt(1.0 - c * c) * bracket**-1.5
+    return float(_concave_curvature(c, p_inc))
 
 
-def _concave_success(c: float, p_inc: float) -> float:
-    ratio = (1.0 - 2.0 * p_inc) / c
-    return 0.5 * (1.0 - p_inc) + 0.25 * math.sqrt(1.0 - c * c) * math.sqrt(
-        max(0.0, 1.0 - ratio * ratio)
-    )
+def finite_difference_check_array(
+    c, p_inc, h=1e-4
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """finite_difference_check at arrays of overlaps, budgets and steps.
+
+    The arguments broadcast to one shape. One array call of the pure curve
+    evaluates the stencils of all rows, and one array solve gives the
+    analytic curvature of every convex row. A convex row whose implicit
+    denominator vanishes comes back NaN in all three outputs, where
+    finite_difference_check raises SingularityError. Every other error
+    is raised for the whole call when any row commits it.
+    """
+    shape = np.broadcast(c, p_inc, h).shape
+    c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))
+    check_step(h)
+    _check_overlap_inside(c)
+    if not np.all(np.isfinite(p_inc)):
+        raise DomainError("budget must be finite")
+    pib = boundary_PIB(c)
+    p_top = 0.5 * (1.0 + c * c)
+    straddle = ((p_inc - h < pib) & (pib < p_inc + h)) | (np.abs(p_inc - pib) <= TOL)
+    if straddle.any():
+        k = int(np.argmax(straddle))
+        raise BranchCrossingError(
+            f"stencil [{p_inc[k] - h[k]}, {p_inc[k] + h[k]}] straddles the branch "
+            f"boundary at {pib[k]}"
+        )
+    convex = p_inc < pib
+    if np.any(convex & (p_inc - h <= 0.0)):
+        raise BranchCrossingError("stencil leaves the convex branch at 0")
+    if np.any(~convex & (p_inc + h >= p_top)):
+        raise BranchCrossingError(
+            "stencil leaves the q = 0 arc at the unambiguous endpoint"
+        )
+
+    analytic = np.empty(p_inc.shape)
+    analytic[~convex] = _concave_curvature(c[~convex], p_inc[~convex])
+    if convex.any():
+        *_, d2, denom = _derivatives(c[convex], p_inc[convex])
+        analytic[convex] = np.where(np.abs(denom) <= DENOM_FLOOR, np.nan, d2)
+    s = 0.5 * h
+    stencil = p_inc + np.array([-h, -s, np.zeros_like(h), s, h])
+    f = single_pure_curve_array(0.5 * np.arccos(c), stencil).p_success
+    numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
+    numeric[np.isnan(analytic)] = np.nan
+    rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1e-12)
+    return analytic.reshape(shape), numeric.reshape(shape), rel_err.reshape(shape)
 
 
 def finite_difference_check(
@@ -148,43 +189,14 @@ def finite_difference_check(
     Uses a five-point stencil at half steps, so exactly [p_inc - h,
     p_inc + h] must stay inside one branch; straddling the q = 0 boundary
     budget raises BranchCrossingError. Returns (analytic, numeric,
-    rel_err) with rel_err = |a - n| / max(|a|, 1e-12).
+    rel_err) with rel_err = |a - n| / max(|a|, 1e-12). The stencil values
+    come from one array call of the pure curve, which follows the cubic
+    below boundary_PIB and the q = 0 arc above it.
+    finite_difference_check_array takes arrays.
     """
-    if h <= 0.0:
-        raise DomainError("step h must be positive")
-    if not TOL < c < 1.0 - TOL:
-        raise DomainError("overlap c must lie strictly inside (0, 1)")
-    pib = boundary_PIB(c)
-    if p_inc - h < pib < p_inc + h or abs(p_inc - pib) <= TOL:
-        raise BranchCrossingError(
-            f"stencil [{p_inc - h}, {p_inc + h}] straddles the branch "
-            f"boundary at {pib}"
-        )
-    if p_inc < pib:
-        if p_inc - h <= 0.0:
-            raise BranchCrossingError("stencil leaves the convex branch at 0")
-        analytic = second_derivative(c, p_inc).d2PS_dPI2
-
-        def f(p: float) -> float:
-            return _success_from_y(c, p, y_root(c, p))
-
-    else:
-        if p_inc + h >= 0.5 * (1.0 + c * c):
-            raise BranchCrossingError(
-                "stencil leaves the q = 0 arc at the unambiguous endpoint"
-            )
-        analytic = concave_second_derivative(c, p_inc)
-
-        def f(p: float) -> float:
-            return _concave_success(c, p)
-
-    s = 0.5 * h
-    numeric = (
-        -f(p_inc - h)
-        + 16.0 * f(p_inc - s)
-        - 30.0 * f(p_inc)
-        + 16.0 * f(p_inc + s)
-        - f(p_inc + h)
-    ) / (3.0 * h * h)
-    rel_err = abs(analytic - numeric) / max(abs(analytic), 1e-12)
+    analytic, numeric, rel_err = (
+        float(v) for v in finite_difference_check_array(c, p_inc, h)
+    )
+    if math.isnan(analytic):
+        second_derivative(c, p_inc)  # raises SingularityError naming the denominator
     return analytic, numeric, rel_err

@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 
 from .errors import DomainError, ValidationError
 from .geometry import SIGMA_Y, MeasurementPair
-from .strategies import StrategyPoint, q_strategy_points
+from .strategies import StrategyPoint, q_strategy_points, upper_hull
 
 PSD_TOL = 1e-10
 SUM_TOL = 1e-10
@@ -479,23 +479,18 @@ def optimize_povm(
         anchor_par = np.array([[-1.0, -1.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 0.0]])
         points = np.vstack([points, anchors])
         params = np.vstack([params, anchor_par])
-        order = np.lexsort((-points[:, 1], points[:, 0]))
-        pts, par = points[order], params[order]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.diff(pts[:, 0]) > 0.0
-        pts, par = pts[keep], par[keep]
-        hull_idx = _upper_hull_indices(pts)
-        hpts = pts[hull_idx]
+        hull_idx = upper_hull(points)
+        hpts = points[hull_idx]
         j = int(np.searchsorted(hpts[:, 0], p_inc_target, side="right"))
         j = min(max(j, 1), len(hpts) - 1)
         left, right = hull_idx[j - 1], hull_idx[j]
-        x0, y0 = pts[left]
-        x1, y1 = pts[right]
+        x0, y0 = points[left]
+        x1, y1 = points[right]
         lam = 0.0 if x1 == x0 else (p_inc_target - x0) / (x1 - x0)
         lam = min(max(lam, 0.0), 1.0)
 
         def blocks_at(idx: int) -> tuple[np.ndarray, np.ndarray]:
-            p = par[idx]
+            p = params[idx]
             if p[0] < 0.0:
                 if p[2] == 1.0:
                     return 0.5 * EYE2, np.zeros((2, 2))
@@ -539,20 +534,6 @@ def _psd_floor(mat: np.ndarray) -> np.ndarray:
         return 0.5 * (mat + mat.T)
     evals = np.maximum(evals, 0.0)
     return evecs @ np.diag(evals) @ evecs.T
-
-
-def _upper_hull_indices(pts: np.ndarray) -> list[int]:
-    hull: list[int] = []
-    for k, p in enumerate(pts):
-        while len(hull) >= 2:
-            a, b = pts[hull[-2]], pts[hull[-1]]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross >= -1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return hull
 
 
 def _optimize_free_rho(
@@ -663,12 +644,7 @@ def brute_force_single(
 
     valid = best_ps > -np.inf
     pts = np.column_stack([best_pi[valid], best_ps[valid]])
-    order = np.lexsort((-pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.diff(pts[:, 0]) > 0.0
-    pts = pts[keep]
-    hull = pts[_upper_hull_indices(pts)]
+    hull = pts[upper_hull(pts)]
 
     target = min(max(p_inc_target, float(hull[0, 0])), float(hull[-1, 0]))
     ps_at = float(np.interp(target, hull[:, 0], hull[:, 1]))

@@ -76,8 +76,8 @@ class ImperfectionModel:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1]")
-        if self.phase_noise_sigma < 0.0:
-            raise ValidationError("phase_noise_sigma must be non-negative")
+        if not (math.isfinite(self.phase_noise_sigma) and self.phase_noise_sigma >= 0.0):
+            raise ValidationError("phase_noise_sigma must be finite and non-negative")
         if not 0.0 <= self.singlet_visibility <= 1.0:
             raise ValidationError("singlet_visibility must lie in [0, 1]")
         if not -0.5 <= self.splitter_imbalance <= 0.5:
@@ -93,7 +93,12 @@ class ImperfectionModel:
         for key, value in mapping.items():
             if key not in _CONFIG_KEYS:
                 raise ValidationError(f"unknown imperfection key: {key}")
-            kwargs[_CONFIG_KEYS[key]] = float(value)
+            try:
+                kwargs[_CONFIG_KEYS[key]] = float(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"imperfection key {key} needs a number, got {value!r}"
+                ) from None
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -114,6 +119,7 @@ class ImperfectionModel:
 
 
 def _parse_config_text(text: str) -> dict:
+    """`key = value` lines to {key: value text}; from_mapping converts them."""
     mapping = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -122,7 +128,7 @@ def _parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        mapping[key] = float(value)
+        mapping[key] = value
     return mapping
 
 

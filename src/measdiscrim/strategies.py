@@ -16,12 +16,20 @@ fixed inconclusive budget P_I admits two families of protocols:
 
 `hull_verify` rebuilds that hull numerically from sampled protocols;
 `advantage` measures how much the entangled family wins by.
+
+The curves have one implementation each that works on numpy arrays:
+`entangled_success_array`, `single_pure_curve_array` and
+`single_optimal_array` take angles and budgets that broadcast together and
+return `CurveSamples`. `boundary_PIB` and `tangent_PIT` accept arrays of
+overlaps. The scalar functions of the same names without `_array` wrap
+them and return `StrategyPoint`s and `SingleQubitStrategy`s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,14 +128,60 @@ class CurveTable:
         return [row[i] for row in self.rows]
 
 
-def _check_theta(theta: float) -> float:
-    if not -TOL <= theta <= math.pi / 4.0 + TOL:
+class CurveSamples(NamedTuple):
+    """Closed-form curve values at many budgets, as numpy arrays.
+
+    `p_inc` holds the budgets as used, clamped into the curve's domain.
+    Pure-curve samples also carry the probe x = cos 2ϑ and the guess rate
+    q; single_optimal samples carry `w_tangent`, the weight of the tangent
+    protocol on the chord below tangent_PIT and NaN on the arc.
+    """
+
+    p_inc: np.ndarray
+    p_success: np.ndarray
+    x: np.ndarray | None = None
+    q: np.ndarray | None = None
+    w_tangent: np.ndarray | None = None
+
+
+def _scalar(value: np.ndarray):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _check_theta(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta >= -TOL) & (theta <= math.pi / 4.0 + TOL)):
         raise DomainError("theta outside [0, pi/4]")
-    return float(min(max(theta, 0.0), math.pi / 4.0))
+    return np.clip(theta, 0.0, math.pi / 4.0)
+
+
+def _check_overlap(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if not np.all((c >= -TOL) & (c <= 1.0 + TOL)):
+        raise DomainError("overlap c outside [0, 1]")
+    return c
+
+
+def _check_budget(p_inc, upper, message: str) -> np.ndarray:
+    """Reject budgets more than TOL outside [0, upper]; clamp the rest."""
+    p_inc = np.asarray(p_inc, dtype=float)
+    if not np.all((p_inc >= -TOL) & (p_inc <= upper + TOL)):
+        raise DomainError(message)
+    return np.clip(p_inc, 0.0, upper)
 
 
 def _point(p_success: float, p_inc: float) -> StrategyPoint:
     return StrategyPoint(p_success, 1.0 - p_success - p_inc, p_inc)
+
+
+def entangled_success_array(theta, p_inc) -> CurveSamples:
+    """entangled_success at arrays of angles and budgets (broadcast)."""
+    theta = _check_theta(theta)
+    c = np.cos(2.0 * theta)
+    p_inc = _check_budget(p_inc, c, "budget exceeds IDP point")
+    root = np.sqrt(np.maximum(0.0, 1.0 - p_inc / np.cos(theta) ** 2))
+    return CurveSamples(p_inc, 0.5 * (1.0 - p_inc + np.sin(2.0 * theta) * root))
 
 
 def entangled_success(theta: float, p_inc: float) -> StrategyPoint:
@@ -135,15 +189,10 @@ def entangled_success(theta: float, p_inc: float) -> StrategyPoint:
 
     Defined for p_inc ∈ [0, cos 2θ]; beyond that endpoint discarding
     conclusive outcomes is never useful, so larger budgets are rejected.
+    entangled_success_array takes arrays.
     """
-    theta = _check_theta(theta)
-    c = math.cos(2.0 * theta)
-    if p_inc < -TOL or p_inc > c + TOL:
-        raise DomainError("budget exceeds IDP point")
-    p_inc = min(max(p_inc, 0.0), c)
-    root = math.sqrt(max(0.0, 1.0 - p_inc / math.cos(theta) ** 2))
-    ps = 0.5 * (1.0 - p_inc + math.sin(2.0 * theta) * root)
-    return _point(ps, p_inc)
+    samples = entangled_success_array(theta, p_inc)
+    return _point(float(samples.p_success), float(samples.p_inc))
 
 
 def relative_success(point: StrategyPoint) -> float:
@@ -155,58 +204,128 @@ def relative_success(point: StrategyPoint) -> float:
 
 def helstrom_point(theta: float) -> StrategyPoint:
     """Minimum-error discrimination: P_I = 0, P_S = (1 + sin 2θ)/2."""
-    theta = _check_theta(theta)
+    theta = float(_check_theta(theta))
     return _point(0.5 * (1.0 + math.sin(2.0 * theta)), 0.0)
 
 
-def boundary_PIB(c: float) -> float:
-    """Budget where the pure-curve optimum hits q = 0: (3 + sqrt(1+8c²))/8."""
-    if not -TOL <= c <= 1.0 + TOL:
-        raise DomainError("overlap c outside [0, 1]")
-    return (3.0 + math.sqrt(1.0 + 8.0 * c * c)) / 8.0
+def boundary_PIB(c):
+    """Budget where the pure-curve optimum hits q = 0: (3 + sqrt(1+8c²))/8.
+
+    Accepts an array of overlaps.
+    """
+    c = _check_overlap(c)
+    return _scalar((3.0 + np.sqrt(1.0 + 8.0 * c * c)) / 8.0)
 
 
-def tangent_PIT(c: float) -> float:
-    """Budget where the line from the P_I = 0 point touches the q = 0 arc."""
-    if not -TOL <= c <= 1.0 + TOL:
-        raise DomainError("overlap c outside [0, 1]")
-    if c < DEGENERATE_C:
+def tangent_PIT(c):
+    """Budget where the line from the P_I = 0 point touches the q = 0 arc.
+
+    Accepts an array of overlaps. The tangent point lies on the arc, so
+    it is never below boundary_PIB; a violation raises ValidationError.
+    """
+    c = _check_overlap(c)
+    if np.any(c < DEGENERATE_C):
         raise DomainError(
             "tangent point undefined at c = 0 (hull degenerates to a segment)"
         )
     c2 = c * c
-    pit = (1.0 + 3.0 * c2 + 2.0 * c2 * math.sqrt(1.0 + 3.0 * c2)) / (
+    pit = (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (
         2.0 * (1.0 + 4.0 * c2)
     )
-    assert pit >= boundary_PIB(c) - TOL
-    return pit
+    if np.any(pit < boundary_PIB(c) - TOL):
+        raise ValidationError("tangent budget lies below the q = 0 boundary budget")
+    return _scalar(pit)
+
+
+def _arc_success(c, sin2theta, p_inc):
+    """Success on the q = 0 arc; arrays broadcast."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c > 0.0, (1.0 - 2.0 * p_inc) / c, 0.0)
+    arg = np.maximum(0.0, 1.0 - ratio * ratio)
+    return 0.5 * (1.0 - p_inc) + 0.25 * sin2theta * np.sqrt(arg)
 
 
 def concave_branch(theta: float, p_inc: float) -> StrategyPoint:
     """The q = 0 single-qubit arc: sqrt requires |1 - 2 P_I| ≤ cos 2θ."""
-    theta = _check_theta(theta)
+    theta = float(_check_theta(theta))
     c = math.cos(2.0 * theta)
     if abs(1.0 - 2.0 * p_inc) > c + TOL:
         raise DomainError("q = 0 arc undefined: |1 - 2*p_inc| exceeds cos(2*theta)")
-    ratio = (1.0 - 2.0 * p_inc) / c if c > 0.0 else 0.0
-    arg = max(0.0, 1.0 - ratio * ratio)
-    ps = 0.5 * (1.0 - p_inc) + 0.25 * math.sin(2.0 * theta) * math.sqrt(arg)
-    return _point(ps, p_inc)
+    return _point(float(_arc_success(c, math.sin(2.0 * theta), p_inc)), p_inc)
 
 
-def _pure_probe_success(c: float, p_inc: float, x: float) -> float:
-    return 0.5 * (1.0 - p_inc) + 0.5 * math.sqrt(
-        max(0.0, (1.0 - c * c) * (1.0 - x * x))
+def _pure_probe_success(c, p_inc, x):
+    """Success of the pure probe x = cos 2ϑ with the optimal q; arrays broadcast."""
+    return 0.5 * (1.0 - p_inc) + 0.5 * np.sqrt(
+        np.maximum(0.0, (1.0 - c * c) * (1.0 - x * x))
     ) * (1.0 - p_inc / (1.0 - x * c))
 
 
-def _single_domain(theta: float, p_inc: float) -> tuple[float, float, float]:
+def best_root(c, p_inc, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pick the best admissible root of the conclusive-rate cubic per row.
+
+    `x` is an (n, k) array of candidate roots, ascending in each row and
+    NaN-padded; `c` and `p_inc` have n entries. A root is admissible when
+    |x| ≤ 1, 1 - xc > 0 and q = 1 - 2 P_I/(1 - xc) lies in [0, 1], each up
+    to 1e-9. The choice is a masked argmax of the success; roots within
+    TOL of the best count as ties, broken toward larger x. Returns the
+    column index, x clipped to [-1, 1], q clipped to [0, 1] and the
+    success, one entry per row.
+    """
+    c = np.asarray(c, dtype=float)[:, None]
+    p_inc = np.asarray(p_inc, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = 1.0 - x * c
+        q = 1.0 - 2.0 * p_inc / denom
+        admissible = (
+            (np.abs(x) <= 1.0 + 1e-9) & (denom > 0.0) & (q >= -1e-9) & (q <= 1.0 + 1e-9)
+        )
+        x = np.clip(x, -1.0, 1.0)
+        score = np.where(admissible, _pure_probe_success(c, p_inc, x), -np.inf)
+    if not np.all(admissible.any(axis=1)):
+        raise DomainError("no admissible root of the conclusive-rate cubic")
+    near = score > score.max(axis=1, keepdims=True) - TOL
+    k = x.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
+    rows = np.arange(len(k))
+    return k, x[rows, k], np.clip(q[rows, k], 0.0, 1.0), score[rows, k]
+
+
+def _single_domain(theta, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     theta = _check_theta(theta)
-    c = math.cos(2.0 * theta)
+    c = np.cos(2.0 * theta)
     p_max = 0.5 * (1.0 + c * c)
-    if p_inc < -TOL or p_inc > p_max + TOL:
-        raise DomainError("budget exceeds the unambiguous endpoint (1 + c^2)/2")
-    return theta, c, min(max(p_inc, 0.0), p_max)
+    p_inc = _check_budget(
+        p_inc, p_max, "budget exceeds the unambiguous endpoint (1 + c^2)/2"
+    )
+    return np.broadcast_arrays(theta, c, p_inc)
+
+
+def single_pure_curve_array(theta, p_inc) -> CurveSamples:
+    """single_pure_curve at arrays of angles and budgets (broadcast).
+
+    Returns p_success, x and q; one array cubic solve covers every budget
+    below boundary_PIB.
+    """
+    theta, c, p_inc = _single_domain(theta, p_inc)
+    shape = p_inc.shape
+    theta, c, p_inc = theta.ravel(), c.ravel(), p_inc.ravel()
+    # Orthogonal measurements: the curve is the straight P_S = 1 - P_I.
+    ps = 1.0 - p_inc
+    x = np.zeros(p_inc.shape)
+    q = 1.0 - 2.0 * p_inc
+    live = c >= DEGENERATE_C
+    cubic = live & (p_inc < boundary_PIB(c))
+    if cubic.any():
+        cc, pc = c[cubic], p_inc[cubic]
+        roots = _cubic.real_roots_array(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc)
+        _, x[cubic], q[cubic], ps[cubic] = best_root(cc, pc, roots)
+    arc = live & ~cubic
+    if arc.any():
+        ca, pa = c[arc], p_inc[arc]
+        x[arc] = np.clip((1.0 - 2.0 * pa) / ca, -1.0, 1.0)
+        q[arc] = 0.0
+        ps[arc] = _arc_success(ca, np.sin(2.0 * theta[arc]), pa)
+    return CurveSamples(*(a.reshape(shape) for a in (p_inc, ps, x, q)))
 
 
 def single_pure_curve(
@@ -217,41 +336,32 @@ def single_pure_curve(
     Below boundary_PIB the optimal x solves
     c²x³ - 2cx² + (1 - P_I)x + P_I c = 0 with q = 1 - 2 P_I/(1 - xc);
     above it the optimum sits on the q = 0 boundary.
+    single_pure_curve_array takes arrays.
     """
-    theta, c, p_inc = _single_domain(theta, p_inc)
-    if c < DEGENERATE_C:
-        # Orthogonal measurements: the curve is the straight P_S = 1 - P_I.
-        strat = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0 - 2.0 * p_inc)
-        return _point(1.0 - p_inc, p_inc), strat
+    samples = single_pure_curve_array(theta, p_inc)
+    x = float(samples.x)
+    strat = SingleQubitStrategy(probe_angle=0.5 * math.acos(x), x=x, q=float(samples.q))
+    return _point(float(samples.p_success), float(samples.p_inc)), strat
 
-    pib = boundary_PIB(c)
-    if p_inc < pib:
-        roots = _cubic.real_roots(c * c, -2.0 * c, 1.0 - p_inc, p_inc * c)
-        best: tuple[float, float, float] | None = None
-        for x in roots:
-            if abs(x) > 1.0 + 1e-9:
-                continue
-            denom = 1.0 - x * c
-            if denom <= 0.0:
-                continue
-            q = 1.0 - 2.0 * p_inc / denom
-            if not -1e-9 <= q <= 1.0 + 1e-9:
-                continue
-            x = min(max(float(x), -1.0), 1.0)
-            ps = _pure_probe_success(c, p_inc, x)
-            # Tie-break toward larger x on equal success.
-            if best is None or ps > best[0] + TOL or (ps > best[0] - TOL and x > best[1]):
-                best = (ps, x, min(max(q, 0.0), 1.0))
-        if best is None:
-            raise DomainError("no admissible root of the conclusive-rate cubic")
-        ps, x, q = best
-    else:
-        x = (1.0 - 2.0 * p_inc) / c
-        x = min(max(x, -1.0), 1.0)
-        q = 0.0
-        ps = concave_branch(theta, p_inc).p_success
-    strat = SingleQubitStrategy(probe_angle=0.5 * math.acos(x), x=x, q=q)
-    return _point(ps, p_inc), strat
+
+def single_optimal_array(theta, p_inc) -> CurveSamples:
+    """single_optimal at arrays of angles and budgets (broadcast)."""
+    theta, c, p_inc = _single_domain(theta, p_inc)
+    ps = np.empty(p_inc.shape)
+    w_t = np.full(p_inc.shape, np.nan)
+    chord = c >= DEGENERATE_C
+    pit = np.full(p_inc.shape, np.nan)
+    pit[chord] = tangent_PIT(c[chord])
+    chord &= p_inc < pit
+    arc = ~chord
+    ps[arc] = single_pure_curve_array(theta[arc], p_inc[arc]).p_success
+    if np.any(chord):
+        th, pt = theta[chord], pit[chord]
+        w_t[chord] = p_inc[chord] / pt
+        ps_a = 0.5 * (1.0 + np.sin(2.0 * th))
+        ps_t = single_pure_curve_array(th, pt).p_success
+        ps[chord] = (1.0 - w_t[chord]) * ps_a + w_t[chord] * ps_t
+    return CurveSamples(p_inc, ps, w_tangent=w_t)
 
 
 def single_optimal(
@@ -262,28 +372,22 @@ def single_optimal(
     Below tangent_PIT this mixes the P_I = 0 protocol (weight 1 - P_I/P_IT)
     with the tangent-point protocol (weight P_I/P_IT); from the tangent
     point on, the pure q = 0 arc is already optimal.
+    single_optimal_array takes arrays.
     """
-    theta, c, p_inc = _single_domain(theta, p_inc)
-    if c < DEGENERATE_C:
+    samples = single_optimal_array(theta, p_inc)
+    theta = float(_check_theta(theta))
+    p_inc, w_t = float(samples.p_inc), float(samples.w_tangent)
+    if math.isnan(w_t):
         return single_pure_curve(theta, p_inc)
-
-    pit = tangent_PIT(c)
-    if p_inc >= pit:
-        return single_pure_curve(theta, p_inc)
-
-    point_a = helstrom_point(theta)
     strat_a = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0)
-    point_t, strat_t = single_pure_curve(theta, pit)
-    w_t = p_inc / pit
-    w_a = 1.0 - w_t
-    ps = w_a * point_a.p_success + w_t * point_t.p_success
+    _, strat_t = single_pure_curve(theta, tangent_PIT(math.cos(2.0 * theta)))
     strat = SingleQubitStrategy(
         probe_angle=None,
         x=None,
         q=None,
-        mixture=((w_a, strat_a), (w_t, strat_t)),
+        mixture=((1.0 - w_t, strat_a), (w_t, strat_t)),
     )
-    return _point(ps, p_inc), strat
+    return _point(float(samples.p_success), p_inc), strat
 
 
 def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
@@ -292,7 +396,7 @@ def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
     Entangled probes reach (P_S, P_E, P_I) = (2sin²θ, 0, cos 2θ); a single
     qubit cannot do better than ((1-c²)/2, 0, (1+c²)/2).
     """
-    theta = _check_theta(theta)
+    theta = float(_check_theta(theta))
     c = math.cos(2.0 * theta)
     entangled = StrategyPoint(2.0 * math.sin(theta) ** 2, 0.0, c)
     single = StrategyPoint(0.5 * (1.0 - c * c), 0.0, 0.5 * (1.0 + c * c))
@@ -354,27 +458,30 @@ def q_strategy_points(
     return p_inc, p_success
 
 
-def _upper_hull(points: np.ndarray) -> np.ndarray:
-    """Vertices of the upper convex hull, left to right (Andrew chain)."""
+def upper_hull(points: np.ndarray) -> np.ndarray:
+    """Indices into `points` of its upper convex hull, left to right.
+
+    Sorts the (P_I, P_S) rows by budget, keeps the highest point at each
+    budget, and runs Andrew's monotone chain on Python floats; vertices
+    that are collinear within 1e-15 are dropped.
+    """
     order = np.lexsort((-points[:, 1], points[:, 0]))
-    pts = points[order]
-    # One candidate per x: the highest point.
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.diff(pts[:, 0]) > 0.0
-    pts = pts[keep]
-    if len(pts) <= 2:
-        return pts
-    hull: list[np.ndarray] = []
-    for p in pts:
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.diff(points[order, 0]) > 0.0
+    order = order[keep]
+    xs = points[order, 0].tolist()
+    ys = points[order, 1].tolist()
+    hull: list[int] = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            cross = (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a])
             if cross >= -1e-15:
                 hull.pop()
             else:
                 break
-        hull.append(p)
-    return np.array(hull)
+        hull.append(k)
+    return order[hull]
 
 
 @dataclass(frozen=True)
@@ -407,9 +514,7 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     """
     if n_samples < 100:
         raise DomainError("hull verification needs at least 100 samples")
-    if not -TOL <= c <= 1.0 + TOL:
-        raise DomainError("overlap c outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
+    c = min(max(float(_check_overlap(c)), 0.0), 1.0)
     theta = 0.5 * math.acos(c)
     p_max = 0.5 * (1.0 + c * c)
     degenerate = c < DEGENERATE_C or c > 1.0 - DEGENERATE_C
@@ -419,9 +524,7 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     if not degenerate:
         special = np.array([boundary_PIB(c), tangent_PIT(c)])
         grid = np.unique(np.concatenate([grid, special]))
-    curve_pts = np.array(
-        [[p, single_pure_curve(theta, p)[0].p_success] for p in grid]
-    )
+    curve_pts = np.column_stack([grid, single_pure_curve_array(theta, grid).p_success])
 
     rng = np.random.default_rng(seed)
     n_rand = max(n_samples - len(curve_pts), 0)
@@ -432,13 +535,9 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     rand_pts = np.column_stack([pi_r[inside], ps_r[inside]])
 
     points = np.vstack([curve_pts, rand_pts])
-    vertices = _upper_hull(points)
-
-    deviations = [
-        abs(ps - single_optimal(theta, min(max(pi, 0.0), p_max))[0].p_success)
-        for pi, ps in vertices
-    ]
-    max_deviation = float(max(deviations))
+    vertices = points[upper_hull(points)]
+    closed_form = single_optimal_array(theta, np.clip(vertices[:, 0], 0.0, p_max))
+    max_deviation = float(np.max(np.abs(vertices[:, 1] - closed_form.p_success)))
 
     point_a = (0.0, helstrom_point(theta).p_success)
     point_u = (p_max, 0.5 * (1.0 - c * c))

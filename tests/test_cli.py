@@ -203,6 +203,14 @@ def test_convexity_rejects_bad_inputs(tmp_path, capsys):
     assert main(["convexity", "--c-grid", "abc", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("h", ["nan", "-inf", "inf"])
+def test_convexity_rejects_a_non_finite_step(tmp_path, capsys, h):
+    # `--h=-inf` keeps argparse from reading the value as an option.
+    assert main(["convexity", "--c-grid", "0.5", f"--h={h}", "--out", str(tmp_path)]) == 2
+    assert "step h must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # --- oracle ---
 
 
@@ -288,6 +296,27 @@ def test_simulate_intermediate_grid(tmp_path):
     _, rows = read_csv(tmp_path / "simulate.csv")
     assert [row["transmittance"] for row in rows] == [1.0, 0.8, 0.6]
     assert all(row["theta"] == pytest.approx(math.pi / 6.0) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("phase_noise_sigma_rad = nan", "phase_noise_sigma must be finite"),
+        ("eta_D0 = high", "eta_D0 needs a number, got 'high'"),
+    ],
+)
+def test_simulate_rejects_a_bad_noise_file(tmp_path, line, message):
+    noise = tmp_path / "noise.cfg"
+    noise.write_text(f"{line}\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "measdiscrim.cli", "simulate", "--mode", "unambiguous",
+         "--trials", "1000", "--noise", str(noise), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_simulate_with_a_noise_preset(tmp_path):

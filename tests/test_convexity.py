@@ -15,8 +15,7 @@ from measdiscrim import (
     second_derivative,
     y_root,
 )
-from measdiscrim.convexity import _success_from_y
-from measdiscrim.strategies import single_pure_curve
+from measdiscrim.strategies import _pure_probe_success, single_pure_curve
 
 import oracles
 from oracles import FROZEN
@@ -32,13 +31,30 @@ def test_substituted_root_frozen_value():
     )
 
 
+def success_in_y(c: float, p_inc: float, y: float) -> float:
+    """The module docstring's P_S in terms of y = c*x, written out anew."""
+    return 0.5 * (1.0 - p_inc) + (math.sqrt(1.0 - c * c) / (2.0 * c)) * math.sqrt(
+        max(0.0, c * c - y * y)
+    ) * (1.0 - p_inc / (1.0 - y))
+
+
 @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
 def test_substituted_form_reproduces_the_pure_curve(c):
     theta = 0.5 * math.acos(c)
     for p in np.linspace(0.02, boundary_PIB(c) - 0.02, 12):
-        via_y = _success_from_y(c, float(p), y_root(c, float(p)))
+        y = y_root(c, float(p))
         direct = single_pure_curve(theta, float(p))[0].p_success
-        assert abs(via_y - direct) <= 1e-12
+        assert abs(success_in_y(c, float(p), y) - direct) <= 1e-12
+        assert abs(float(_pure_probe_success(c, float(p), y / c)) - direct) <= 1e-12
+
+
+def test_substituted_root_is_c_times_the_pure_curve_probe():
+    for c in C_GRID:
+        c = float(c)
+        theta = 0.5 * math.acos(c)
+        for p in np.linspace(0.0, boundary_PIB(c), 40, endpoint=False):
+            x = single_pure_curve(theta, float(p))[1].x
+            assert abs(y_root(c, float(p)) - c * x) <= 1e-10
 
 
 @pytest.mark.parametrize("c,p", [(0.5, 0.3), (0.9, 0.1), (0.2, 0.35), (0.7, 0.5)])

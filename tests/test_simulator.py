@@ -40,6 +40,9 @@ def test_imperfection_validation():
         ImperfectionModel(eta_db=1.2)
     with pytest.raises(ValidationError, match="phase_noise_sigma"):
         ImperfectionModel(phase_noise_sigma=-0.1)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="phase_noise_sigma"):
+            ImperfectionModel(phase_noise_sigma=sigma)
     with pytest.raises(ValidationError, match="singlet_visibility"):
         ImperfectionModel(singlet_visibility=1.0001)
     with pytest.raises(ValidationError, match="splitter_imbalance"):
@@ -53,6 +56,8 @@ def test_imperfection_mapping_round_trip():
     assert ImperfectionModel.from_mapping(imp.to_mapping()) == imp
     with pytest.raises(ValidationError, match="unknown imperfection key"):
         ImperfectionModel.from_mapping({"eta_XX": 1.0})
+    with pytest.raises(ValidationError, match="eta_D0 needs a number"):
+        ImperfectionModel.from_mapping({"eta_D0": "high"})
 
 
 def test_load_imperfections_sources(tmp_path):

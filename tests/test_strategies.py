@@ -14,14 +14,18 @@ from measdiscrim import (
     boundary_PIB,
     concave_branch,
     entangled_success,
+    entangled_success_array,
     helstrom_point,
     hull_verify,
     relative_success,
     single_optimal,
+    single_optimal_array,
     single_pure_curve,
+    single_pure_curve_array,
     tangent_PIT,
     unambiguous_points,
 )
+from measdiscrim import _cubic, strategies
 from measdiscrim.strategies import (
     SingleQubitStrategy,
     default_pi_grid,
@@ -115,6 +119,13 @@ def test_branch_boundary_frozen_values():
     assert tangent_PIT(1.0) == pytest.approx(FROZEN["pit_c10"], abs=1e-15)
     with pytest.raises(DomainError, match="tangent point undefined"):
         tangent_PIT(0.0)
+
+
+def test_tangent_point_invariant_survives_optimization(monkeypatch):
+    # The check is an explicit raise, so `python -O` keeps it.
+    monkeypatch.setattr(strategies, "boundary_PIB", lambda c: 1.0)
+    with pytest.raises(ValidationError, match="below the q = 0 boundary"):
+        tangent_PIT(0.5)
 
 
 def test_tangent_point_frozen_success():
@@ -363,3 +374,113 @@ def test_default_pi_grid_hits_both_endpoints():
     assert np.all(np.diff(grid) > 0)
     odd = default_pi_grid(0.505)
     assert odd[-1] == pytest.approx(0.505, abs=1e-12)
+
+
+# --- array closed forms ---
+
+
+def seeded_budgets(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and budgets over the whole single-qubit domain.
+
+    Includes the degenerate overlaps c = 0 and c = 1, budgets at zero
+    (where the cubic has a double root) and budgets exactly at both
+    characteristic points.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.0, 1.0, n)
+    c[:3] = [0.0, 1e-13, 1.0]
+    theta = 0.5 * np.arccos(c)
+    c = np.cos(2.0 * theta)
+    p = rng.uniform(0.0, 1.0, n) * 0.5 * (1.0 + c * c)
+    p[3:40] = 0.0
+    p[40:80] = boundary_PIB(c[40:80])
+    p[80:120] = tangent_PIT(c[80:120])
+    return theta, p
+
+
+def test_array_curves_match_the_scalar_wrappers():
+    theta, p = seeded_budgets(2000, seed=11)
+    pure = single_pure_curve_array(theta, p)
+    opt = single_optimal_array(theta, p)
+    p_ent = np.minimum(p, np.cos(2.0 * theta))
+    ent = entangled_success_array(theta, p_ent)
+    for k in range(len(p)):
+        point, strat = single_pure_curve(theta[k], p[k])
+        assert (point.p_success, strat.x, strat.q) == (
+            pure.p_success[k], pure.x[k], pure.q[k]
+        )
+        assert single_optimal(theta[k], p[k])[0].p_success == opt.p_success[k]
+        assert entangled_success(theta[k], p_ent[k]).p_success == ent.p_success[k]
+
+
+def test_array_pure_curve_matches_the_generic_root_finder():
+    theta, p = seeded_budgets(2000, seed=12)
+    c = np.cos(2.0 * theta)
+    pure = single_pure_curve_array(theta, p)
+    cubic_rows = np.flatnonzero((c > 1e-12) & (p < boundary_PIB(c)))
+    assert len(cubic_rows) > 1000
+    for k in cubic_rows:
+        ps, x, q = oracles.best_pure_probe(float(c[k]), float(p[k]))
+        assert pure.p_success[k] == pytest.approx(ps, abs=1e-12)
+        assert pure.x[k] == pytest.approx(x, abs=1e-8)
+        assert pure.q[k] == pytest.approx(min(max(q, 0.0), 1.0), abs=1e-8)
+
+
+def test_array_curves_accept_broadcast_shapes():
+    theta = np.array([[math.pi / 6.0], [math.pi / 8.0]])
+    p = np.array([0.0, 0.1, 0.3])
+    pure = single_pure_curve_array(theta, p)
+    assert pure.p_success.shape == pure.x.shape == pure.q.shape == (2, 3)
+    assert single_optimal_array(theta, p).p_success.shape == (2, 3)
+    assert pure.p_success[0, 2] == pytest.approx(FROZEN["ps_pure_c05_p03"], abs=1e-14)
+    with pytest.raises(DomainError, match="unambiguous endpoint"):
+        single_pure_curve_array(math.pi / 6.0, [0.1, 0.7])
+    with pytest.raises(DomainError, match="theta"):
+        entangled_success_array([0.1, math.nan], 0.0)
+
+
+def test_near_degenerate_rows_take_the_scalar_fallback(monkeypatch):
+    calls = []
+    fallback = _cubic._fallback_roots
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(_cubic, "_fallback_roots", counted)
+    # At P_I = 0 the cubic is x (cx - 1)^2: a double root at 1/c.
+    c = np.linspace(0.05, 0.95, 19)
+    theta = 0.5 * np.arccos(c)
+    at_zero = single_pure_curve_array(theta, np.zeros_like(c))
+    assert len(calls) == len(c)
+    assert np.all(at_zero.x == 0.0)
+    np.testing.assert_allclose(
+        at_zero.p_success, 0.5 * (1.0 + np.sin(2.0 * theta)), atol=1e-15
+    )
+
+    # With the band widened to every row, the bisection path alone must
+    # still reproduce the curve.
+    monkeypatch.setattr(_cubic, "_DEGENERATE_DISC", math.inf)
+    theta, p = seeded_budgets(300, seed=13)
+    c = np.cos(2.0 * theta)
+    keep = (c > 1e-6) & (p < boundary_PIB(c))
+    theta, p, c = theta[keep], p[keep], c[keep]
+    calls.clear()
+    forced = single_pure_curve_array(theta, p)
+    assert len(calls) == len(p)
+    for k in range(len(p)):
+        ps, _, _ = oracles.best_pure_probe(float(c[k]), float(p[k]))
+        assert forced.p_success[k] == pytest.approx(ps, abs=1e-12)
+
+
+def test_best_root_rejects_inadmissible_roots_and_breaks_ties_upward():
+    c, p = [0.5], [0.3]
+    x_opt = FROZEN["x_opt_c05_p03"]
+    # Near the optimum the success is flat to well inside TOL: a tie.
+    for row in ([x_opt - 1e-7, x_opt, np.nan], [x_opt, x_opt + 1e-7, np.nan]):
+        k, x, _, _ = strategies.best_root(c, p, np.array([row]))
+        assert x[0] == row[1] and k[0] == 1
+    # x = 0.9 gives q = 1 - 2 P_I/(1 - xc) < 0; x = 1.5 lies outside [-1, 1].
+    for bad in (0.9, 1.5):
+        with pytest.raises(DomainError, match="no admissible root"):
+            strategies.best_root(c, p, np.array([[bad, np.nan, np.nan]]))
