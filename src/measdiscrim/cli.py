@@ -51,6 +51,8 @@ CONVEX_FLOOR = -1e-9
 REL_ERR_LIMIT = 1e-3
 # Budgets closer than this to a branch boundary get no finite difference.
 FD_BOUNDARY = 1e-7
+# Largest number of points a start:stop:step grid may expand to.
+MAX_GRID_POINTS = 100_000
 
 CURVE_COLUMNS = (
     "p_inc",
@@ -136,6 +138,8 @@ def _parse_grid(text: str) -> list[float]:
         values = [float(part) for part in parts]
     except ValueError as exc:
         raise DomainError(f"malformed grid specification: {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"grid values must be finite, got {text!r}")
     if len(values) == 1:
         return values
     if len(values) != 3:
@@ -146,6 +150,9 @@ def _parse_grid(text: str) -> list[float]:
     if (stop - start) * step < 0.0:
         raise DomainError("grid step never reaches the stop value")
     count = (stop - start) / step
+    # n + 1 points for n = count steps; `not <=` also catches an overflow to inf.
+    if not count <= MAX_GRID_POINTS - 1 + 1e-9:
+        raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     n = int(round(count))
     if abs(count - n) > 1e-9:
         n = int(math.floor(count + 1e-9))
@@ -214,14 +221,14 @@ def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     outputs["hull_points.csv"] = _write_table(
         out_dir / "hull_points.csv",
         ("p_inc", "p_success"),
-        [tuple(row) for row in report.points],
+        report.points.tolist(),
         checksum,
         "csv",
     )
     outputs["hull_vertices.csv"] = _write_table(
         out_dir / "hull_vertices.csv",
         ("p_inc", "p_success"),
-        [tuple(row) for row in report.vertices],
+        report.vertices.tolist(),
         checksum,
         "csv",
     )
@@ -317,11 +324,9 @@ def _run_oracle(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     result = optimize_povm(
         pair,
         target,
-        method=parameters["method"],
         tol=parameters["tol"],
         seed=seed,
         restarts=parameters["restarts"],
-        free_rho=parameters["free_rho"],
     )
     closed = entangled_success(theta, min(max(target, 0.0), overlap(pair)))
     checksum = _params_checksum("oracle", parameters, seed)
@@ -330,7 +335,6 @@ def _run_oracle(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         "manifest": checksum,
         "theta": theta,
         "p_inc_target": target,
-        "method": result.method,
         "tol": parameters["tol"],
         "seed": seed,
         "restarts": parameters["restarts"],
@@ -341,6 +345,9 @@ def _run_oracle(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         "p_inc_error": result.p_inc_error,
         "closed_form_p_success": closed.p_success,
         "gap_to_closed_form": closed.p_success - result.point.p_success,
+        "upper_bound": result.upper_bound,
+        "gap": result.gap,
+        "certificate": {"y": result.y.tolist(), "lam": result.lam},
         "blocks": {
             "h_m": result.triple.h_m.tolist(),
             "h_n": result.triple.h_n.tolist(),
@@ -433,10 +440,8 @@ def _cmd_oracle(args) -> int:
     parameters = {
         "theta": _resolve_theta(args.theta, args.degrees),
         "p_inc_target": args.pi,
-        "method": args.method,
         "tol": args.tol,
         "restarts": args.restarts,
-        "free_rho": bool(args.free_rho),
     }
     _, code = _run_oracle(parameters, args.seed, _out_dir(args))
     return code
@@ -542,10 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numerically re-derive one optimal point")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--pi", type=float, required=True, help="inconclusive-rate target")
-    p.add_argument("--method", choices=("ascent", "grid"), default="ascent")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--free-rho", action="store_true", help="diagnostic: free probe")
+    p.add_argument(
+        "--restarts", type=int, default=20, help="most starts before giving up"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -9,8 +9,10 @@ H_{k,1} = σ_y H_{k,0} σ_y†, where ρ = 𝕀/2 and everything reduces to thre
 2×2 blocks summing to 𝕀/2 (`reduced_probabilities`).
 
 `optimize_povm` maximizes success at a fixed inconclusive rate over those
-blocks, by penalized gradient ascent from random starts or by a rank-1
-grid scan; `brute_force_single` is the analogous exhaustive scan over
+blocks by penalized gradient ascent from seeded random starts, and proves
+each answer with the Lagrange dual of that reduction (`_dual_bound`): the
+search stops at the first start whose success is within `tol` of the dual
+bound. `brute_force_single` is the analogous exhaustive scan over
 single-qubit protocols. Both exist to check the closed forms in
 `strategies`, never to replace them.
 
@@ -18,7 +20,11 @@ The ascent's objective and gradient (`_penalized_objective`) are a scalar
 kernel on Python floats: the three blocks are built entry by entry and the
 negative part of H_I, which the feasibility penalty needs, comes from the
 closed-form eigenvalues mean ± r of a symmetric 2×2 matrix, so no numpy
-array is built per call except the returned gradient.
+array is built per call except the returned gradient. The dual bound is
+Python floats too: for 2×2 blocks each semidefinite constraint is a light
+cone, and the least ½ tr Y is the 1-center of three cones.
+scipy.optimize is imported on the first search (`minimize`), not with
+the package.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, ValidationError
 from .geometry import SIGMA_Y, MeasurementPair
@@ -36,6 +41,17 @@ from .strategies import StrategyPoint, q_strategy_points, upper_hull
 PSD_TOL = 1e-10
 SUM_TOL = 1e-10
 EYE2 = np.eye(2)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use.
+
+    Importing scipy.optimize costs about half a second, and only the tester
+    search needs it, so the package import and the other subcommands skip it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _check_symmetric_psd(mat: np.ndarray, name: str, tol: float = PSD_TOL) -> np.ndarray:
@@ -176,15 +192,23 @@ def reduced_probabilities(triple: PovmTriple, pair: MeasurementPair) -> Strategy
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best tester found, with enough bookkeeping to audit the search."""
+    """Best tester found, its dual certificate, and the search's bookkeeping.
+
+    (y, lam) is a feasible point of the Lagrange dual: y ⪰ m0, y ⪰ n0 and
+    y ⪰ lam·(m0 + n0). It proves P_S ≤ upper_bound = ½ tr y − lam·P_I for
+    every tester at the returned inconclusive rate; gap = upper_bound − P_S.
+    """
 
     point: StrategyPoint
     triple: PovmTriple
     converged: bool
-    method: str
     p_inc_error: float
     restart_values: tuple[float, ...]
-    best_restart: int | None
+    best_restart: int
+    upper_bound: float
+    gap: float
+    y: np.ndarray
+    lam: float
 
 
 def _raw_reduced(h_m: np.ndarray, h_n: np.ndarray, m0, n0) -> tuple[float, float]:
@@ -290,6 +314,147 @@ def _penalized_objective(
     return -obj, grad
 
 
+# --- the Lagrange dual: a certified upper bound on P_S at a given P_I ---
+#
+# Pairing H_M, H_N, H_I with the constraints Y ⪰ m0, Y ⪰ n0, Y ⪰ λ(m0+n0)
+# gives P_S = ½ tr Y − λ P_I − tr H_M(Y − m0) − tr H_N(Y − n0)
+# − tr H_I(Y − λ(m0+n0)) ≤ ½ tr Y − λ P_I for every feasible tester, so
+# each dual-feasible (Y, λ) bounds the whole curve from above.
+#
+# A real symmetric 2×2 matrix is a = t 𝕀 + p₁ σ_z + p₂ σ_x with
+# t = tr a / 2 and p = ((a00 − a11)/2, a01); its eigenvalues are t ± ‖p‖, so
+# Y ⪰ a holds exactly when t_Y − t_a ≥ ‖p_Y − p_a‖ (a light cone). For
+# fixed λ the least ½ tr Y = t_Y is the 1-center min_p maxᵢ (tᵢ + ‖p − pᵢ‖)
+# of three cones, which sits where one, two or three cones are active.
+
+
+def _cone(a: np.ndarray, scale: float = 1.0) -> tuple[float, float, float]:
+    """(t, p₁, p₂) of scale·a, as Python floats."""
+    a00, a01, a11 = scale * float(a[0, 0]), scale * float(a[0, 1]), scale * float(a[1, 1])
+    return 0.5 * (a00 + a11), 0.5 * (a00 - a11), a01
+
+
+def _top(cones, x: float, y: float) -> float:
+    """Least t_Y with Y ⪰ every cone's matrix, given p_Y = (x, y)."""
+    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
+    return max(
+        t1 + math.hypot(x - u1, y - v1),
+        t2 + math.hypot(x - u2, y - v2),
+        t3 + math.hypot(x - u3, y - v3),
+    )
+
+
+def _polish(cones, x: float, y: float) -> tuple[float, float]:
+    """Newton steps on t₁ + r₁ = t₂ + r₂ = t₃ + r₃ from a three-cone point.
+
+    The algebraic solve in `_one_center` loses digits when the apexes form
+    a thin triangle (θ near π/4); these equations stay well conditioned.
+    """
+    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
+    for _ in range(3):
+        r1 = math.hypot(x - u1, y - v1)
+        r2 = math.hypot(x - u2, y - v2)
+        r3 = math.hypot(x - u3, y - v3)
+        if r1 == 0.0 or r2 == 0.0 or r3 == 0.0:
+            break
+        f2, f3 = t1 + r1 - t2 - r2, t1 + r1 - t3 - r3
+        a = (x - u1) / r1 - (x - u2) / r2
+        b = (y - v1) / r1 - (y - v2) / r2
+        c = (x - u1) / r1 - (x - u3) / r3
+        d = (y - v1) / r1 - (y - v3) / r3
+        det = a * d - b * c
+        if det == 0.0:
+            break
+        x -= (f2 * d - f3 * b) / det
+        y -= (a * f3 - c * f2) / det
+    return x, y
+
+
+def _one_center(cones) -> tuple[float, float, float]:
+    """min over p of maxᵢ (tᵢ + ‖p − pᵢ‖), as (value, p₁, p₂).
+
+    Candidates: each apex; on each segment between two apexes, the point
+    where those two cones meet; and the points where all three meet. The
+    value at each candidate is recomputed by `_top`, so every candidate is
+    a feasible Y and rounding can only loosen the bound, never break it.
+    """
+    candidates = [(u, v) for _, u, v in cones]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ti, ui, vi = cones[i]
+        tj, uj, vj = cones[j]
+        d = math.hypot(uj - ui, vj - vi)
+        if d > 0.0:
+            w = min(max(0.5 * (tj - ti + d), 0.0), d) / d
+            candidates.append((ui + w * (uj - ui), vi + w * (vj - vi)))
+    # All three active: with q = p − p₁ and R = t − t₁, ‖q‖ = R and
+    # ‖q − dⱼ‖ = R − τⱼ turn into the linear q·dⱼ = aⱼ + R τⱼ (j = 2, 3),
+    # so q = u + R v, and ‖u + R v‖ = R is a quadratic in R.
+    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
+    d2x, d2y, d3x, d3y = u2 - u1, v2 - v1, u3 - u1, v3 - v1
+    det = d2x * d3y - d2y * d3x
+    if det != 0.0:
+        tau2, tau3 = t2 - t1, t3 - t1
+        a2 = 0.5 * (d2x * d2x + d2y * d2y - tau2 * tau2)
+        a3 = 0.5 * (d3x * d3x + d3y * d3y - tau3 * tau3)
+        ux, uy = (a2 * d3y - a3 * d2y) / det, (d2x * a3 - d3x * a2) / det
+        vx, vy = (tau2 * d3y - tau3 * d2y) / det, (d2x * tau3 - d3x * tau2) / det
+        qa, qb, qc = vx * vx + vy * vy - 1.0, ux * vx + uy * vy, ux * ux + uy * uy
+        roots = []
+        if qa == 0.0:
+            if qb != 0.0:
+                roots.append(-0.5 * qc / qb)
+        elif qb * qb - qa * qc >= 0.0:
+            s = -(qb + math.copysign(math.sqrt(qb * qb - qa * qc), qb))
+            roots.extend((s / qa, qc / s) if s != 0.0 else (0.0,))
+        for r in roots:
+            if r >= 0.0:
+                x, y = u1 + ux + r * vx, v1 + uy + r * vy
+                candidates.append((x, y))
+                candidates.append(_polish(cones, x, y))
+    return min((_top(cones, x, y), x, y) for x, y in candidates)
+
+
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# Golden-section steps over λ ∈ [0, 1]: the bracket shrinks to 0.618⁶⁰ ≈ 3e-13.
+_GOLDEN_STEPS = 60
+
+
+def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float) -> tuple[float, np.ndarray, float]:
+    """Least dual value ½ tr Y − λ P_I, with the (Y, λ) that attains it.
+
+    The dual function is convex in λ. An optimum has λ ≥ 0: for λ ≤ 0 the
+    third constraint follows from the first, and −λ P_I ≥ 0. It has λ ≤ 1:
+    for λ ≥ 1 the third constraint implies the other two, so the dual is
+    λ (tr(m0+n0)/2 − P_I), which does not decrease because P_I ≤ tr(m0+n0)/2.
+    A golden-section search over [0, 1] keeps the least value it evaluates;
+    every evaluation is dual feasible, so the result is always a bound.
+    """
+    cone_m, cone_n = _cone(m0), _cone(n0)
+    s = m0 + n0
+
+    def dual(lam: float) -> tuple[float, float, float, float, float]:
+        t, x, y = _one_center((cone_m, cone_n, _cone(s, lam)))
+        return t - lam * p_inc, t, x, y, lam
+
+    lo, hi = 0.0, 1.0
+    a, b = hi - _INV_PHI, lo + _INV_PHI
+    da, db = dual(a), dual(b)
+    best = min(dual(lo), dual(hi), da, db)
+    for _ in range(_GOLDEN_STEPS):
+        if da[0] <= db[0]:
+            hi, b, db = b, a, da
+            a = hi - _INV_PHI * (hi - lo)
+            da = dual(a)
+            best = min(best, da)
+        else:
+            lo, a, da = a, b, db
+            b = lo + _INV_PHI * (hi - lo)
+            db = dual(b)
+            best = min(best, db)
+    value, t, x, y, lam = best
+    return value, np.array([[t + x, y], [y, t - x]]), lam
+
+
 def _ascent_restart(
     m0: np.ndarray,
     n0: np.ndarray,
@@ -338,101 +503,35 @@ def _ascent_restart(
     return ps, pi, h_m, h_n
 
 
-def _grid_candidates(
-    m0: np.ndarray, n0: np.ndarray, n_angles: int, n_weights: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-1-block testers binned by achieved inconclusive rate.
-
-    Returns (points, params): points[k] = (p_inc, p_success) of the best
-    tester in bin k, params[k] = (angle_m, angle_n, w_m, w_n).
-    """
-    angles = np.linspace(0.0, math.pi, n_angles, endpoint=False)
-    weights = np.linspace(0.0, 1.0, n_weights)
-    cos, sin = np.cos(angles), np.sin(angles)
-    vecs = np.stack([cos, sin], axis=1)
-    msum = m0 + n0
-    t_m = np.einsum("ki,ij,kj->k", vecs, m0, vecs)
-    t_n = np.einsum("ki,ij,kj->k", vecs, n0, vecs)
-    t_s = np.einsum("ki,ij,kj->k", vecs, msum, vecs)
-    proj = np.einsum("ki,kj->kij", vecs, vecs)
-
-    n_bins = 2001
-    best_ps = np.full(n_bins, -np.inf)
-    best_par = np.zeros((n_bins, 4))
-    best_pi = np.zeros(n_bins)
-
-    for wm in weights:
-        for wn in weights:
-            # H_I = I/2 - wm/2 P(am) - wn/2 P(an); feasible iff its minimum
-            # eigenvalue is non-negative; 2x2 closed form over angle x angle.
-            hm = 0.5 * wm * proj
-            hn = 0.5 * wn * proj
-            hi = 0.5 * EYE2 - hm[:, None] - hn[None, :]
-            a = hi[..., 0, 0]
-            d = hi[..., 1, 1]
-            b = hi[..., 0, 1]
-            lam_min = 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + b * b)
-            ok = lam_min >= -1e-12
-            ps = 0.5 * wm * t_m[:, None] + 0.5 * wn * t_n[None, :]
-            pi = 1.0 - 0.5 * wm * t_s[:, None] - 0.5 * wn * t_s[None, :]
-            ps = np.where(ok, ps, -np.inf)
-            bins = np.clip((pi * (n_bins - 1)).astype(int), 0, n_bins - 1)
-            flat_bins = bins.ravel()
-            flat_ps = ps.ravel()
-            order = np.argsort(flat_ps)
-            upd_bins = flat_bins[order]
-            upd_ps = flat_ps[order]
-            mask = upd_ps > best_ps[upd_bins]
-            if not np.any(mask):
-                continue
-            ub, up = upd_bins[mask], upd_ps[mask]
-            best_ps[ub] = up
-            ii, jj = np.unravel_index(order[mask], ps.shape)
-            best_pi[ub] = pi[ii, jj]
-            best_par[ub, 0] = angles[ii]
-            best_par[ub, 1] = angles[jj]
-            best_par[ub, 2] = wm
-            best_par[ub, 3] = wn
-
-    valid = best_ps > -np.inf
-    points = np.column_stack([best_pi[valid], best_ps[valid]])
-    return points, best_par[valid]
-
-
-def _blocks_from_params(par: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vm = np.array([math.cos(par[0]), math.sin(par[0])])
-    vn = np.array([math.cos(par[1]), math.sin(par[1])])
-    return 0.5 * par[2] * np.outer(vm, vm), 0.5 * par[3] * np.outer(vn, vn)
-
-
 def optimize_povm(
     pair: MeasurementPair,
     p_inc_target: float,
-    method: str = "ascent",
+    *,
     tol: float = 1e-4,
     seed: int = 0,
     restarts: int = 20,
-    free_rho: bool = False,
 ) -> OracleResult:
     """Maximize success at a fixed inconclusive rate over covariant testers.
 
-    `ascent` runs penalized L-BFGS ascent from `restarts` seeded random
-    starts and keeps the best feasible result (ties to the lowest restart
-    index). Each start passes through four penalty stages mu = 1e2, 1e3,
-    1e4, 1e6 with a PSD penalty nu = 100 mu, each minimizing the closed-form
-    2×2 kernel `_penalized_objective`; a final polish scales the blocks
-    inside the constraint and, if needed, mixes them onto the target rate.
-    `grid` scans rank-1 blocks, bins them by achieved rate, and
-    interpolates the binned upper hull at the target (hull chords are
-    two-tester mixtures, hence achievable). If no run lands within `tol`
-    of the target the best attempt is returned with converged=False.
+    Runs penalized L-BFGS ascent from seeded random starts, restart r
+    drawing from the generator (seed, r). Each start passes through four
+    penalty stages mu = 1e2, 1e3, 1e4, 1e6 with a PSD penalty nu = 100 mu,
+    each minimizing the closed-form 2×2 kernel `_penalized_objective`; a
+    final polish scales the blocks inside the constraint and, if needed,
+    mixes them onto the target rate.
 
-    `free_rho` is a diagnostic: it re-runs the search without fixing
-    rho = 𝕀/2 (normalizing total trace instead) to confirm the fixed
-    choice loses nothing.
+    A restart whose rate lands within `tol` of the target is feasible; for
+    it `_dual_bound` gives the least dual value at the rate it achieved,
+    an upper bound on any tester's success there. The search returns the
+    first feasible restart whose success is within `tol` of that bound, so
+    `restarts` caps the number of starts rather than fixing it.
+    `converged` means |P_I − target| ≤ tol and gap ≤ tol. If no restart is
+    certified within the cap, the best feasible one (ties to the lowest
+    index), or failing that the one nearest the target rate, is returned
+    with converged=False and its own bound.
 
-    Raises DomainError for a target outside [0, cos 2θ], `restarts` < 1,
-    a `tol` that is not finite and positive, or an unknown method.
+    Raises DomainError for a target outside [0, cos 2θ], `restarts` < 1, or
+    a `tol` that is not finite and positive.
     """
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts}")
@@ -444,69 +543,23 @@ def optimize_povm(
     p_inc_target = min(max(p_inc_target, 0.0), c)
     m0, n0 = pair.m0, pair.n0
 
-    if free_rho:
-        return _optimize_free_rho(pair, p_inc_target, tol, seed, restarts)
-
-    if method == "ascent":
-        values: list[float] = []
-        errors: list[float] = []
-        blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        for r in range(restarts):
-            rng = np.random.default_rng((seed, r))
-            ps, pi, h_m, h_n = _ascent_restart(m0, n0, p_inc_target, rng, tol)
-            values.append(ps)
-            errors.append(abs(pi - p_inc_target))
-            blocks.append((h_m, h_n))
-        values_arr = np.array(values)
-        errors_arr = np.array(errors)
-        feasible = errors_arr <= tol
-        if np.any(feasible):
-            masked = np.where(feasible, values_arr, -np.inf)
-            best = int(np.argmax(masked))
-            converged = True
-        else:
-            best = int(np.argmin(errors_arr))
-            converged = False
-        h_m, h_n = blocks[best]
-        restart_values = tuple(values)
-        best_restart: int | None = best
-    elif method == "grid":
-        points, params = _grid_candidates(m0, n0, n_angles=96, n_weights=64)
-        # Two exact anchors so the hull always spans the full rate range:
-        # all-inconclusive at (1, 0) and guess-M at (0, 1/2). Sentinel angle
-        # -1 marks them for exact block reconstruction.
-        anchors = np.array([[1.0, 0.0], [0.0, 0.5]])
-        anchor_par = np.array([[-1.0, -1.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 0.0]])
-        points = np.vstack([points, anchors])
-        params = np.vstack([params, anchor_par])
-        hull_idx = upper_hull(points)
-        hpts = points[hull_idx]
-        j = int(np.searchsorted(hpts[:, 0], p_inc_target, side="right"))
-        j = min(max(j, 1), len(hpts) - 1)
-        left, right = hull_idx[j - 1], hull_idx[j]
-        x0, y0 = points[left]
-        x1, y1 = points[right]
-        lam = 0.0 if x1 == x0 else (p_inc_target - x0) / (x1 - x0)
-        lam = min(max(lam, 0.0), 1.0)
-
-        def blocks_at(idx: int) -> tuple[np.ndarray, np.ndarray]:
-            p = params[idx]
-            if p[0] < 0.0:
-                if p[2] == 1.0:
-                    return 0.5 * EYE2, np.zeros((2, 2))
-                return np.zeros((2, 2)), np.zeros((2, 2))
-            return _blocks_from_params(p)
-
-        bm0, bn0 = blocks_at(left)
-        bm1, bn1 = blocks_at(right)
-        h_m = (1.0 - lam) * bm0 + lam * bm1
-        h_n = (1.0 - lam) * bn0 + lam * bn1
-        _, pi = _raw_reduced(h_m, h_n, m0, n0)
-        converged = abs(pi - p_inc_target) <= tol
-        restart_values = ()
-        best_restart = None
+    runs = []  # (ps, pi, h_m, h_n, dual bound or None) per restart
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        ps, pi, h_m, h_n = _ascent_restart(m0, n0, p_inc_target, rng, tol)
+        bound = _dual_bound(m0, n0, pi) if abs(pi - p_inc_target) <= tol else None
+        runs.append((ps, pi, h_m, h_n, bound))
+        if bound is not None and bound[0] - ps <= tol:
+            best = r
+            break
     else:
-        raise DomainError(f"unknown optimization method: {method}")
+        feasible = [r for r, run in enumerate(runs) if run[4] is not None]
+        if feasible:
+            best = max(feasible, key=lambda r: runs[r][0])
+        else:
+            best = min(range(restarts), key=lambda r: abs(runs[r][1] - p_inc_target))
+    _, pi, h_m, h_n, bound = runs[best]
+    _, y, lam = bound if bound is not None else _dual_bound(m0, n0, pi)
 
     # Scrub float dust so the triple passes its own PSD validation.
     h_m = _psd_floor(h_m)
@@ -515,16 +568,20 @@ def optimize_povm(
     triple = PovmTriple(h_m=h_m, h_n=h_n, h_i=h_i)
     point = reduced_probabilities(triple, pair)
     p_inc_error = abs(point.p_inconclusive - p_inc_target)
-    if p_inc_error > tol:
-        converged = False
+    # (Y, λ) is dual feasible, so it bounds P_S at the returned tester's rate.
+    upper_bound = 0.5 * float(y[0, 0] + y[1, 1]) - lam * point.p_inconclusive
+    gap = upper_bound - point.p_success
     return OracleResult(
         point=point,
         triple=triple,
-        converged=converged,
-        method=method,
+        converged=p_inc_error <= tol and gap <= tol,
         p_inc_error=p_inc_error,
-        restart_values=restart_values,
-        best_restart=best_restart,
+        restart_values=tuple(run[0] for run in runs),
+        best_restart=best,
+        upper_bound=upper_bound,
+        gap=gap,
+        y=y,
+        lam=lam,
     )
 
 
@@ -534,74 +591,6 @@ def _psd_floor(mat: np.ndarray) -> np.ndarray:
         return 0.5 * (mat + mat.T)
     evals = np.maximum(evals, 0.0)
     return evecs @ np.diag(evals) @ evecs.T
-
-
-def _optimize_free_rho(
-    pair: MeasurementPair, target: float, tol: float, seed: int, restarts: int
-) -> OracleResult:
-    """Diagnostic search with rho free (blocks normalized to unit trace)."""
-    m0, n0 = pair.m0, pair.n0
-    msum = m0 + n0
-
-    def objective(v: np.ndarray, mu: float) -> float:
-        ls = [np.array([[v[3 * k], 0.0], [v[3 * k + 1], v[3 * k + 2]]]) for k in range(3)]
-        hs = [l @ l.T for l in ls]
-        tr = sum(np.trace(h) for h in hs)
-        if tr < 1e-12:
-            return 1e6
-        hs = [h / tr for h in hs]
-        ps = np.sum(hs[0] * m0) + np.sum(hs[1] * n0)
-        pi = np.sum(hs[2] * msum)
-        return -(ps - mu * (pi - target) ** 2)
-
-    best_val = -np.inf
-    best_x = None
-    values = []
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r, 1))
-        v = rng.normal(size=9) * 0.5
-        for mu in (1e2, 1e3, 1e4, 1e6):
-            res = minimize(objective, v, args=(mu,), method="L-BFGS-B",
-                           options={"maxiter": 400})
-            v = res.x
-        val = -objective(v, 1e6)
-        values.append(val)
-        if val > best_val:
-            best_val = val
-            best_x = v
-
-    v = best_x
-    ls = [np.array([[v[3 * k], 0.0], [v[3 * k + 1], v[3 * k + 2]]]) for k in range(3)]
-    hs = [l @ l.T for l in ls]
-    tr = sum(np.trace(h) for h in hs)
-    hs = [h / tr for h in hs]
-    ps = float(np.sum(hs[0] * m0) + np.sum(hs[1] * n0))
-    pe = float(np.sum(hs[1] * m0) + np.sum(hs[0] * n0))
-    pi = float(np.sum(hs[2] * msum))
-    # Rescale away the tiny constraint slack so the report is a valid point.
-    total = ps + pe + pi
-    point = StrategyPoint(ps / total, pe / total, pi / total)
-    # The returned triple is the nearest fixed-rho projection, for shape
-    # compatibility; the diagnostic value lives in point.p_success.
-    h_m, h_n = _mix_to_target(
-        _psd_floor(hs[0] * (0.5 / max(np.trace(hs[0] + hs[1]), 0.5))),
-        _psd_floor(hs[1] * (0.5 / max(np.trace(hs[0] + hs[1]), 0.5))),
-        point.p_inconclusive,
-        m0,
-        n0,
-    )
-    h_i = 0.5 * EYE2 - h_m - h_n
-    triple = PovmTriple(h_m=_psd_floor(h_m), h_n=_psd_floor(h_n),
-                        h_i=_psd_floor(0.5 * EYE2 - _psd_floor(h_m) - _psd_floor(h_n)))
-    return OracleResult(
-        point=point,
-        triple=triple,
-        converged=abs(pi - target) <= tol,
-        method="free-rho",
-        p_inc_error=abs(point.p_inconclusive - target),
-        restart_values=tuple(values),
-        best_restart=int(np.argmax(values)),
-    )
 
 
 def brute_force_single(

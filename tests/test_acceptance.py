@@ -38,7 +38,11 @@ def report(capsys, number: int, ok: bool, detail: str) -> None:
 def test_criterion_1_povm_search_recovers_the_curve(capsys):
     start = time.perf_counter()
     worst = 0.0
+    worst_certified_gap = 0.0
+    # least eigenvalue of Y − m0, Y − n0 and Y − λ(m0 + n0) over all certificates
+    min_slack = math.inf
     searches = 0
+    restarts_run = 0
     all_converged = True
     for theta in THETA_GRID:
         pair = md.measurement_pair(theta)
@@ -49,13 +53,25 @@ def test_criterion_1_povm_search_recovers_the_curve(capsys):
             )
             closed = md.entangled_success(theta, float(target)).p_success
             worst = max(worst, abs(result.point.p_success - closed))
+            worst_certified_gap = max(worst_certified_gap, result.gap)
+            for a in (pair.m0, pair.n0, result.lam * (pair.m0 + pair.n0)):
+                min_slack = min(min_slack, np.linalg.eigvalsh(result.y - a)[0])
             all_converged = all_converged and result.converged
+            restarts_run += len(result.restart_values)
             searches += 1
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-4 and all_converged and elapsed < 300.0
+    ok = (
+        worst <= 1e-4
+        and worst_certified_gap <= 1e-4
+        and min_slack >= -1e-12
+        and all_converged
+        and elapsed < 300.0
+    )
     report(
         capsys, 1, ok,
-        f"worst |gap| {worst:.2e} over {searches} searches, "
+        f"worst |gap| {worst:.2e} over {searches} searches, worst certified "
+        f"gap {worst_certified_gap:.2e} after {restarts_run} restarts, "
+        f"least dual slack eigenvalue {min_slack:.1e}, "
         f"all converged: {all_converged}, {elapsed:.1f}s",
     )
 

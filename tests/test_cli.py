@@ -196,6 +196,17 @@ def test_convexity_explicit_budgets_straddle_both_branches(tmp_path):
     assert rows[-1]["d2_analytic"] < 0.0
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [("0.1:0.9:1e-12", "more than 100000 points"), ("0.1:inf:0.1", "must be finite")],
+)
+def test_convexity_rejects_an_unbounded_grid(tmp_path, capsys, grid, message):
+    code = main(["convexity", "--c-grid", grid, "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_convexity_rejects_bad_inputs(tmp_path, capsys):
     assert main(["convexity", "--c-grid", "0:0.9:0.1", "--out", str(tmp_path)]) == 2
     assert "strictly inside" in capsys.readouterr().err
@@ -222,13 +233,21 @@ def test_oracle_report_matches_the_curve(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     assert report["converged"]
-    assert report["method"] == "ascent"
     assert abs(report["gap_to_closed_form"]) <= 1e-4
+    assert report["gap"] <= 1e-4
+    assert report["gap"] == pytest.approx(report["upper_bound"] - report["p_success"], abs=1e-15)
+    # the stored dual point proves the bound: Y ⪰ m0, n0 and λ(m0 + n0)
+    y = np.array(report["certificate"]["y"])
+    lam = report["certificate"]["lam"]
+    assert 0.5 * np.trace(y) - lam * report["p_inc"] == pytest.approx(
+        report["upper_bound"], abs=1e-15
+    )
     assert report["closed_form_p_success"] == pytest.approx(
         FROZEN["ps_entangled_pi6_p03"], abs=1e-12
     )
     assert report["p_inc"] == pytest.approx(0.3, abs=1e-4)
-    assert len(report["restart_values"]) == 5
+    # --restarts is a cap: the search stops at the first certified start
+    assert 1 <= len(report["restart_values"]) <= 5
     # the stored blocks reconstruct a valid tester with those probabilities
     triple = PovmTriple(
         h_m=np.array(report["blocks"]["h_m"]),
@@ -330,6 +349,16 @@ def test_simulate_with_a_noise_preset(tmp_path):
     assert manifest["parameters"]["noise"]["singlet_visibility"] == 0.98
     _, rows = read_csv(tmp_path / "simulate.csv")
     assert rows[0]["p_error"] <= 0.032
+
+
+def test_simulate_rejects_an_oversized_grid(tmp_path, capsys):
+    code = main(
+        ["simulate", "--mode", "unambiguous", "--t-grid", "0:1:1e-12",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "more than 100000 points" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_simulate_rejects_unknown_noise(tmp_path, capsys):

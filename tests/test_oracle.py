@@ -1,6 +1,8 @@
 """Process testers for the discrimination experiment and the POVM search."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from measdiscrim import (
     single_optimal,
 )
 from measdiscrim.geometry import SIGMA_Y
-from measdiscrim.oracle import _kernel_coefficients, _penalized_objective
+from measdiscrim.oracle import _dual_bound, _kernel_coefficients, _penalized_objective
 
 import oracles
 from oracles import FROZEN
@@ -196,11 +198,12 @@ def test_search_recovers_minimum_error():
     pair = measurement_pair(math.pi / 6.0)
     result = md.optimize_povm(pair, 0.0, restarts=6)
     assert result.converged
-    assert result.method == "ascent"
     assert result.point.p_success == pytest.approx(FROZEN["helstrom_pi6"], abs=1e-4)
     assert result.p_inc_error <= 1e-4
-    assert len(result.restart_values) == 6
-    assert result.best_restart in range(6)
+    # restarts is a cap: the search stops at the first certified start
+    assert 1 <= len(result.restart_values) <= 6
+    assert result.best_restart == len(result.restart_values) - 1
+    assert result.gap <= 1e-4
 
 
 def test_search_recovers_the_frozen_curve_point():
@@ -231,14 +234,25 @@ def test_search_target_domain():
     pair = measurement_pair(math.pi / 6.0)
     with pytest.raises(DomainError, match="inconclusive target"):
         md.optimize_povm(pair, 0.6)
-    with pytest.raises(DomainError, match="method"):
-        md.optimize_povm(pair, 0.1, method="annealing")
     for restarts in (0, -3):
         with pytest.raises(DomainError, match="restarts"):
             md.optimize_povm(pair, 0.1, restarts=restarts)
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(DomainError, match="tol"):
             md.optimize_povm(pair, 0.1, tol=tol)
+
+
+def test_scipy_optimize_loads_on_the_first_search():
+    code = (
+        "import sys, measdiscrim, measdiscrim.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "from measdiscrim.oracle import minimize\n"
+        "result = minimize(lambda x: float((x[0] - 1.0) ** 2), [0.0])\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "assert result.nit >= 1 and abs(result.x[0] - 1.0) < 1e-4\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- the closed-form objective kernel ---
@@ -297,23 +311,80 @@ def test_kernel_gradient_matches_central_differences():
     assert min(hits) >= 10, hits
 
 
-def test_grid_search_brackets_the_curve():
-    pair = measurement_pair(math.pi / 6.0)
-    for target in (0.0, 0.2, 0.45):
-        result = md.optimize_povm(pair, target, method="grid")
-        closed = entangled_success(math.pi / 6.0, target).p_success
-        assert result.method == "grid"
-        assert result.point.p_success <= closed + 1e-9
-        assert result.point.p_success >= closed - 5e-3
-        assert result.p_inc_error <= 1e-4
+# --- the dual certificate ---
+
+CRITERION_1_POINTS = [
+    (theta, float(p))
+    for theta in (j * math.pi / 30.0 for j in range(1, 8))
+    for p in np.linspace(0.0, math.cos(2.0 * theta), 6)
+]
+EDGE_POINTS = [
+    (theta, share * math.cos(2.0 * theta))
+    for theta in (1e-3, 0.05, math.pi / 4.0 - 1e-4, math.pi / 4.0)
+    for share in (0.0, 0.5, 1.0)
+]
 
 
-def test_free_state_search_does_not_beat_the_curve():
-    pair = measurement_pair(math.pi / 6.0)
-    result = md.optimize_povm(pair, 0.3, restarts=2, free_rho=True)
-    closed = entangled_success(math.pi / 6.0, 0.3).p_success
-    assert result.method == "free-rho"
-    assert result.point.p_success <= closed + 2e-3
+def assert_dual_feasible(pair, y, lam):
+    """Y ⪰ m0, Y ⪰ n0 and Y ⪰ λ(m0 + n0), by a dense eigensolver."""
+    for a in (pair.m0, pair.n0, lam * (pair.m0 + pair.n0)):
+        assert np.linalg.eigvalsh(y - a)[0] >= -1e-12
+
+
+def test_dual_bound_holds_for_random_testers():
+    # weak duality: no tester, with any probe state, beats the bound
+    rng = np.random.default_rng(80117)
+    worst = -math.inf
+    for _ in range(1000):
+        pair = measurement_pair(float(rng.uniform(0.0, math.pi / 4.0)))
+        blocks, _ = oracles.random_tester(rng)
+        point = md.tester_probabilities(triple_from_blocks(blocks), pair)
+        bound, y, lam = _dual_bound(pair.m0, pair.n0, point.p_inconclusive)
+        assert_dual_feasible(pair, y, lam)
+        worst = max(worst, point.p_success - bound)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("theta, p_inc", CRITERION_1_POINTS + EDGE_POINTS)
+def test_dual_bound_is_tight(theta, p_inc):
+    pair = measurement_pair(theta)
+    bound, y, lam = _dual_bound(pair.m0, pair.n0, p_inc)
+    assert bound == pytest.approx(entangled_success(theta, p_inc).p_success, abs=1e-9)
+    assert_dual_feasible(pair, y, lam)
+    assert 0.5 * np.trace(y) - lam * p_inc == pytest.approx(bound, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta, p_inc", CRITERION_1_POINTS[::5] + EDGE_POINTS)
+def test_search_returns_a_checkable_certificate(theta, p_inc):
+    pair = measurement_pair(theta)
+    result = md.optimize_povm(pair, p_inc, tol=1e-4, seed=0, restarts=20)
+    assert result.converged
+    assert result.gap <= 1e-4
+    assert_dual_feasible(pair, result.y, result.lam)
+    dual_value = 0.5 * np.trace(result.y) - result.lam * result.point.p_inconclusive
+    assert dual_value == pytest.approx(result.upper_bound, abs=1e-15)
+    assert result.gap == pytest.approx(result.upper_bound - result.point.p_success, abs=1e-15)
+
+
+def test_search_stops_at_the_first_certified_restart():
+    # restart 0 at this point ends in a local optimum that the bound rejects
+    theta = math.pi / 10.0
+    pair = measurement_pair(theta)
+    target = 0.4 * math.cos(2.0 * theta)
+    result = md.optimize_povm(pair, target, tol=1e-4, seed=0, restarts=20)
+    assert result.converged
+    assert result.best_restart == 1
+    assert len(result.restart_values) == 2
+    first, second = result.restart_values
+    assert first < second - 1e-4
+    closed = entangled_success(theta, target).p_success
+    assert abs(result.point.p_success - closed) <= 1e-4
+    # capped at one restart, the search keeps that start but cannot certify it
+    capped = md.optimize_povm(pair, target, tol=1e-4, seed=0, restarts=1)
+    assert not capped.converged
+    assert capped.restart_values == (first,)
+    assert capped.gap > 1e-4
+    assert_dual_feasible(pair, capped.y, capped.lam)
 
 
 # --- the single-qubit brute force ---
