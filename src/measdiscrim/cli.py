@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .convexity import check_step, finite_difference_check_array
 from .errors import ConvergenceError, DomainError, ValidationError
-from .geometry import measurement_pair, overlap
+from .geometry import TOL, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
     ImperfectionModel,
@@ -147,9 +147,9 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = values
     if start == stop or step == 0.0:
         return [start]
-    if (stop - start) * step < 0.0:
-        raise DomainError("grid step never reaches the stop value")
     count = (stop - start) / step
+    if count < 0.0:
+        raise DomainError("grid step never reaches the stop value")
     # n + 1 points for n = count steps; `not <=` also catches an overflow to inf.
     if not count <= MAX_GRID_POINTS - 1 + 1e-9:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
@@ -169,7 +169,7 @@ def _resolve_theta(value: float, degrees: bool) -> float:
         return math.pi / 4.0
     if -1e-3 <= theta < 0.0:
         return 0.0
-    return theta
+    return float(check_theta(theta))
 
 
 def _out_dir(args) -> Path:
@@ -189,7 +189,7 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         raise DomainError("budget grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("budget grid must be strictly increasing")
-    if grid[0] < -1e-12 or grid[-1] > p_max + 1e-12:
+    if grid[0] < -TOL or grid[-1] > p_max + TOL:
         raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
 
     # NaN marks an empty cell: past the entangled endpoint, or a relative
@@ -197,12 +197,12 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     p = np.clip(np.array(grid), 0.0, p_max)
     ps_opt = single_optimal_array(theta, p).p_success
     ps_pure = single_pure_curve_array(theta, p).p_success
-    has_ent = p <= c + 1e-12
+    has_ent = p <= c + TOL
     p_ent = np.minimum(p, c)
     ps_ent = np.where(has_ent, entangled_success_array(theta, p_ent).p_success, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pts_ent = np.where(p_ent < 1.0 - 1e-12, ps_ent / (1.0 - p_ent), np.nan)
-        pts_single = np.where(p < 1.0 - 1e-12, ps_opt / (1.0 - p), np.nan)
+        pts_ent = np.where(p_ent < 1.0 - TOL, ps_ent / (1.0 - p_ent), np.nan)
+        pts_single = np.where(p < 1.0 - TOL, ps_opt / (1.0 - p), np.nan)
     adv = ps_ent - ps_opt
     columns = (p, ps_ent, ps_opt, ps_pure, pts_ent, pts_single, adv)
     rows = list(zip(*(col.tolist() for col in columns)))
@@ -283,7 +283,7 @@ def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, in
             if parameters["pi_grid"] is not None
             else _convexity_default_budgets(c)
         )
-        if not np.all((budgets >= -1e-12) & (budgets <= p_top + 1e-12)):
+        if not np.all((budgets >= -TOL) & (budgets <= p_top + TOL)):
             raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
         p = np.clip(budgets, 0.0, p_top)
         convex = p < pib
@@ -475,14 +475,21 @@ def _cmd_replay(args) -> int:
     path = Path(args.manifest)
     if not path.is_file():
         raise DomainError(f"manifest not found: {args.manifest}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError("manifest must be a JSON object")
     for key in (
         "command", "artifact_version", "parameters", "seed", "params_checksum", "outputs"
     ):
         if key not in manifest:
             raise ValidationError(f"manifest is missing the {key!r} field")
+    if not isinstance(manifest["outputs"], dict):
+        raise ValidationError("manifest outputs must map file names to checksums")
     command = manifest["command"]
-    runner = _RUNNERS.get(command)
+    runner = _RUNNERS.get(command) if isinstance(command, str) else None
     if runner is None:
         raise ValidationError(f"manifest names an unknown command: {command}")
     if manifest["artifact_version"] != __version__:
@@ -506,10 +513,18 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_common(sub, seed_default: int = 0) -> None:
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=seed_default)
+    sub.add_argument("--seed", type=_seed, default=seed_default)
     sub.add_argument(
         "--degrees", action="store_true", help="interpret angle arguments as degrees"
     )

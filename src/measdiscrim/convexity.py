@@ -28,7 +28,8 @@ import numpy as np
 
 from . import _cubic
 from .errors import BranchCrossingError, DomainError, SingularityError
-from .strategies import TOL, best_root, boundary_PIB, single_pure_curve_array
+from .geometry import TOL
+from .strategies import best_root, boundary_PIB, single_pure_curve_array
 
 DENOM_FLOOR = 1e-10
 

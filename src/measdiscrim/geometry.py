@@ -25,6 +25,18 @@ TOL = 1e-12
 SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def check_theta(theta) -> np.ndarray:
+    """Reject angles more than TOL outside [0, pi/4]; clamp the rest.
+
+    The one domain check for the measurement angle; accepts scalars and
+    arrays and returns a float array of the same shape.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta >= -TOL) & (theta <= math.pi / 4.0 + TOL)):
+        raise DomainError("theta outside [0, pi/4]")
+    return np.clip(theta, 0.0, math.pi / 4.0)
+
+
 @dataclass(frozen=True)
 class PureQubitState:
     """A qubit state with real amplitudes, unit norm."""
@@ -84,9 +96,7 @@ def measurement_pair(theta: float) -> MeasurementPair:
     Callers must canonicalize their bases to this normal form first; out of
     range angles are rejected, never remapped.
     """
-    if not -TOL <= theta <= math.pi / 4.0 + TOL:
-        raise DomainError("theta outside [0, pi/4]")
-    theta = float(min(max(theta, 0.0), math.pi / 4.0))
+    theta = float(check_theta(theta))
     ct, st = math.cos(theta), math.sin(theta)
     phi = PureQubitState(np.array([ct, st]))
     phi_perp = PureQubitState(np.array([st, -ct]))

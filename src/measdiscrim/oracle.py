@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .geometry import SIGMA_Y, MeasurementPair
+from .geometry import SIGMA_Y, TOL, MeasurementPair
 from .strategies import StrategyPoint, q_strategy_points, upper_hull
 
 PSD_TOL = 1e-10
@@ -538,7 +538,7 @@ def optimize_povm(
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     c = math.cos(2.0 * pair.theta)
-    if not -1e-12 <= p_inc_target <= c + 1e-12:
+    if not -TOL <= p_inc_target <= c + TOL:
         raise DomainError("inconclusive target outside [0, cos(2*theta)]")
     p_inc_target = min(max(p_inc_target, 0.0), c)
     m0, n0 = pair.m0, pair.n0

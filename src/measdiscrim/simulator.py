@@ -7,11 +7,12 @@ variable-reflectivity beam-splitter filter, and reads the surviving qubit
 out interferometrically on two detectors. Counts land in twelve cells
 (device label x device outcome x detector) and are thinned by detector
 efficiencies. `estimate` inverts the thinning and returns probability
-estimates with binomial error bars.
+estimates with delta-method error bars.
 
-Trials are vectorized in batches over a counter-based generator keyed by
-(seed, stream), with a fixed stride of uniform draws per trial, so results
-are bit-identical for any batch size.
+The simulation is exact-cell: `cell_probabilities` gives, in closed form,
+the chance that one trial registers in each cell, and since trials are
+independent and identically distributed `run_trials` draws all counts as
+one multinomial from a generator keyed by (seed, stream).
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .geometry import check_theta
 from .strategies import CurveTable, StrategyPoint
 
-K_DRAWS = 12
-X_LABELS = ("M", "N")
-DETECTOR_LABELS = ("A", "B", "I")
 DEFAULT_THETA_GRID = tuple(j * math.pi / 30.0 for j in range(1, 8))
 DEFAULT_INTERMEDIATE_T_GRID = tuple(1.0 - 0.1 * k for k in range(10))
 DEFAULT_UNAMBIGUOUS_T_GRID = tuple(0.1 * k for k in range(11))
+# The largest count a multinomial draw takes (int64).
+MAX_TRIALS = 2**63 - 1
 
 _CONFIG_KEYS = {
     "eta_D0": "eta_d0",
@@ -102,20 +103,11 @@ class ImperfectionModel:
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        inverse = {v: k for k, v in _CONFIG_KEYS.items()}
-        return {
-            inverse[name]: getattr(self, name)
-            for name in (
-                "eta_d0",
-                "eta_d1",
-                "eta_da",
-                "eta_db",
-                "eta_di",
-                "phase_noise_sigma",
-                "singlet_visibility",
-                "splitter_imbalance",
-            )
-        }
+        return {key: getattr(self, name) for key, name in _CONFIG_KEYS.items()}
+
+    def cell_efficiencies(self) -> np.ndarray:
+        """Chance that a hit of an (outcome, detector) cell registers, (2, 3)."""
+        return np.outer([self.eta_d0, self.eta_d1], [self.eta_da, self.eta_db, self.eta_di])
 
 
 def _parse_config_text(text: str) -> dict:
@@ -160,17 +152,16 @@ class ExperimentConfig:
     imperfections: ImperfectionModel = field(default_factory=ImperfectionModel.ideal)
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 4.0 + 1e-12:
-            raise DomainError("theta outside [0, pi/4]")
         if not 0.0 <= self.vrc_transmittance <= 1.0:
             raise DomainError("transmittance must lie in [0, 1]")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
+        object.__setattr__(self, "theta", float(check_theta(self.theta)))
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise DomainError(f"trials must lie in [1, 2**63 - 1], got {self.trials}")
 
 
 @dataclass(frozen=True)
 class CoincidenceCounts:
-    """Registered coincidences, indexed (device, outcome, detector)."""
+    """Registered coincidences, indexed (device M/N, outcome, detector A/B/I)."""
 
     counts: np.ndarray
     trials: int
@@ -189,107 +180,78 @@ class CoincidenceCounts:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def cell(self, device: str, outcome: int, detector: str) -> int:
-        return int(
-            self.counts[
-                X_LABELS.index(device), outcome, DETECTOR_LABELS.index(detector)
-            ]
-        )
 
+def cell_probabilities(config: ExperimentConfig) -> np.ndarray:
+    """Probability that one trial registers in each cell, shape (2, 2, 3).
 
-def _philox_generator(seed: int, stream: int, trials_done: int) -> np.random.Generator:
-    key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
-    bits = np.random.Philox(key=key)
-    # One uniform consumes one 64-bit word; Philox counts 4-word blocks.
-    bits.advance(trials_done * K_DRAWS // 4)
-    return np.random.Generator(bits)
-
-
-def run_trials(
-    config: ExperimentConfig,
-    stream: int = 0,
-    batch_size: int = 262144,
-    feed_forward: bool = True,
-) -> CoincidenceCounts:
-    """Simulate the bench and return coincidence counts.
-
-    Per trial: pick the device (equal priors) and its outcome; collapse the
-    held qubit (or draw a mixed-state impostor when visibility < 1); swap
-    its amplitudes on outcome 0 (the feed-forward correction); route it
-    through the filter, whose failure fires the inconclusive detector;
-    interfere the survivor with phase noise and splitter imbalance; fire
-    detector A on the dark port, B on the bright port; thin by the product
-    of the outcome-side and answer-side detector efficiencies.
+    Indexed (device, outcome, detector). Sums over three branches per
+    (device, outcome): the collapsed singlet and the two impostors |0>, |1>
+    that stand in for the white-noise part of a Werner state. Each branch
+    gets the feed-forward swap on outcome 0, fails the filter with
+    probability (1 - T) a^2 (detector I), and otherwise reaches the dark
+    (A) or bright (B) port; the phase average of the interference term is
+    E[cos chi] = exp(-sigma^2 / 2). Cells are then thinned by the product
+    of the outcome-side and answer-side efficiencies; the rest of the unit
+    mass is the chance that a trial registers nowhere.
     """
     imp = config.imperfections
-    theta = config.theta
     t_filter = config.vrc_transmittance
-    sq_t = math.sqrt(t_filter)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    # Held-qubit amplitudes after the device reports (device, outcome).
-    a_base = np.array([[sin_t, cos_t], [sin_t, cos_t]])
-    b_base = np.array([[-cos_t, sin_t], [cos_t, -sin_t]])
+    cos_t, sin_t = math.cos(config.theta), math.sin(config.theta)
+    # Held-qubit amplitudes (a, b) per (device, outcome, branch), with the
+    # feed-forward swap already applied on outcome 0.
+    a = np.array(
+        [[[-cos_t, 0.0, 1.0], [cos_t, 1.0, 0.0]], [[cos_t, 0.0, 1.0], [cos_t, 1.0, 0.0]]]
+    )
+    b = np.array(
+        [[[sin_t, 1.0, 0.0], [sin_t, 0.0, 1.0]], [[sin_t, 1.0, 0.0], [-sin_t, 0.0, 1.0]]]
+    )
+    impostor = 0.125 * (1.0 - imp.singlet_visibility)
+    weight = np.array([0.25 * imp.singlet_visibility, impostor, impostor])
+
+    p_fail = (1.0 - t_filter) * a * a
+    a_pass = math.sqrt(t_filter) * a
+    norm = np.sqrt(a_pass * a_pass + b * b)
+    norm = np.where(norm > 0.0, norm, 1.0)
+    a_out = a_pass / norm
+    b_out = b / norm
     split = 0.5 + imp.splitter_imbalance
     cross = 2.0 * math.sqrt(split * (1.0 - split))
-    eta_outcome = np.array([imp.eta_d0, imp.eta_d1])
-    eta_detector = np.array([imp.eta_da, imp.eta_db, imp.eta_di])
-    thinning = imp.eta_d0 == imp.eta_d1 == imp.eta_da == imp.eta_db == imp.eta_di == 1.0
+    mean_cos = math.exp(-0.5 * imp.phase_noise_sigma**2)
+    p_bright = (
+        split * a_out * a_out
+        + (1.0 - split) * b_out * b_out
+        + cross * a_out * b_out * mean_cos
+    )
+    p_bright = np.clip(p_bright, 0.0, 1.0)
+    # Flush float dust so analytically dark ports stay silent.
+    p_bright = np.where(p_bright < 1e-24, 0.0, p_bright)
+    p_bright = np.where(p_bright > 1.0 - 1e-24, 1.0, p_bright)
+    p_pass = 1.0 - p_fail
+    branches = np.stack(
+        [p_pass * (1.0 - p_bright), p_pass * p_bright, p_fail], axis=-1
+    )
+    cells = (weight[:, None] * branches).sum(axis=2)
+    return cells * imp.cell_efficiencies()
 
-    totals = np.zeros(12, dtype=np.int64)
-    done = 0
-    while done < config.trials:
-        n = min(batch_size, config.trials - done)
-        u = _philox_generator(config.seed, stream, done).random((n, K_DRAWS))
-        device = (u[:, 0] >= 0.5).astype(np.int64)
-        outcome = (u[:, 1] >= 0.5).astype(np.int64)
-        a = a_base[device, outcome]
-        b = b_base[device, outcome]
-        if imp.singlet_visibility < 1.0:
-            mixed = u[:, 2] >= imp.singlet_visibility
-            a_mixed = np.where(u[:, 3] < 0.5, 1.0, 0.0)
-            a = np.where(mixed, a_mixed, a)
-            b = np.where(mixed, 1.0 - a_mixed, b)
-        if feed_forward:
-            sw = outcome == 0
-            a, b = np.where(sw, b, a), np.where(sw, a, b)
-        p_fail = (1.0 - t_filter) * a * a
-        fail = u[:, 4] < p_fail
-        a_pass = sq_t * a
-        norm = np.sqrt(a_pass * a_pass + b * b)
-        norm = np.where(norm > 0.0, norm, 1.0)
-        a_out = a_pass / norm
-        b_out = b / norm
-        if imp.phase_noise_sigma > 0.0:
-            chi = (
-                imp.phase_noise_sigma
-                * np.sqrt(-2.0 * np.log1p(-u[:, 5]))
-                * np.cos(2.0 * math.pi * u[:, 6])
-            )
-            cos_chi = np.cos(chi)
-        else:
-            cos_chi = 1.0
-        p_bright = (
-            split * a_out * a_out
-            + (1.0 - split) * b_out * b_out
-            + cross * a_out * b_out * cos_chi
-        )
-        p_bright = np.clip(p_bright, 0.0, 1.0)
-        # Flush float dust so analytically dark ports stay silent.
-        p_bright = np.where(p_bright < 1e-24, 0.0, p_bright)
-        p_bright = np.where(p_bright > 1.0 - 1e-24, 1.0, p_bright)
-        detector = np.where(fail, 2, np.where(u[:, 7] < p_bright, 1, 0))
-        cells = device * 6 + outcome * 3 + detector
-        if not thinning:
-            keep = u[:, 8] < eta_outcome[outcome] * eta_detector[detector]
-            cells = cells[keep]
-        totals += np.bincount(cells, minlength=12)
-        done += n
-    return CoincidenceCounts(counts=totals.reshape(2, 2, 3), trials=config.trials)
+
+def run_trials(config: ExperimentConfig, stream: int = 0) -> CoincidenceCounts:
+    """Simulate the bench and return coincidence counts.
+
+    Trials are independent and each one registers in one of the twelve
+    cells of `cell_probabilities` or nowhere, so the counts are one draw
+    of Multinomial(trials; cell probabilities, loss) from the generator
+    keyed by (seed, stream). The cost does not depend on `trials`.
+    """
+    cells = cell_probabilities(config).ravel()
+    pvals = np.append(cells, max(1.0 - cells.sum(), 0.0))
+    rng = np.random.default_rng((config.seed, stream))
+    counts = rng.multinomial(config.trials, pvals)[:12]
+    return CoincidenceCounts(counts=counts.reshape(2, 2, 3), trials=config.trials)
 
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Probability estimates with binomial standard errors."""
+    """Probability estimates with delta-method standard errors."""
 
     point: StrategyPoint
     std_errors: tuple[float, float, float]
@@ -299,43 +261,62 @@ class EstimateResult:
     rel_success_sigma: float
 
 
+# Cells by (device, outcome, detector): the bench answers M on the dark port
+# A after outcome 0 and on the bright port B after outcome 1, N the other way
+# round, and detector I is inconclusive.
+_DEVICE, _OUTCOME, _DETECTOR = np.indices((2, 2, 3))
+_SUCCESS = _DETECTOR == _DEVICE ^ _OUTCOME
+_ERROR = _DETECTOR == 1 - (_DEVICE ^ _OUTCOME)
+_INCONCLUSIVE = _DETECTOR == 2
+
+
+def _ratio(numerator, denominator, counts, weights) -> tuple[float, float]:
+    """A reweighted count ratio and its delta-method standard error.
+
+    The estimate is f = A/B with A = sum(n_k / w_k) over the numerator
+    cells and B the same over the denominator cells. Under multinomial
+    counts, Var f ~ sum_k g_k^2 n_k / B^2 with g_k = (1[k in num] -
+    f 1[k in den]) / w_k; for unit weights this is f (1 - f) / n_den.
+    """
+    a = numerator / weights
+    b = denominator / weights
+    total = float((b * counts).sum())
+    f = float((a * counts).sum()) / total
+    g = a - f * b
+    return f, math.sqrt(float((g * g * counts).sum())) / total
+
+
 def estimate(
     counts: CoincidenceCounts, efficiencies: ImperfectionModel | None = None
 ) -> EstimateResult:
     """Invert efficiency thinning and estimate (P_S, P_E, P_I).
 
-    Standard errors are binomial over the registered coincidences; the
-    conditional success rate uses only conclusive events.
+    Each probability is a ratio of efficiency-reweighted counts, and its
+    standard error is the delta-method error of that ratio under
+    multinomial counts; with unit efficiencies these are the binomial
+    errors over the registered coincidences. The conditional success rate
+    uses only conclusive events.
     """
     registered = counts.total
     if registered == 0:
         raise ValidationError("no registered coincidences to estimate from")
     imp = efficiencies if efficiencies is not None else ImperfectionModel.ideal()
-    eta_outcome = np.array([imp.eta_d0, imp.eta_d1])
-    eta_detector = np.array([imp.eta_da, imp.eta_db, imp.eta_di])
-    weights = eta_outcome[:, None] * eta_detector[None, :]
-    rescaled = counts.counts / weights[None, :, :]
-    total = rescaled.sum()
-    p_success = (
-        rescaled[0, 0, 0] + rescaled[0, 1, 1] + rescaled[1, 1, 0] + rescaled[1, 0, 1]
-    ) / total
-    p_inc = rescaled[:, :, 2].sum() / total
-    p_error = 1.0 - p_success - p_inc
-    point = StrategyPoint(float(p_success), float(p_error), float(p_inc))
-    sigmas = tuple(
-        math.sqrt(max(p * (1.0 - p), 0.0) / registered)
-        for p in (point.p_success, point.p_error, point.p_inconclusive)
-    )
-    conclusive = registered - int(counts.counts[:, :, 2].sum())
-    if conclusive > 0 and p_inc < 1.0:
-        rel = float(p_success / (1.0 - p_inc))
-        rel_sigma = math.sqrt(max(rel * (1.0 - rel), 0.0) / conclusive)
+    weights = imp.cell_efficiencies()
+    n = counts.counts
+    all_cells = np.ones((2, 2, 3), dtype=bool)
+    p_success, s_success = _ratio(_SUCCESS, all_cells, n, weights)
+    p_error, s_error = _ratio(_ERROR, all_cells, n, weights)
+    p_inc, s_inc = _ratio(_INCONCLUSIVE, all_cells, n, weights)
+    point = StrategyPoint(p_success, p_error, p_inc)
+    conclusive = registered - int(n[_INCONCLUSIVE].sum())
+    if conclusive > 0:
+        rel, rel_sigma = _ratio(_SUCCESS, ~_INCONCLUSIVE, n, weights)
     else:
         rel = float("nan")
         rel_sigma = float("nan")
     return EstimateResult(
         point=point,
-        std_errors=sigmas,
+        std_errors=(s_success, s_error, s_inc),
         registered=registered,
         conclusive=conclusive,
         rel_success=rel,
@@ -419,15 +400,10 @@ def scan_unambiguous(
     imp = imperfections if imperfections is not None else ImperfectionModel.ideal()
     rows = []
     for stream, t_value in enumerate(t_values):
-        theta = math.atan(math.sqrt(t_value))
+        # A negative T is rejected by ExperimentConfig, not by sqrt.
+        theta = math.atan(math.sqrt(max(t_value, 0.0)))
         row, counts = _scan_row(theta, t_value, trials, seed, stream, imp)
-        error_counts = (
-            counts.cell("M", 0, "B")
-            + counts.cell("M", 1, "A")
-            + counts.cell("N", 0, "A")
-            + counts.cell("N", 1, "B")
-        )
-        rows.append(row + (float(error_counts),))
+        rows.append(row + (float(counts.counts[_ERROR].sum()),))
     return CurveTable(
         columns=SCAN_COLUMNS + ("error_counts",), rows=tuple(rows), monotone_key=None
     )

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import _cubic
 from .errors import DomainError, ValidationError
-
-TOL = 1e-12
+from .geometry import TOL, check_theta
 # Below this overlap the measurements are effectively orthogonal and the
 # single-qubit formulas are replaced by their analytic limits.
 DEGENERATE_C = 1e-12
@@ -149,13 +148,6 @@ def _scalar(value: np.ndarray):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _check_theta(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if not np.all((theta >= -TOL) & (theta <= math.pi / 4.0 + TOL)):
-        raise DomainError("theta outside [0, pi/4]")
-    return np.clip(theta, 0.0, math.pi / 4.0)
-
-
 def _check_overlap(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if not np.all((c >= -TOL) & (c <= 1.0 + TOL)):
@@ -177,7 +169,7 @@ def _point(p_success: float, p_inc: float) -> StrategyPoint:
 
 def entangled_success_array(theta, p_inc) -> CurveSamples:
     """entangled_success at arrays of angles and budgets (broadcast)."""
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     c = np.cos(2.0 * theta)
     p_inc = _check_budget(p_inc, c, "budget exceeds IDP point")
     root = np.sqrt(np.maximum(0.0, 1.0 - p_inc / np.cos(theta) ** 2))
@@ -204,7 +196,7 @@ def relative_success(point: StrategyPoint) -> float:
 
 def helstrom_point(theta: float) -> StrategyPoint:
     """Minimum-error discrimination: P_I = 0, P_S = (1 + sin 2θ)/2."""
-    theta = float(_check_theta(theta))
+    theta = float(check_theta(theta))
     return _point(0.5 * (1.0 + math.sin(2.0 * theta)), 0.0)
 
 
@@ -247,7 +239,7 @@ def _arc_success(c, sin2theta, p_inc):
 
 def concave_branch(theta: float, p_inc: float) -> StrategyPoint:
     """The q = 0 single-qubit arc: sqrt requires |1 - 2 P_I| ≤ cos 2θ."""
-    theta = float(_check_theta(theta))
+    theta = float(check_theta(theta))
     c = math.cos(2.0 * theta)
     if abs(1.0 - 2.0 * p_inc) > c + TOL:
         raise DomainError("q = 0 arc undefined: |1 - 2*p_inc| exceeds cos(2*theta)")
@@ -291,7 +283,7 @@ def best_root(c, p_inc, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 
 def _single_domain(theta, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     c = np.cos(2.0 * theta)
     p_max = 0.5 * (1.0 + c * c)
     p_inc = _check_budget(
@@ -375,7 +367,7 @@ def single_optimal(
     single_optimal_array takes arrays.
     """
     samples = single_optimal_array(theta, p_inc)
-    theta = float(_check_theta(theta))
+    theta = float(check_theta(theta))
     p_inc, w_t = float(samples.p_inc), float(samples.w_tangent)
     if math.isnan(w_t):
         return single_pure_curve(theta, p_inc)
@@ -396,7 +388,7 @@ def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
     Entangled probes reach (P_S, P_E, P_I) = (2sin²θ, 0, cos 2θ); a single
     qubit cannot do better than ((1-c²)/2, 0, (1+c²)/2).
     """
-    theta = float(_check_theta(theta))
+    theta = float(check_theta(theta))
     c = math.cos(2.0 * theta)
     entangled = StrategyPoint(2.0 * math.sin(theta) ** 2, 0.0, c)
     single = StrategyPoint(0.5 * (1.0 - c * c), 0.0, 0.5 * (1.0 + c * c))

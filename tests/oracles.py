@@ -3,8 +3,8 @@
 Every helper here recomputes something the library derives in closed form,
 but by a different route: generic polynomial root finders, scipy's convex
 hull, high-precision differencing with mpmath, a branch-by-branch
-expectation model of the Monte Carlo bench, and an explicit tester for the
-filter protocol. Tests compare the two routes; nothing in this module
+expectation model of the Monte Carlo bench, a trial-by-trial sampler of
+that bench, and an explicit tester for the filter protocol. Tests compare the two routes; nothing in this module
 imports the package under test.
 
 FROZEN holds reference values computed once at 50 significant digits and
@@ -283,6 +283,72 @@ def thinned_cells(cells, eta_outcome=(1.0, 1.0), eta_detector=(1.0, 1.0, 1.0)):
     eo = np.asarray(eta_outcome, dtype=float)
     ed = np.asarray(eta_detector, dtype=float)
     return np.asarray(cells) * eo[None, :, None] * ed[None, None, :]
+
+
+def sample_bench_trials(
+    theta: float,
+    transmittance: float,
+    trials: int,
+    rng: np.random.Generator,
+    phase_sigma: float = 0.0,
+    visibility: float = 1.0,
+    imbalance: float = 0.0,
+    eta_outcome=(1.0, 1.0),
+    eta_detector=(1.0, 1.0, 1.0),
+    feed_forward: bool = True,
+) -> np.ndarray:
+    """Registered counts of the bench, sampled trial by trial.
+
+    One numpy pass over all trials: uniforms pick the device (equal priors)
+    and its outcome, replace the collapsed held qubit by a random impostor
+    |0> or |1> with probability 1 - visibility, swap its amplitudes on
+    outcome 0 when feed_forward is on, fail the filter with probability
+    (1 - T) a^2, draw a Gaussian phase for the interference, pick the
+    port, and thin by the outcome-side times the answer-side efficiency.
+    Returns the (2, 2, 3) counts indexed (device, outcome, detector) with
+    detectors (dark, bright, inconclusive).
+    """
+    u = rng.random((trials, 9))
+    sq_t = math.sqrt(transmittance)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    a_base = np.array([[sin_t, cos_t], [sin_t, cos_t]])
+    b_base = np.array([[-cos_t, sin_t], [cos_t, -sin_t]])
+    split = 0.5 + imbalance
+    cross = 2.0 * math.sqrt(split * (1.0 - split))
+    device = (u[:, 0] >= 0.5).astype(np.int64)
+    outcome = (u[:, 1] >= 0.5).astype(np.int64)
+    a = a_base[device, outcome]
+    b = b_base[device, outcome]
+    mixed = u[:, 2] >= visibility
+    a_mixed = np.where(u[:, 3] < 0.5, 1.0, 0.0)
+    a = np.where(mixed, a_mixed, a)
+    b = np.where(mixed, 1.0 - a_mixed, b)
+    if feed_forward:
+        sw = outcome == 0
+        a, b = np.where(sw, b, a), np.where(sw, a, b)
+    fail = u[:, 4] < (1.0 - transmittance) * a * a
+    a_pass = sq_t * a
+    norm = np.sqrt(a_pass * a_pass + b * b)
+    norm = np.where(norm > 0.0, norm, 1.0)
+    a_out = a_pass / norm
+    b_out = b / norm
+    chi = (
+        phase_sigma
+        * np.sqrt(-2.0 * np.log1p(-u[:, 5]))
+        * np.cos(2.0 * math.pi * u[:, 6])
+    )
+    p_bright = (
+        split * a_out * a_out
+        + (1.0 - split) * b_out * b_out
+        + cross * a_out * b_out * np.cos(chi)
+    )
+    p_bright = np.clip(p_bright, 0.0, 1.0)
+    p_bright = np.where(p_bright < 1e-24, 0.0, p_bright)
+    p_bright = np.where(p_bright > 1.0 - 1e-24, 1.0, p_bright)
+    detector = np.where(fail, 2, np.where(u[:, 7] < p_bright, 1, 0))
+    eta = np.asarray(eta_outcome)[outcome] * np.asarray(eta_detector)[detector]
+    cells = (device * 6 + outcome * 3 + detector)[u[:, 8] < eta]
+    return np.bincount(cells, minlength=12).reshape(2, 2, 3)
 
 
 def random_tester(rng: np.random.Generator):

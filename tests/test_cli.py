@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -361,6 +362,18 @@ def test_simulate_rejects_an_oversized_grid(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_simulate_bounds_the_trial_count(tmp_path, capsys):
+    args = ["simulate", "--mode", "unambiguous", "--t-grid", "0.5"]
+    code = main(args + ["--trials", "100000000000000000000", "--out", str(tmp_path)])
+    assert code == 2
+    assert "trials must lie in" in capsys.readouterr().err
+    # one multinomial draw per row: a huge legal count costs no more time
+    start = time.perf_counter()
+    code = main(args + ["--trials", "1000000000000000", "--out", str(tmp_path)])
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_simulate_rejects_unknown_noise(tmp_path, capsys):
     code = main(
         ["simulate", "--mode", "unambiguous", "--noise", "doesnotexist",
@@ -427,6 +440,203 @@ def test_replay_requires_a_manifest(tmp_path, capsys):
     incomplete.write_text(json.dumps({"command": "curves"}))
     assert main(["replay", str(incomplete)]) == 2
     assert "missing" in capsys.readouterr().err
+    for text, message in (
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+    ):
+        incomplete.write_text(text)
+        assert main(["replay", str(incomplete)]) == 2
+        assert message in capsys.readouterr().err
+    run_small_simulate(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["outputs"] = None
+    incomplete.write_text(json.dumps(manifest))
+    assert main(["replay", str(incomplete)]) == 2
+    assert "outputs must map" in capsys.readouterr().err
+
+
+# --- seeded fuzzing of every subcommand ---
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hull", "--c", "0.5", "--seed=-1"], "seed must be non-negative"),
+        (["convexity", "--c-grid", "0.9:0.4:5e-324"], "never reaches the stop"),
+        (["simulate", "--mode", "unambiguous", "--t-grid=-0.2"], "transmittance"),
+        (["simulate", "--mode", "unambiguous", "--theta", "nan"], "theta outside"),
+    ],
+)
+def test_fuzz_findings_exit_2(tmp_path, capsys, argv, message):
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+SPECIAL_NUMBERS = (
+    "nan", "inf", "-inf", "-1", "-0.25", "0", "1e308", "-1e308", "1e20",
+    "1e-320", "5e-324", "abc", "", "0x10",
+)
+NOISE_KEYS = (
+    "eta_D0", "eta_D1", "eta_DA", "eta_DB", "eta_DI", "phase_noise_sigma_rad",
+    "singlet_visibility", "splitter_imbalance",
+)
+
+
+def fuzz_number(rng, low, high):
+    if rng.random() < 0.3:
+        return str(rng.choice(SPECIAL_NUMBERS))
+    return repr(float(rng.uniform(low, high)))
+
+
+def fuzz_int(rng, bad_values, low, high):
+    if rng.random() < 0.35:
+        return str(rng.choice(bad_values))
+    return str(rng.integers(low, high))
+
+
+def fuzz_grid(rng, low, high):
+    kind = rng.integers(8)
+    a, b = sorted(rng.uniform(low, high, 2).tolist())
+    if kind == 0:
+        return fuzz_number(rng, low, high)
+    if kind in (1, 2):
+        return f"{a!r}:{b!r}:{(b - a) / rng.integers(1, 5)!r}"
+    if kind == 3:
+        return f"{b!r}:{a!r}:{(b - a) / 2!r}"  # the step never reaches the stop
+    if kind == 4:
+        return ""
+    if kind == 5:
+        return f"{a!r}:{b!r}"
+    return ":".join(fuzz_number(rng, low, high) for _ in range(3))
+
+
+def fuzz_noise_file(rng, path):
+    lines = []
+    for _ in range(rng.integers(0, 5)):
+        kind = rng.integers(6)
+        key = str(rng.choice(NOISE_KEYS))
+        if kind == 0:
+            lines.append(f"{key} {fuzz_number(rng, 0.0, 1.0)}")  # no '='
+        elif kind == 1:
+            lines.append(f"unknown_key = {fuzz_number(rng, 0.0, 1.0)}")
+        elif kind == 2:
+            lines.append("# a comment")
+        else:
+            lines.append(f"{key} = {fuzz_number(rng, -0.1, 1.1)}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def fuzz_flag(rng, name, value):
+    # "--x=-inf" keeps argparse from reading a negative value as a flag
+    return [f"{name}={value}"] if rng.random() < 0.5 else [name, value]
+
+
+def fuzz_argv(rng, case_dir, manifests):
+    command = str(rng.choice(["curves", "hull", "convexity", "oracle", "simulate", "replay"]))
+    if command == "replay":
+        kind = rng.integers(5)
+        if kind <= 1 and manifests:
+            manifest = manifests[rng.integers(len(manifests))]
+            if kind == 1:
+                data = json.loads(manifest.read_text())
+                data[str(rng.choice(["seed", "parameters", "outputs"]))] = None
+                manifest = case_dir / "tampered.json"
+                manifest.write_text(json.dumps(data))
+            return ["replay", str(manifest), "--out", str(case_dir / "replay")]
+        bad = case_dir / "manifest.json"
+        bad.write_text(str(rng.choice(["{not json", "[1, 2]", "null", '"text"', ""])))
+        return ["replay", str(bad if kind < 4 else case_dir / "missing.json")]
+    argv = [command]
+    if command == "curves":
+        argv += fuzz_flag(rng, "--theta", fuzz_number(rng, -0.1, 0.9))
+        if rng.random() < 0.5:
+            argv += fuzz_flag(rng, "--pi-grid", fuzz_grid(rng, -0.1, 1.1))
+    elif command == "hull":
+        argv += fuzz_flag(rng, "--c", fuzz_number(rng, -0.2, 1.2))
+        # sizes stay tiny: a huge sample count is a huge allocation
+        samples = fuzz_int(rng, ["-5", "0", "99", "1e3", "x"], 100, 400)
+        argv += fuzz_flag(rng, "--samples", samples)
+    elif command == "convexity":
+        argv += fuzz_flag(rng, "--c-grid", fuzz_grid(rng, -0.1, 1.1))
+        if rng.random() < 0.4:
+            argv += fuzz_flag(rng, "--pi-grid", fuzz_grid(rng, -0.1, 1.1))
+        if rng.random() < 0.5:
+            argv += fuzz_flag(rng, "--h", fuzz_number(rng, 1e-6, 1e-2))
+    elif command == "oracle":
+        argv += fuzz_flag(rng, "--theta", fuzz_number(rng, -0.1, 0.9))
+        argv += fuzz_flag(rng, "--pi", fuzz_number(rng, -0.1, 1.0))
+        argv += fuzz_flag(rng, "--tol", fuzz_number(rng, 1e-6, 1e-2))
+        argv += fuzz_flag(rng, "--restarts", str(rng.choice(["-1", "0", "1", "2", "x"])))
+    elif command == "simulate":
+        argv += ["--mode", str(rng.choice(["intermediate", "unambiguous", "bogus"]))]
+        if rng.random() < 0.5:
+            count = rng.integers(0, 3)
+            argv += ["--theta"] + [fuzz_number(rng, -0.1, 0.9) for _ in range(count)]
+        argv += fuzz_flag(rng, "--t-grid", fuzz_grid(rng, -0.2, 1.2))
+        huge = ["100000000000000000000", "1000000000000000"]
+        trials = fuzz_int(rng, ["0", "-7", "1", "1e3", *huge], 1, 3000)
+        argv += fuzz_flag(rng, "--trials", trials)
+        noise = rng.integers(4)
+        if noise == 1:
+            argv += ["--noise", "labnoise"]
+        elif noise == 2:
+            argv += ["--noise", str(rng.choice(["nosuchpreset", "./missing.cfg"]))]
+        elif noise == 3:
+            argv += ["--noise", fuzz_noise_file(rng, case_dir / "noise.cfg")]
+    if rng.random() < 0.3:
+        argv += fuzz_flag(rng, "--seed", str(rng.choice(["-1", "7", "10" * 15, "z"])))
+    if rng.random() < 0.3:
+        argv += ["--format", str(rng.choice(["csv", "json", "xml"]))]
+    if rng.random() < 0.2:
+        argv += ["--degrees"]
+    return argv + ["--out", str(case_dir / "out")]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+def assert_finite_outputs(out_dir):
+    for path in out_dir.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject_constant)
+        elif path.suffix == ".csv":
+            for line in path.read_text().splitlines()[2:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # blank cells and labels
+                    assert math.isfinite(value), (path, line)
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    manifests = []
+    codes = []
+    start = time.perf_counter()
+    for case in range(240):
+        case_dir = tmp_path / f"case{case}"
+        case_dir.mkdir()
+        argv = fuzz_argv(rng, case_dir, manifests)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            out_dir = case_dir / ("replay" if argv[0] == "replay" else "out")
+            assert_finite_outputs(out_dir)
+            if argv[0] != "replay":
+                manifests.append(out_dir / "manifest.json")
+        codes.append(code)
+    capsys.readouterr()
+    assert time.perf_counter() - start < 20.0
+    assert {0, 2} <= set(codes)
 
 
 # --- process invocation ---

@@ -1,5 +1,6 @@
 """Monte Carlo bench model: determinism, estimation, and noise response."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from measdiscrim import DomainError, ValidationError, entangled_success
 from measdiscrim.simulator import (
     DEFAULT_THETA_GRID,
+    MAX_TRIALS,
     SCAN_COLUMNS,
     CoincidenceCounts,
     ExperimentConfig,
     ImperfectionModel,
+    cell_probabilities,
     estimate,
     load_imperfections,
     run_trials,
@@ -28,6 +31,60 @@ def ideal_config(trials=200_000, seed=0, theta=THETA, t=0.6):
     return ExperimentConfig(
         theta=theta, vrc_transmittance=t, trials=trials, seed=seed
     )
+
+
+# A bench with every imperfection on, so that all twelve cells fire.
+NOISY = ImperfectionModel(
+    eta_d0=0.8,
+    eta_db=0.7,
+    phase_noise_sigma=0.3,
+    singlet_visibility=0.9,
+    splitter_imbalance=0.05,
+)
+
+
+def noisy_config(trials=300_000, seed=3):
+    return ExperimentConfig(
+        theta=math.pi / 5.0,
+        vrc_transmittance=0.7,
+        trials=trials,
+        seed=seed,
+        imperfections=NOISY,
+    )
+
+
+def reference_counts(config, rng, feed_forward=True):
+    """Counts of the per-trial reference sampler for an ExperimentConfig."""
+    imp = config.imperfections
+    return oracles.sample_bench_trials(
+        config.theta,
+        config.vrc_transmittance,
+        config.trials,
+        rng,
+        phase_sigma=imp.phase_noise_sigma,
+        visibility=imp.singlet_visibility,
+        imbalance=imp.splitter_imbalance,
+        eta_outcome=(imp.eta_d0, imp.eta_d1),
+        eta_detector=(imp.eta_da, imp.eta_db, imp.eta_di),
+        feed_forward=feed_forward,
+    )
+
+
+def expected_cells(config, feed_forward=True):
+    """Registered-cell probabilities of the branch model for a config."""
+    imp = config.imperfections
+    expected = oracles.bench_expectations(
+        config.theta,
+        config.vrc_transmittance,
+        phase_sigma=imp.phase_noise_sigma,
+        visibility=imp.singlet_visibility,
+        imbalance=imp.splitter_imbalance,
+        feed_forward=feed_forward,
+    )
+    registered = oracles.thinned_cells(
+        expected["cells"], (imp.eta_d0, imp.eta_d1), (imp.eta_da, imp.eta_db, imp.eta_di)
+    )
+    return expected, registered
 
 
 # --- configuration objects ---
@@ -89,6 +146,23 @@ def test_experiment_config_validation():
         ExperimentConfig(theta=0.3, vrc_transmittance=1.5, trials=10, seed=0)
     with pytest.raises(DomainError, match="trials"):
         ExperimentConfig(theta=0.3, vrc_transmittance=0.5, trials=0, seed=0)
+    with pytest.raises(DomainError, match="trials"):
+        ExperimentConfig(
+            theta=0.3, vrc_transmittance=0.5, trials=MAX_TRIALS + 1, seed=0
+        )
+    # the theta domain is the one of measurement_pair: TOL slack, clamped
+    edge = ExperimentConfig(theta=-1e-13, vrc_transmittance=0.5, trials=10, seed=0)
+    assert edge.theta == 0.0
+    with pytest.raises(DomainError, match="theta"):
+        ExperimentConfig(theta=-1e-11, vrc_transmittance=0.5, trials=10, seed=0)
+
+
+def test_the_largest_trial_count_draws_at_once():
+    config = ideal_config(trials=MAX_TRIALS)
+    counts = run_trials(config)
+    assert counts.total == MAX_TRIALS
+    est = estimate(counts)
+    assert est.point.p_inconclusive == pytest.approx(0.3, abs=1e-8)
 
 
 def test_coincidence_counts_validation():
@@ -100,7 +174,7 @@ def test_coincidence_counts_validation():
         CoincidenceCounts(counts=np.ones((2, 2, 3)), trials=5)
     counts = CoincidenceCounts(counts=np.arange(12).reshape(2, 2, 3), trials=100)
     assert counts.total == 66
-    assert counts.cell("N", 1, "I") == 11
+    assert counts.counts[1, 1, 2] == 11
 
 
 # --- determinism ---
@@ -116,11 +190,67 @@ def test_runs_are_reproducible():
     assert (different_stream.counts != first.counts).any()
 
 
-def test_counts_do_not_depend_on_batch_size():
-    reference = run_trials(ideal_config(trials=100_000))
-    for batch in (1337, 4096, 100_000):
-        chunked = run_trials(ideal_config(trials=100_000), batch_size=batch)
-        np.testing.assert_array_equal(chunked.counts, reference.counts)
+def labnoise_with(**changes):
+    return dataclasses.replace(load_imperfections("labnoise"), **changes)
+
+
+def test_cell_probabilities_match_the_branch_model():
+    rng = np.random.default_rng(2024)
+    models = [
+        ImperfectionModel.ideal(),
+        load_imperfections("labnoise"),
+        labnoise_with(singlet_visibility=0.7),
+        labnoise_with(eta_d0=0.55, eta_d1=0.9, eta_da=0.8, eta_db=0.65, eta_di=0.95),
+        ImperfectionModel(splitter_imbalance=0.5, phase_noise_sigma=1.5),
+    ]
+    for _ in range(40):
+        etas = rng.uniform(0.05, 1.0, 5)
+        models.append(
+            ImperfectionModel(
+                *etas,
+                phase_noise_sigma=float(rng.uniform(0.0, 2.0)),
+                singlet_visibility=float(rng.uniform(0.0, 1.0)),
+                splitter_imbalance=float(rng.uniform(-0.5, 0.5)),
+            )
+        )
+    thetas = [0.0, math.pi / 4.0, *rng.uniform(0.0, math.pi / 4.0, 3)]
+    t_values = [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]
+    worst = 0.0
+    for imp in models:
+        for theta in thetas:
+            for t_value in t_values:
+                config = ExperimentConfig(
+                    theta=float(theta),
+                    vrc_transmittance=float(t_value),
+                    trials=1,
+                    seed=0,
+                    imperfections=imp,
+                )
+                cells = cell_probabilities(config)
+                _, want = expected_cells(config)
+                worst = max(worst, float(np.max(np.abs(cells - want))))
+                assert cells.min() >= 0.0 and cells.sum() <= 1.0 + 1e-15
+    assert worst <= 1e-15
+
+
+def test_counts_match_the_per_trial_reference():
+    # Pooled over seeds, production counts and the trial-by-trial sampler
+    # are two samples of one multinomial: a homogeneity chi-square test.
+    from scipy.stats import chi2_contingency
+
+    trials = 20_000
+    production = np.zeros(13, dtype=np.int64)
+    reference = np.zeros(13, dtype=np.int64)
+    for seed in range(200):
+        config = noisy_config(trials=trials, seed=seed)
+        counts = run_trials(config).counts.ravel()
+        production += np.append(counts, trials - counts.sum())
+        sampled = reference_counts(config, np.random.default_rng(10_000 + seed))
+        reference += np.append(sampled.ravel(), trials - sampled.sum())
+    assert production.min() > 1000 and reference.min() > 1000
+    _, p_value, dof, _ = chi2_contingency(np.vstack([production, reference]))
+    assert dof == 12
+    assert p_value > 1e-3
 
 
 # --- estimation ---
@@ -158,6 +288,62 @@ def test_estimate_inverts_detector_thinning():
     assert est.point.p_inconclusive == pytest.approx(rescaled_inc / total, abs=1e-12)
 
 
+def test_error_bars_are_binomial_at_unit_efficiency():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        raw = rng.integers(0, 5000, size=(2, 2, 3))
+        raw[rng.random((2, 2, 3)) < 0.2] = 0
+        raw[0, 0, 0] += 1
+        raw[0, 0, 2] += 1
+        counts = CoincidenceCounts(counts=raw, trials=int(raw.sum()))
+        est = estimate(counts)
+        n = counts.total
+        for p, sigma in zip(
+            (est.point.p_success, est.point.p_error, est.point.p_inconclusive),
+            est.std_errors,
+        ):
+            assert sigma == pytest.approx(math.sqrt(p * (1.0 - p) / n), rel=1e-12)
+        rel = est.rel_success
+        assert est.rel_success_sigma == pytest.approx(
+            math.sqrt(rel * (1.0 - rel) / est.conclusive), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "etas",
+    [(1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 0.4, 0.6)],
+    ids=["unit-efficiency", "lossy"],
+)
+def test_error_bars_cover_the_branch_model(etas):
+    # 2 000 multinomial rows drawn from the branch model: each 2-sigma
+    # interval must cover the truth 95.45 % of the time, within four
+    # binomial standard deviations of that rate.
+    imp = ImperfectionModel(
+        *etas, phase_noise_sigma=0.3, singlet_visibility=0.9, splitter_imbalance=0.05
+    )
+    config = ExperimentConfig(
+        theta=math.pi / 5.0, vrc_transmittance=0.7, trials=1, seed=0,
+        imperfections=imp,
+    )
+    expected, registered = expected_cells(config)
+    pvals = np.append(registered.ravel(), 1.0 - registered.sum())
+    truth = (
+        expected["p_success"], expected["p_error"], expected["p_inc"],
+        expected["rel_success"],
+    )
+    rows, trials = 2000, 20_000
+    hits = np.zeros(4)
+    for draw in np.random.default_rng(5).multinomial(trials, pvals, size=rows):
+        est = estimate(CoincidenceCounts(draw[:12].reshape(2, 2, 3), trials), imp)
+        point = est.point
+        values = (point.p_success, point.p_error, point.p_inconclusive, est.rel_success)
+        sigmas = (*est.std_errors, est.rel_success_sigma)
+        hits += [abs(v - t) <= 2.0 * s for v, t, s in zip(values, truth, sigmas)]
+    rate = 0.9545
+    band = 4.0 * math.sqrt(rate * (1.0 - rate) / rows)
+    assert np.all(np.abs(hits / rows - rate) <= band), hits / rows
+
+
 def test_error_bars_scale_with_counts():
     small = estimate(run_trials(ideal_config(trials=10_000)))
     large = estimate(run_trials(ideal_config(trials=40_000)))
@@ -184,37 +370,25 @@ def test_ideal_bench_matches_the_entangled_curve():
 
 
 def test_noisy_bench_matches_the_branch_model():
-    imp = ImperfectionModel(
-        eta_d0=0.8,
-        eta_db=0.7,
-        phase_noise_sigma=0.3,
-        singlet_visibility=0.9,
-        splitter_imbalance=0.05,
-    )
-    config = ExperimentConfig(
-        theta=math.pi / 5.0,
-        vrc_transmittance=0.7,
-        trials=300_000,
-        seed=3,
-        imperfections=imp,
-    )
-    counts = run_trials(config)
-    est = estimate(counts, imp)
-    expected = oracles.bench_expectations(
-        math.pi / 5.0, 0.7, phase_sigma=0.3, visibility=0.9, imbalance=0.05
-    )
-    assert_within_sigma(est.point.p_success, expected["p_success"], est.std_errors[0])
-    assert_within_sigma(est.point.p_error, expected["p_error"], est.std_errors[1])
-    assert_within_sigma(
-        est.point.p_inconclusive, expected["p_inc"], est.std_errors[2]
-    )
-    # raw registered counts match the thinned branch model cell by cell
-    registered = oracles.thinned_cells(
-        expected["cells"], (0.8, 1.0), (1.0, 0.7, 1.0)
-    )
-    mean = config.trials * registered
-    spread = np.sqrt(np.maximum(mean * (1.0 - registered), 1.0))
-    assert np.all(np.abs(counts.counts - mean) <= 5.0 * spread)
+    config = noisy_config()
+    expected, registered = expected_cells(config)
+    reference = reference_counts(config, np.random.default_rng(3))
+    for counts in (
+        run_trials(config),
+        CoincidenceCounts(counts=reference, trials=config.trials),
+    ):
+        est = estimate(counts, NOISY)
+        assert_within_sigma(
+            est.point.p_success, expected["p_success"], est.std_errors[0]
+        )
+        assert_within_sigma(est.point.p_error, expected["p_error"], est.std_errors[1])
+        assert_within_sigma(
+            est.point.p_inconclusive, expected["p_inc"], est.std_errors[2]
+        )
+        # raw registered counts match the thinned branch model cell by cell
+        mean = config.trials * registered
+        spread = np.sqrt(np.maximum(mean * (1.0 - registered), 1.0))
+        assert np.all(np.abs(counts.counts - mean) <= 5.0 * spread)
 
 
 def test_estimates_are_invariant_to_detector_efficiency():
@@ -228,15 +402,22 @@ def test_estimates_are_invariant_to_detector_efficiency():
     for got, want, s1, s2 in zip(
         (lossy.point.p_success, lossy.point.p_inconclusive),
         (clean.point.p_success, clean.point.p_inconclusive),
-        lossy.std_errors, clean.std_errors,
+        (lossy.std_errors[0], lossy.std_errors[2]),
+        (clean.std_errors[0], clean.std_errors[2]),
     ):
         assert abs(got - want) <= 4.0 * math.hypot(s1, s2)
 
 
 def test_feed_forward_correction_matters():
+    # The bench always corrects; its cells are the corrected branch model.
     config = ideal_config(trials=200_000)
+    _, corrected = expected_cells(config, feed_forward=True)
+    np.testing.assert_allclose(cell_probabilities(config), corrected, rtol=0, atol=1e-15)
+    # Without the correction (reference sampler only) the conditional
+    # success rate drops.
     with_ff = estimate(run_trials(config))
-    without_ff = estimate(run_trials(config, feed_forward=False))
+    raw = reference_counts(config, np.random.default_rng(0), feed_forward=False)
+    without_ff = estimate(CoincidenceCounts(counts=raw, trials=config.trials))
     expected = oracles.bench_expectations(THETA, 0.6, feed_forward=False)
     assert_within_sigma(
         without_ff.point.p_success, expected["p_success"], without_ff.std_errors[0]
