@@ -53,6 +53,9 @@ REL_ERR_LIMIT = 1e-3
 FD_BOUNDARY = 1e-7
 # Largest number of points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 100_000
+# Largest `hull --samples`: the working arrays of a million samples take
+# about 200 MB.
+MAX_SAMPLES = 1_000_000
 
 CURVE_COLUMNS = (
     "p_inc",
@@ -215,6 +218,8 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
 
 
 def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
+    if parameters["samples"] > MAX_SAMPLES:
+        raise DomainError(f"hull verification takes at most {MAX_SAMPLES} samples")
     report = hull_verify(parameters["c"], parameters["samples"], seed)
     checksum = _params_checksum("hull", parameters, seed)
     outputs = {}
@@ -521,10 +526,10 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_common(sub, seed_default: int = 0) -> None:
+def _add_common(sub, seed_help: str | None = None) -> None:
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=_seed, default=seed_default)
+    sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
     sub.add_argument(
         "--degrees", action="store_true", help="interpret angle arguments as degrees"
     )
@@ -548,7 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="verify the single-qubit hull numerically")
     p.add_argument("--c", type=float, required=True, help="measurement overlap")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument(
+        "--samples", type=int, default=10000, help=f"protocols to sample, at most {MAX_SAMPLES}"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_hull)
 
@@ -564,9 +571,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, required=True, help="inconclusive-rate target")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument(
-        "--restarts", type=int, default=20, help="most starts before giving up"
+        "--restarts",
+        type=int,
+        default=20,
+        help="most fallback ascent starts, used only if the tester read off the "
+        "dual certificate fails its check",
     )
-    _add_common(p)
+    _add_common(p, seed_help="seed of the fallback ascent starts")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("simulate", help="Monte Carlo bench scans")

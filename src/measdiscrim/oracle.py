@@ -9,22 +9,24 @@ H_{k,1} = σ_y H_{k,0} σ_y†, where ρ = 𝕀/2 and everything reduces to thre
 2×2 blocks summing to 𝕀/2 (`reduced_probabilities`).
 
 `optimize_povm` maximizes success at a fixed inconclusive rate over those
-blocks by penalized gradient ascent from seeded random starts, and proves
-each answer with the Lagrange dual of that reduction (`_dual_bound`): the
-search stops at the first start whose success is within `tol` of the dual
-bound. `brute_force_single` is the analogous exhaustive scan over
-single-qubit protocols. Both exist to check the closed forms in
-`strategies`, never to replace them.
+blocks through the Lagrange dual of that reduction. For 2×2 blocks each
+semidefinite constraint is a light cone, and at fixed λ the least ½ tr Y
+is the 1-center of three cones. Complementary slackness puts each block on
+the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the kernel
+weights (`_slack_tester`). That tester's rate is the dual's slope in λ, so
+`_dual_bound` bisects on it, and `_recover_tester` reads the optimal tester
+off the dual point. The tester's success matches the bound at its own rate
+to rounding, which certifies it. The dual and the recovery run on Python
+floats, with no eigensolver and no scipy.
 
-The ascent's objective and gradient (`_penalized_objective`) are a scalar
-kernel on Python floats: the three blocks are built entry by entry and the
-negative part of H_I, which the feasibility penalty needs, comes from the
-closed-form eigenvalues mean ± r of a symmetric 2×2 matrix, so no numpy
-array is built per call except the returned gradient. The dual bound is
-Python floats too: for 2×2 blocks each semidefinite constraint is a light
-cone, and the least ½ tr Y is the 1-center of three cones.
-scipy.optimize is imported on the first search (`minimize`), not with
-the package.
+Only when the recovered tester fails that check does the search fall back
+to penalized gradient ascent from seeded random starts, each proved or
+rejected by the same dual bound. Its objective and gradient
+(`_penalized_objective`) are a scalar kernel on Python floats, and
+scipy.optimize is imported on the first fallback (`minimize`), not with
+the package. `brute_force_single` is the analogous exhaustive scan over
+single-qubit protocols. Both searches exist to check the closed forms in
+`strategies`, never to replace them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on first use.
 
     Importing scipy.optimize costs about half a second, and only the tester
-    search needs it, so the package import and the other subcommands skip it.
+    search's fallback ascent needs it, so the package import, the other
+    subcommands and a certified search skip it.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -192,11 +195,14 @@ def reduced_probabilities(triple: PovmTriple, pair: MeasurementPair) -> Strategy
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best tester found, its dual certificate, and the search's bookkeeping.
+    """Best tester found, its dual certificate, and the fallback's bookkeeping.
 
     (y, lam) is a feasible point of the Lagrange dual: y ⪰ m0, y ⪰ n0 and
     y ⪰ lam·(m0 + n0). It proves P_S ≤ upper_bound = ½ tr y − lam·P_I for
     every tester at the returned inconclusive rate; gap = upper_bound − P_S.
+    When the tester comes from the dual point itself, restart_values is ()
+    and best_restart is None; otherwise they hold the success of each
+    fallback ascent restart and the index of the returned one.
     """
 
     point: StrategyPoint
@@ -204,7 +210,7 @@ class OracleResult:
     converged: bool
     p_inc_error: float
     restart_values: tuple[float, ...]
-    best_restart: int
+    best_restart: int | None
     upper_bound: float
     gap: float
     y: np.ndarray
@@ -319,7 +325,9 @@ def _penalized_objective(
 # Pairing H_M, H_N, H_I with the constraints Y ⪰ m0, Y ⪰ n0, Y ⪰ λ(m0+n0)
 # gives P_S = ½ tr Y − λ P_I − tr H_M(Y − m0) − tr H_N(Y − n0)
 # − tr H_I(Y − λ(m0+n0)) ≤ ½ tr Y − λ P_I for every feasible tester, so
-# each dual-feasible (Y, λ) bounds the whole curve from above.
+# each dual-feasible (Y, λ) bounds the whole curve from above. A tester
+# whose blocks lie in the kernels of their slacks makes the three subtracted
+# traces vanish and attains the bound (complementary slackness).
 #
 # A real symmetric 2×2 matrix is a = t 𝕀 + p₁ σ_z + p₂ σ_x with
 # t = tr a / 2 and p = ((a00 − a11)/2, a01); its eigenvalues are t ± ‖p‖, so
@@ -328,9 +336,9 @@ def _penalized_objective(
 # of three cones, which sits where one, two or three cones are active.
 
 
-def _cone(a: np.ndarray, scale: float = 1.0) -> tuple[float, float, float]:
-    """(t, p₁, p₂) of scale·a, as Python floats."""
-    a00, a01, a11 = scale * float(a[0, 0]), scale * float(a[0, 1]), scale * float(a[1, 1])
+def _cone(a: np.ndarray) -> tuple[float, float, float]:
+    """(t, p₁, p₂) of a, as Python floats."""
+    a00, a01, a11 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
     return 0.5 * (a00 + a11), 0.5 * (a00 - a11), a01
 
 
@@ -414,9 +422,100 @@ def _one_center(cones) -> tuple[float, float, float]:
     return min((_top(cones, x, y), x, y) for x, y in candidates)
 
 
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
-# Golden-section steps over λ ∈ [0, 1]: the bracket shrinks to 0.618⁶⁰ ≈ 3e-13.
-_GOLDEN_STEPS = 60
+# A slack whose least eigenvalue is within _ACTIVE of zero is active; an
+# active slack whose axis p_Y − p_A is shorter than _ACTIVE is zero to
+# within rounding, so its kernel is the whole plane.
+_ACTIVE = 1e-9
+# Bisection steps over λ ∈ [0, 1]: 2⁻⁶⁰ is below the spacing of doubles near 1.
+_BISECTION_STEPS = 60
+
+
+def _cones(m0: np.ndarray, n0: np.ndarray):
+    """The cones of m0, n0 and m0 + n0."""
+    return _cone(m0), _cone(n0), _cone(m0 + n0)
+
+
+def _at(cones, lam: float):
+    """The cones of the constraints Y ⪰ m0, Y ⪰ n0 and Y ⪰ λ(m0 + n0)."""
+    cone_m, cone_n, (t, u, v) = cones
+    return cone_m, cone_n, (lam * t, lam * u, lam * v)
+
+
+def _kernel_axis(cone, t: float, x: float, y: float):
+    """Kernel of the slack Y − A, for Y = (t, x, y) and A = `cone`.
+
+    Y − A = (t − t_A) 𝕀 + (p_Y − p_A)·σ has eigenvalues t − t_A ± r with
+    r = ‖p_Y − p_A‖, and its lower eigenvector does not need an eigensolver:
+    the kernel projector is (𝕀 − n·σ)/2 with n = (p_Y − p_A)/r. Returns n,
+    () when the slack is zero (the kernel is the whole plane), or None when
+    the slack is positive definite.
+    """
+    ta, ua, va = cone
+    du, dv = x - ua, y - va
+    r = math.hypot(du, dv)
+    if t - ta - r > _ACTIVE:
+        return None
+    if r <= _ACTIVE:
+        return ()
+    return du / r, dv / r
+
+
+def _slack_tester(cones, t: float, x: float, y: float):
+    """The tester that complementary slackness assigns to the dual point.
+
+    tr H_M (Y − m0) = 0 with both factors PSD puts H_M = w_M K_M on the
+    kernel projector K_M of its slack, likewise H_N and H_I, and
+    H_M + H_N + H_I = 𝕀/2 fixes the weights: Σ w = 1 and Σ w n = 0.
+    - Y − λ(m0 + n0) positive definite (as at P_I = 0): H_I = 0, and
+      w_M = w_N = ½ on opposite kernels.
+    - All three slacks of rank one: a 3×3 system, solved by Cramer's rule.
+    - Y − λ(m0 + n0) = 0 (λ = 1, the unambiguous end): any H_I is slack
+      free. The most success on K_M and K_N has w_M = w_N = w (by the
+      m0 ↔ n0 reflection) and the largest w that keeps
+      H_I = 𝕀/2 − w (K_M + K_N) PSD, w = 1/(2 + ‖n_M + n_N‖).
+    Returns (H_M, H_N) as (t, p₁, p₂) triples, or None when the slacks leave
+    the tester undetermined (m0 and n0 within about 1e-9 of each other).
+    """
+    km, kn, ki = (_kernel_axis(cone, t, x, y) for cone in cones)
+    if not km or not kn:
+        return None
+    (a1, a2), (b1, b2) = km, kn
+    if ki == ():
+        wm = wn = 1.0 / (2.0 + math.hypot(a1 + b1, a2 + b2))
+        wi = 0.0  # H_I ⪰ 0 by the choice of w
+    elif ki is None:
+        # Y lies on the segment between the M and N apexes, so the kernels
+        # are opposite and w_M = w_N = ½. Their axis comes from the apexes,
+        # which carry no rounding from Y.
+        (_, um, vm), (_, un, vn) = cones[0], cones[1]
+        d = math.hypot(un - um, vn - vm)
+        if d == 0.0:
+            return None
+        a1, a2 = (un - um) / d, (vn - vm) / d
+        b1, b2 = -a1, -a2
+        wm = wn = 0.5
+        wi = 0.0
+    else:
+        c1, c2 = ki
+        det = (b1 * c2 - c1 * b2) - (a1 * c2 - c1 * a2) + (a1 * b2 - b1 * a2)
+        if det == 0.0:
+            return None
+        wm = (b1 * c2 - c1 * b2) / det
+        wn = (c1 * a2 - a1 * c2) / det
+        wi = 1.0 - wm - wn
+    if min(wm, wn, wi) < -_ACTIVE:
+        return None
+    h_m = (0.5 * wm, -0.5 * wm * a1, -0.5 * wm * a2)
+    h_n = (0.5 * wn, -0.5 * wn * b1, -0.5 * wn * b2)
+    return h_m, h_n
+
+
+def _slack_rate(tester, cone_s) -> float:
+    """P_I = tr H_I (m0 + n0) of a `_slack_tester` result, H_I = 𝕀/2 − H_M − H_N."""
+    (tm, um, vm), (tn, un, vn) = tester
+    ts, us, vs = cone_s
+    # tr (a 𝕀 + p·σ)(b 𝕀 + q·σ) = 2 (a b + p·q)
+    return 2.0 * ((0.5 - tm - tn) * ts - (um + un) * us - (vm + vn) * vs)
 
 
 def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float) -> tuple[float, np.ndarray, float]:
@@ -426,33 +525,60 @@ def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float) -> tuple[float, np
     third constraint follows from the first, and −λ P_I ≥ 0. It has λ ≤ 1:
     for λ ≥ 1 the third constraint implies the other two, so the dual is
     λ (tr(m0+n0)/2 − P_I), which does not decrease because P_I ≤ tr(m0+n0)/2.
-    A golden-section search over [0, 1] keeps the least value it evaluates;
-    every evaluation is dual feasible, so the result is always a bound.
+    Its slope at λ is P_I(λ) − p_inc, where P_I(λ) is the rate of the tester
+    that complementary slackness assigns to the 1-center at λ
+    (`_slack_tester`), so a bisection on the sign of the slope finds the
+    optimal λ to rounding. Of the final bracket's two ends, the one whose
+    rate is nearer p_inc is returned. Where the slacks leave the tester
+    undetermined, the bisection stops at the least value it has evaluated.
+    Every evaluation is dual feasible, so the result is always a bound.
     """
-    cone_m, cone_n = _cone(m0), _cone(n0)
-    s = m0 + n0
+    base = _cones(m0, n0)
 
-    def dual(lam: float) -> tuple[float, float, float, float, float]:
-        t, x, y = _one_center((cone_m, cone_n, _cone(s, lam)))
-        return t - lam * p_inc, t, x, y, lam
+    def dual(lam: float):
+        cones = _at(base, lam)
+        t, x, y = _one_center(cones)
+        tester = _slack_tester(cones, t, x, y)
+        rate = None if tester is None else _slack_rate(tester, base[2])
+        return t - lam * p_inc, rate, t, x, y, lam
 
-    lo, hi = 0.0, 1.0
-    a, b = hi - _INV_PHI, lo + _INV_PHI
-    da, db = dual(a), dual(b)
-    best = min(dual(lo), dual(hi), da, db)
-    for _ in range(_GOLDEN_STEPS):
-        if da[0] <= db[0]:
-            hi, b, db = b, a, da
-            a = hi - _INV_PHI * (hi - lo)
-            da = dual(a)
-            best = min(best, da)
+    def bound(d) -> tuple[float, np.ndarray, float]:
+        value, _, t, x, y, lam = d
+        return value, np.array([[t + x, y], [y, t - x]]), lam
+
+    lo, hi = dual(0.0), dual(1.0)
+    for _ in range(_BISECTION_STEPS):
+        lam = 0.5 * (lo[5] + hi[5])
+        if lam in (lo[5], hi[5]):
+            break
+        mid = dual(lam)
+        if mid[1] is None:
+            return bound(min(lo, mid, hi, key=lambda d: d[0]))
+        if mid[1] < p_inc:
+            lo = mid
         else:
-            lo, a, da = a, b, db
-            b = lo + _INV_PHI * (hi - lo)
-            db = dual(b)
-            best = min(best, db)
-    value, t, x, y, lam = best
-    return value, np.array([[t + x, y], [y, t - x]]), lam
+            hi = mid
+    return bound(
+        min(lo, hi, key=lambda d: (math.inf if d[1] is None else abs(d[1] - p_inc), d[0]))
+    )
+
+
+def _recover_tester(
+    m0: np.ndarray, n0: np.ndarray, y: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(H_M, H_N) that complementary slackness assigns to the dual point (Y, λ).
+
+    H_I = 𝕀/2 − H_M − H_N. None when the slacks leave the tester
+    undetermined (see `_slack_tester`) or when rounding leaves H_I outside
+    the PSD tolerance of `PovmTriple`.
+    """
+    tester = _slack_tester(_at(_cones(m0, n0), lam), *_cone(y))
+    if tester is None:
+        return None
+    (tm, um, vm), (tn, un, vn) = tester
+    if 0.5 - tm - tn - math.hypot(um + un, vm + vn) < -PSD_TOL:
+        return None
+    return tuple(np.array([[t + u, v], [v, t - u]]) for t, u, v in tester)
 
 
 def _ascent_restart(
@@ -513,23 +639,28 @@ def optimize_povm(
 ) -> OracleResult:
     """Maximize success at a fixed inconclusive rate over covariant testers.
 
-    Runs penalized L-BFGS ascent from seeded random starts, restart r
-    drawing from the generator (seed, r). Each start passes through four
-    penalty stages mu = 1e2, 1e3, 1e4, 1e6 with a PSD penalty nu = 100 mu,
-    each minimizing the closed-form 2×2 kernel `_penalized_objective`; a
-    final polish scales the blocks inside the constraint and, if needed,
-    mixes them onto the target rate.
+    `_dual_bound` solves the Lagrange dual at the target, and
+    `_recover_tester` reads the tester off its dual point by complementary
+    slackness. The dual point bounds every tester's success at the
+    recovered tester's own rate, so the tester is returned, with
+    restart_values=() and best_restart=None, when that rate is within `tol`
+    of the target and its success within `tol` of the bound. No scipy is
+    imported on this path.
 
-    A restart whose rate lands within `tol` of the target is feasible; for
-    it `_dual_bound` gives the least dual value at the rate it achieved,
-    an upper bound on any tester's success there. The search returns the
-    first feasible restart whose success is within `tol` of that bound, so
-    `restarts` caps the number of starts rather than fixing it.
-    `converged` means |P_I − target| ≤ tol and gap ≤ tol. If no restart is
-    certified within the cap, the best feasible one (ties to the lowest
-    index), or failing that the one nearest the target rate, is returned
-    with converged=False and its own bound.
+    Only when the recovered tester fails that check does the search fall
+    back to penalized L-BFGS ascent from seeded random starts; `seed` and
+    `restarts` govern this fallback alone. Restart r draws from the
+    generator (seed, r) and passes through four penalty stages
+    mu = 1e2, 1e3, 1e4, 1e6 with a PSD penalty nu = 100 mu, each minimizing
+    the closed-form 2×2 kernel `_penalized_objective`; a final polish scales
+    the blocks inside the constraint and, if needed, mixes them onto the
+    target rate. The fallback returns the first restart that passes the
+    same check against its own dual bound, so `restarts` caps the number of
+    starts rather than fixing it. If none passes within the cap, the best
+    feasible restart (ties to the lowest index), or failing that the one
+    nearest the target rate, is returned with converged=False.
 
+    `converged` means |P_I − target| ≤ tol and gap ≤ tol.
     Raises DomainError for a target outside [0, cos 2θ], `restarts` < 1, or
     a `tol` that is not finite and positive.
     """
@@ -542,6 +673,13 @@ def optimize_povm(
         raise DomainError("inconclusive target outside [0, cos(2*theta)]")
     p_inc_target = min(max(p_inc_target, 0.0), c)
     m0, n0 = pair.m0, pair.n0
+
+    _, y, lam = _dual_bound(m0, n0, p_inc_target)
+    blocks = _recover_tester(m0, n0, y, lam)
+    if blocks is not None:
+        result = _result(pair, p_inc_target, tol, *blocks, y, lam, (), None)
+        if result.converged:
+            return result
 
     runs = []  # (ps, pi, h_m, h_n, dual bound or None) per restart
     for r in range(restarts):
@@ -560,7 +698,22 @@ def optimize_povm(
             best = min(range(restarts), key=lambda r: abs(runs[r][1] - p_inc_target))
     _, pi, h_m, h_n, bound = runs[best]
     _, y, lam = bound if bound is not None else _dual_bound(m0, n0, pi)
+    restart_values = tuple(run[0] for run in runs)
+    return _result(pair, p_inc_target, tol, h_m, h_n, y, lam, restart_values, best)
 
+
+def _result(
+    pair: MeasurementPair,
+    p_inc_target: float,
+    tol: float,
+    h_m: np.ndarray,
+    h_n: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    restart_values: tuple[float, ...],
+    best_restart: int | None,
+) -> OracleResult:
+    """Validate a tester and certify it with the dual point (y, lam)."""
     # Scrub float dust so the triple passes its own PSD validation.
     h_m = _psd_floor(h_m)
     h_n = _psd_floor(h_n)
@@ -576,8 +729,8 @@ def optimize_povm(
         triple=triple,
         converged=p_inc_error <= tol and gap <= tol,
         p_inc_error=p_inc_error,
-        restart_values=tuple(run[0] for run in runs),
-        best_restart=best,
+        restart_values=restart_values,
+        best_restart=best_restart,
         upper_bound=upper_bound,
         gap=gap,
         y=y,

@@ -70,7 +70,7 @@ def test_criterion_1_povm_search_recovers_the_curve(capsys):
     report(
         capsys, 1, ok,
         f"worst |gap| {worst:.2e} over {searches} searches, worst certified "
-        f"gap {worst_certified_gap:.2e} after {restarts_run} restarts, "
+        f"gap {worst_certified_gap:.2e} after {restarts_run} fallback restarts, "
         f"least dual slack eigenvalue {min_slack:.1e}, "
         f"all converged: {all_converged}, {elapsed:.1f}s",
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from measdiscrim import PovmTriple, __version__, boundary_PIB, tangent_PIT
-from measdiscrim.cli import main
+from measdiscrim.cli import MAX_SAMPLES, main
 
 from oracles import FROZEN
 
@@ -150,6 +150,18 @@ def test_hull_report(tmp_path):
     checksums_match(tmp_path)
 
 
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**20])
+def test_hull_bounds_the_sample_count(tmp_path, capsys, samples):
+    # the README and benchmark size stays allowed
+    assert MAX_SAMPLES >= 10_000
+    start = time.perf_counter()
+    code = main(["hull", "--c", "0.5", "--samples", str(samples), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"at most {MAX_SAMPLES} samples" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_hull_degenerate_overlap(tmp_path):
     assert main(["hull", "--c", "1.0", "--samples", "500", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "hull_report.json").read_text())
@@ -226,7 +238,7 @@ def test_convexity_rejects_a_non_finite_step(tmp_path, capsys, h):
 # --- oracle ---
 
 
-def test_oracle_report_matches_the_curve(tmp_path):
+def test_oracle_report_matches_the_curve(tmp_path, monkeypatch):
     code = main(
         ["oracle", "--theta", PI6, "--pi", "0.3", "--restarts", "5",
          "--out", str(tmp_path)]
@@ -247,8 +259,9 @@ def test_oracle_report_matches_the_curve(tmp_path):
         FROZEN["ps_entangled_pi6_p03"], abs=1e-12
     )
     assert report["p_inc"] == pytest.approx(0.3, abs=1e-4)
-    # --restarts is a cap: the search stops at the first certified start
-    assert 1 <= len(report["restart_values"]) <= 5
+    # the tester comes from the dual point, with no ascent restart
+    assert report["restart_values"] == []
+    assert report["best_restart"] is None
     # the stored blocks reconstruct a valid tester with those probabilities
     triple = PovmTriple(
         h_m=np.array(report["blocks"]["h_m"]),
@@ -257,6 +270,21 @@ def test_oracle_report_matches_the_curve(tmp_path):
     )
     assert triple.rho.shape == (2, 2)
     checksums_match(tmp_path)
+
+    # --restarts caps the fallback ascent: it stops at the first certified start
+    monkeypatch.setattr("measdiscrim.oracle._recover_tester", lambda *args: None)
+    ascent = tmp_path / "ascent"
+    code = main(
+        ["oracle", "--theta", PI6, "--pi", "0.3", "--restarts", "5", "--out", str(ascent)]
+    )
+    assert code == 0
+    report = json.loads((ascent / "oracle_report.json").read_text())
+    assert report["converged"]
+    assert abs(report["gap_to_closed_form"]) <= 1e-4
+    assert report["gap"] <= 1e-4
+    assert 1 <= len(report["restart_values"]) <= 5
+    assert report["best_restart"] == len(report["restart_values"]) - 1
+    checksums_match(ascent)
 
 
 def test_oracle_snaps_the_angle_endpoint(tmp_path):
@@ -557,8 +585,9 @@ def fuzz_argv(rng, case_dir, manifests):
             argv += fuzz_flag(rng, "--pi-grid", fuzz_grid(rng, -0.1, 1.1))
     elif command == "hull":
         argv += fuzz_flag(rng, "--c", fuzz_number(rng, -0.2, 1.2))
-        # sizes stay tiny: a huge sample count is a huge allocation
-        samples = fuzz_int(rng, ["-5", "0", "99", "1e3", "x"], 100, 400)
+        # valid sizes stay tiny; counts past MAX_SAMPLES must exit 2 at once
+        too_many = [str(MAX_SAMPLES + 1), str(10**20)]
+        samples = fuzz_int(rng, ["-5", "0", "99", "1e3", "x", *too_many], 100, 400)
         argv += fuzz_flag(rng, "--samples", samples)
     elif command == "convexity":
         argv += fuzz_flag(rng, "--c-grid", fuzz_grid(rng, -0.1, 1.1))

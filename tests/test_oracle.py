@@ -16,8 +16,15 @@ from measdiscrim import (
     measurement_pair,
     single_optimal,
 )
+from measdiscrim import oracle as oracle_module
 from measdiscrim.geometry import SIGMA_Y
-from measdiscrim.oracle import _dual_bound, _kernel_coefficients, _penalized_objective
+from measdiscrim.oracle import (
+    SUM_TOL,
+    _dual_bound,
+    _kernel_coefficients,
+    _penalized_objective,
+    _recover_tester,
+)
 
 import oracles
 from oracles import FROZEN
@@ -194,7 +201,43 @@ def test_povm_triple_validation():
 # --- the numeric POVM search ---
 
 
-def test_search_recovers_minimum_error():
+@pytest.fixture
+def ascent_only(monkeypatch):
+    """Make the recovery from the dual point fail, so the fallback ascent runs."""
+    monkeypatch.setattr(oracle_module, "_recover_tester", lambda *args: None)
+
+
+@pytest.mark.parametrize("p_inc", [0.0, 0.3, 0.5])
+def test_search_returns_the_recovered_tester_without_restarts(p_inc):
+    theta = math.pi / 6.0
+    pair = measurement_pair(theta)
+    result = md.optimize_povm(pair, p_inc)
+    assert result.converged
+    assert result.restart_values == ()
+    assert result.best_restart is None
+    assert result.p_inc_error <= 1e-6
+    assert abs(result.gap) <= 1e-12
+    closed = entangled_success(theta, p_inc).p_success
+    assert result.point.p_success == pytest.approx(closed, abs=1e-6)
+    # seed and restarts only govern the fallback
+    again = md.optimize_povm(pair, p_inc, seed=99, restarts=1)
+    np.testing.assert_array_equal(again.triple.h_m, result.triple.h_m)
+    np.testing.assert_array_equal(again.triple.h_n, result.triple.h_n)
+
+
+def test_search_falls_back_where_the_dual_point_leaves_the_tester_open():
+    # at θ = 0 the measurements coincide and every slack of the dual point vanishes
+    pair = measurement_pair(0.0)
+    _, y, lam = _dual_bound(pair.m0, pair.n0, 0.3)
+    assert _recover_tester(pair.m0, pair.n0, y, lam) is None
+    result = md.optimize_povm(pair, 0.3, restarts=4)
+    assert result.converged
+    assert 1 <= len(result.restart_values) <= 4
+    closed = entangled_success(0.0, 0.3).p_success
+    assert result.point.p_success == pytest.approx(closed, abs=1e-4)
+
+
+def test_search_recovers_minimum_error(ascent_only):
     pair = measurement_pair(math.pi / 6.0)
     result = md.optimize_povm(pair, 0.0, restarts=6)
     assert result.converged
@@ -240,6 +283,18 @@ def test_search_target_domain():
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(DomainError, match="tol"):
             md.optimize_povm(pair, 0.1, tol=tol)
+
+
+def test_certified_search_leaves_scipy_optimize_unloaded():
+    code = (
+        "import math, sys, measdiscrim\n"
+        "pair = measdiscrim.measurement_pair(math.pi / 10.0)\n"
+        "result = measdiscrim.optimize_povm(pair, 0.3)\n"
+        "assert result.converged and result.restart_values == ()\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scipy_optimize_loads_on_the_first_search():
@@ -366,7 +421,54 @@ def test_search_returns_a_checkable_certificate(theta, p_inc):
     assert result.gap == pytest.approx(result.upper_bound - result.point.p_success, abs=1e-15)
 
 
-def test_search_stops_at_the_first_certified_restart():
+# --- the tester from the dual point ---
+
+
+def assert_recovered_tester_is_optimal(theta, p_inc):
+    pair = measurement_pair(theta)
+    bound, y, lam = _dual_bound(pair.m0, pair.n0, p_inc)
+    blocks = _recover_tester(pair.m0, pair.n0, y, lam)
+    assert blocks is not None, (theta, p_inc)
+    h_m, h_n = blocks
+    h_i = 0.5 * EYE2 - h_m - h_n
+    for h in (h_m, h_n, h_i):
+        assert np.linalg.eigvalsh(h)[0] >= -1e-12, (theta, p_inc)
+    assert np.abs(h_m + h_n + h_i - 0.5 * EYE2).max() <= SUM_TOL
+    ps = float(np.sum(h_m * pair.m0) + np.sum(h_n * pair.n0))
+    pi = float(np.sum(h_i * (pair.m0 + pair.n0)))
+    assert abs(pi - p_inc) <= 1e-6, (theta, p_inc)
+    # the dual point bounds every tester at the tester's own rate
+    gap = 0.5 * float(np.trace(y)) - lam * pi - ps
+    assert abs(gap) <= 1e-12, (theta, p_inc)
+    assert abs(ps - entangled_success(theta, p_inc).p_success) <= 1e-6, (theta, p_inc)
+
+
+# nearly identical measurements, where the kernel axes are shortest
+SMALL_ANGLE_POINTS = [
+    (theta, share * math.cos(2.0 * theta))
+    for theta in (1e-5, 1e-7)
+    for share in (0.0, 0.3, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "theta, p_inc", CRITERION_1_POINTS + EDGE_POINTS + SMALL_ANGLE_POINTS
+)
+def test_recovered_tester_is_optimal(theta, p_inc):
+    assert_recovered_tester_is_optimal(theta, p_inc)
+
+
+def test_recovered_tester_is_optimal_at_random_points():
+    # P_I is 0, cos 2θ or uniform in between
+    rng = np.random.default_rng(61203)
+    for _ in range(2000):
+        theta = float(rng.uniform(0.0, math.pi / 4.0))
+        c = math.cos(2.0 * theta)
+        p_inc = (0.0, c, float(rng.uniform(0.0, c)))[rng.integers(3)]
+        assert_recovered_tester_is_optimal(theta, p_inc)
+
+
+def test_search_stops_at_the_first_certified_restart(ascent_only):
     # restart 0 at this point ends in a local optimum that the bound rejects
     theta = math.pi / 10.0
     pair = measurement_pair(theta)
