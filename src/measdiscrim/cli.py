@@ -5,6 +5,11 @@ together with a run manifest (command, resolved parameters, seed, artifact
 version, output checksums). Replaying a manifest re-runs the command and
 verifies that every output reproduces byte for byte.
 
+Runners hand their tables to `_write_table` as columns; a CSV body is
+formatted in one pass, with `_fmt` as the rule for every cell. `convexity`
+builds the rows of its whole (c, P_I) grid in c-major order and checks
+them with one `finite_difference_check_array` call.
+
 Exit statuses: 0 success, 2 domain or validation error, 3 numerical
 non-convergence, 4 acceptance-threshold breach or replay mismatch.
 """
@@ -12,6 +17,7 @@ non-convergence, 4 acceptance-threshold breach or replay mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -98,19 +104,58 @@ def _write_bytes(path: Path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_table(path: Path, columns, rows, checksum: str, fmt: str) -> str:
+def _cells(column) -> list:
+    """A column's cells as a list of Python values."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _finite_floats(column) -> bool:
+    """Whether every cell of the column is a finite float."""
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind == "f" and bool(np.isfinite(column).all())
+    return all(isinstance(v, float) and math.isfinite(v) for v in column)
+
+
+def _csv_body(columns) -> str:
+    """The CSV lines of the rows, formatted with one `%` operation.
+
+    A column of finite floats goes through `%.12g`, which gives the same
+    text as `_fmt`; every other column is run through `_fmt` and placed with
+    `%s`, so `_fmt` stays the one rule for a cell.
+    """
+    specs, cells = [], []
+    for column in columns:
+        values = _cells(column)
+        if _finite_floats(column):
+            specs.append("%.12g")
+            cells.append(values)
+        else:
+            specs.append("%s")
+            cells.append([_fmt(v) for v in values])
+    n_rows = len(cells[0]) if cells else 0
+    flat = np.empty((n_rows, len(cells)), dtype=object)
+    for k, values in enumerate(cells):
+        flat[:, k] = values
+    return ("%s\n" % ",".join(specs) * n_rows) % tuple(flat.ravel().tolist())
+
+
+def _write_table(path: Path, names, columns, checksum: str, fmt: str) -> str:
+    """Write a table given as one sequence or 1-D array per column name.
+
+    CSV rows are formatted by `_csv_body` in one pass; JSON rows are the
+    columns zipped back together, with NaN written as null.
+    """
     if fmt == "csv":
-        lines = [f"# artifact={__version__} manifest={checksum}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return _write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        header = f"# artifact={__version__} manifest={checksum}\n{','.join(names)}\n"
+        return _write_bytes(path, (header + _csv_body(columns)).encode("utf-8"))
+    values = [_cells(column) for column in columns]
     payload = {
         "artifact_version": __version__,
         "manifest": checksum,
-        "columns": list(columns),
+        "columns": list(names),
         "rows": [
             [None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in rows
+            for row in zip(*values)
         ],
     }
     return _write_json(path, payload)
@@ -208,11 +253,10 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         pts_single = np.where(p < 1.0 - TOL, ps_opt / (1.0 - p), np.nan)
     adv = ps_ent - ps_opt
     columns = (p, ps_ent, ps_opt, ps_pure, pts_ent, pts_single, adv)
-    rows = list(zip(*(col.tolist() for col in columns)))
 
     checksum = _params_checksum("curves", parameters, seed)
     name = f"curves.{fmt}"
-    outputs = {name: _write_table(out_dir / name, CURVE_COLUMNS, rows, checksum, fmt)}
+    outputs = {name: _write_table(out_dir / name, CURVE_COLUMNS, columns, checksum, fmt)}
     _write_manifest(out_dir, "curves", parameters, seed, outputs)
     return outputs, EXIT_OK
 
@@ -223,20 +267,12 @@ def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     report = hull_verify(parameters["c"], parameters["samples"], seed)
     checksum = _params_checksum("hull", parameters, seed)
     outputs = {}
-    outputs["hull_points.csv"] = _write_table(
-        out_dir / "hull_points.csv",
-        ("p_inc", "p_success"),
-        report.points.tolist(),
-        checksum,
-        "csv",
-    )
-    outputs["hull_vertices.csv"] = _write_table(
-        out_dir / "hull_vertices.csv",
-        ("p_inc", "p_success"),
-        report.vertices.tolist(),
-        checksum,
-        "csv",
-    )
+    for name, table in (
+        ("hull_points.csv", report.points), ("hull_vertices.csv", report.vertices)
+    ):
+        outputs[name] = _write_table(
+            out_dir / name, ("p_inc", "p_success"), table.T, checksum, "csv"
+        )
     payload = {
         "artifact_version": __version__,
         "manifest": checksum,
@@ -276,47 +312,48 @@ def _convexity_default_budgets(c: float) -> list[float]:
 def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
     fmt = parameters["format"]
     h = check_step(parameters["h"])
-    rows = []
-    breach = False
-    for c in parameters["c_grid"]:
-        if not 0.0 < c < 1.0:
-            raise DomainError("overlap grid must stay strictly inside (0, 1)")
-        pib = boundary_PIB(c)
-        p_top = 0.5 * (1.0 + c * c)
-        budgets = np.array(
+    c_grid = parameters["c_grid"]
+    if not all(0.0 < c < 1.0 for c in c_grid):
+        raise DomainError("overlap grid must stay strictly inside (0, 1)")
+    # The rows of every overlap in c-major order, checked in one array call.
+    budgets = [
+        np.array(
             parameters["pi_grid"]
             if parameters["pi_grid"] is not None
             else _convexity_default_budgets(c)
         )
-        if not np.all((budgets >= -TOL) & (budgets <= p_top + TOL)):
-            raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
-        p = np.clip(budgets, 0.0, p_top)
-        convex = p < pib
-        near_edge = (
-            (np.abs(p - pib) < FD_BOUNDARY)
-            | (p < FD_BOUNDARY)
-            | (p > p_top - FD_BOUNDARY)
-        )
-        margin = np.where(convex, np.minimum(p, pib - p), np.minimum(p - pib, p_top - p))
-        fd = ~near_edge
-        # NaN marks the empty cells of boundary rows and of singular rows.
-        analytic, numeric, rel_err = (np.full(len(p), np.nan) for _ in range(3))
-        analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(
-            c, p[fd], np.minimum(h, 0.4 * margin[fd])
-        )
-        branch = np.where(near_edge, "boundary", np.where(convex, "convex", "concave"))
-        rows.extend(
-            zip([c] * len(p), p.tolist(), analytic.tolist(), numeric.tolist(),
-                rel_err.tolist(), branch.tolist())
-        )
-        breach |= bool(
-            np.any(convex & (analytic < CONVEX_FLOOR)) or np.any(rel_err > REL_ERR_LIMIT)
-        )
+        for c in c_grid
+    ]
+    c = np.repeat(np.array(c_grid, dtype=float), [len(b) for b in budgets])
+    p = np.concatenate(budgets) if budgets else np.empty(0)
+    pib = boundary_PIB(c)
+    p_top = 0.5 * (1.0 + c * c)
+    if not np.all((p >= -TOL) & (p <= p_top + TOL)):
+        raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
+    p = np.clip(p, 0.0, p_top)
+    convex = p < pib
+    near_edge = (
+        (np.abs(p - pib) < FD_BOUNDARY)
+        | (p < FD_BOUNDARY)
+        | (p > p_top - FD_BOUNDARY)
+    )
+    margin = np.where(convex, np.minimum(p, pib - p), np.minimum(p - pib, p_top - p))
+    fd = ~near_edge
+    # NaN marks the empty cells of boundary rows and of singular rows.
+    analytic, numeric, rel_err = (np.full(len(p), np.nan) for _ in range(3))
+    analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(
+        c[fd], p[fd], np.minimum(h, 0.4 * margin[fd])
+    )
+    branch = np.where(near_edge, "boundary", np.where(convex, "convex", "concave"))
+    breach = bool(
+        np.any(convex & (analytic < CONVEX_FLOOR)) or np.any(rel_err > REL_ERR_LIMIT)
+    )
 
     checksum = _params_checksum("convexity", parameters, seed)
     name = f"convexity.{fmt}"
+    columns = (c, p, analytic, numeric, rel_err, branch)
     outputs = {
-        name: _write_table(out_dir / name, CONVEXITY_COLUMNS, rows, checksum, fmt)
+        name: _write_table(out_dir / name, CONVEXITY_COLUMNS, columns, checksum, fmt)
     }
     _write_manifest(out_dir, "convexity", parameters, seed, outputs)
     return outputs, EXIT_THRESHOLD if breach else EXIT_OK
@@ -388,8 +425,9 @@ def _run_simulate(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int
         )
     checksum = _params_checksum("simulate", parameters, seed)
     name = f"simulate.{fmt}"
+    columns = [table.column(n) for n in table.columns]
     outputs = {
-        name: _write_table(out_dir / name, table.columns, table.rows, checksum, fmt)
+        name: _write_table(out_dir / name, table.columns, columns, checksum, fmt)
     }
     _write_manifest(out_dir, "simulate", parameters, seed, outputs)
     return outputs, EXIT_OK
@@ -535,6 +573,7 @@ def _add_common(sub, seed_help: str | None = None) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measdiscrim",

@@ -17,9 +17,12 @@ weights (`_slack_tester`). That tester's rate is the dual's slope in λ, so
 `_dual_bound` bisects on it, and `_recover_tester` reads the optimal tester
 off the dual point. The tester's success matches the bound at its own rate
 to rounding, which certifies it. The dual and the recovery run on Python
-floats, with no eigensolver and no scipy.
+floats, with no eigensolver and no scipy. Where the measurements coincide
+to within about 1e-9 every slack vanishes and the recovery gives nothing;
+the tester that ignores the measurement (`_blind_tester`) is optimal there
+and takes the same check.
 
-Only when the recovered tester fails that check does the search fall back
+Only when no tester passes that check does the search fall back
 to penalized gradient ascent from seeded random starts, each proved or
 rejected by the same dual bound. Its objective and gradient
 (`_penalized_objective`) are a scalar kernel on Python floats, and
@@ -581,6 +584,18 @@ def _recover_tester(
     return tuple(np.array([[t + u, v], [v, t - u]]) for t, u, v in tester)
 
 
+def _blind_tester(p_inc: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H_M, H_N) of the tester that ignores the measurement.
+
+    H_M = H_N = (1 − P_I)/4·𝕀 and H_I = (P_I/2)·𝕀: a fair coin guess,
+    withheld at rate P_I. Where the measurements coincide (θ = 0) it is
+    optimal, yet every dual slack vanishes and `_recover_tester` cannot
+    pick it.
+    """
+    h = 0.25 * (1.0 - p_inc) * EYE2
+    return h, h.copy()
+
+
 def _ascent_restart(
     m0: np.ndarray,
     n0: np.ndarray,
@@ -644,11 +659,12 @@ def optimize_povm(
     slackness. The dual point bounds every tester's success at the
     recovered tester's own rate, so the tester is returned, with
     restart_values=() and best_restart=None, when that rate is within `tol`
-    of the target and its success within `tol` of the bound. No scipy is
-    imported on this path.
+    of the target and its success within `tol` of the bound. When the
+    slacks leave the tester open (θ ≲ 1e-9), `_blind_tester` takes its
+    place under the same check. No scipy is imported on this path.
 
-    Only when the recovered tester fails that check does the search fall
-    back to penalized L-BFGS ascent from seeded random starts; `seed` and
+    Only when that tester fails the check does the search fall back to
+    penalized L-BFGS ascent from seeded random starts; `seed` and
     `restarts` govern this fallback alone. Restart r draws from the
     generator (seed, r) and passes through four penalty stages
     mu = 1e2, 1e3, 1e4, 1e6 with a PSD penalty nu = 100 mu, each minimizing
@@ -676,6 +692,8 @@ def optimize_povm(
 
     _, y, lam = _dual_bound(m0, n0, p_inc_target)
     blocks = _recover_tester(m0, n0, y, lam)
+    if blocks is None:
+        blocks = _blind_tester(p_inc_target)
     if blocks is not None:
         result = _result(pair, p_inc_target, tol, *blocks, y, lam, (), None)
         if result.converged:

@@ -450,19 +450,22 @@ def q_strategy_points(
     return p_inc, p_success
 
 
-def upper_hull(points: np.ndarray) -> np.ndarray:
-    """Indices into `points` of its upper convex hull, left to right.
+# Every HULL_STRIDE-th sorted point, plus the last, forms the coarse hull
+# that `upper_hull` prefilters with, once there are more than HULL_PREFILTER.
+HULL_STRIDE = 32
+HULL_PREFILTER = 128
+# Points more than this below the coarse hull are dropped. It covers the
+# rounding of `np.interp` for coordinates up to about 1e3; callers pass
+# probabilities.
+HULL_MARGIN = 1e-12
 
-    Sorts the (P_I, P_S) rows by budget, keeps the highest point at each
-    budget, and runs Andrew's monotone chain on Python floats; vertices
-    that are collinear within 1e-15 are dropped.
+
+def _monotone_chain(xs: list, ys: list) -> list[int]:
+    """Andrew's monotone chain over points sorted by strictly increasing x.
+
+    Returns the positions of the upper-hull vertices, left to right;
+    vertices that are collinear within 1e-15 are dropped.
     """
-    order = np.lexsort((-points[:, 1], points[:, 0]))
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = np.diff(points[order, 0]) > 0.0
-    order = order[keep]
-    xs = points[order, 0].tolist()
-    ys = points[order, 1].tolist()
     hull: list[int] = []
     for k, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
@@ -473,7 +476,34 @@ def upper_hull(points: np.ndarray) -> np.ndarray:
             else:
                 break
         hull.append(k)
-    return order[hull]
+    return hull
+
+
+def upper_hull(points: np.ndarray) -> np.ndarray:
+    """Indices into `points` of its upper convex hull, left to right.
+
+    Sorts the (P_I, P_S) rows by budget and keeps the highest point at each
+    budget. Past `HULL_PREFILTER` points, the Akl–Toussaint throw-away step
+    runs first: the chain runs on every `HULL_STRIDE`-th sorted point plus
+    the last one, and every point more than `HULL_MARGIN` below that coarse
+    hull is dropped, except the first and last, which are always kept. A
+    vertex of the full hull never lies below the hull of a subset, so this
+    changes no result. The chain (`_monotone_chain`, on Python floats) then
+    runs on the survivors.
+    """
+    order = np.lexsort((-points[:, 1], points[:, 0]))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.diff(points[order, 0]) > 0.0
+    order = order[keep]
+    xs, ys = points[order, 0], points[order, 1]
+    if len(order) > HULL_PREFILTER:
+        coarse = np.append(np.arange(0, len(order) - 1, HULL_STRIDE), len(order) - 1)
+        coarse = coarse[_monotone_chain(xs[coarse].tolist(), ys[coarse].tolist())]
+        floor = np.interp(xs[1:-1], xs[coarse], ys[coarse]) - HULL_MARGIN
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:-1] = ys[1:-1] >= floor
+        order, xs, ys = order[keep], xs[keep], ys[keep]
+    return order[_monotone_chain(xs.tolist(), ys.tolist())]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Every helper here recomputes something the library derives in closed form,
 but by a different route: generic polynomial root finders, scipy's convex
-hull, high-precision differencing with mpmath, a branch-by-branch
+hull and a plain monotone chain, high-precision differencing with mpmath, a branch-by-branch
 expectation model of the Monte Carlo bench, a trial-by-trial sampler of
 that bench, and an explicit tester for the filter protocol. Tests compare the two routes; nothing in this module
 imports the package under test.
@@ -146,6 +146,29 @@ def upper_hull_interp(p_inc, p_success, query):
         chain.append(cycle[j])
     chain.reverse()
     return np.interp(np.asarray(query, dtype=float), pts[chain, 0], pts[chain, 1])
+
+
+def upper_hull_chain(points) -> list[int]:
+    """Row indices of the upper hull by a plain monotone chain over all points.
+
+    Rows are ordered by (x, -y, index) and only the first row at each x is
+    kept; a vertex goes when the turn through it is not clockwise by more
+    than 1e-15. There is no prefilter: every row enters the chain.
+    """
+    xs = [float(v) for v in points[:, 0]]
+    ys = [float(v) for v in points[:, 1]]
+    order = sorted(range(len(xs)), key=lambda i: (xs[i], -ys[i], i))
+    order = [i for k, i in enumerate(order) if k == 0 or xs[i] != xs[order[k - 1]]]
+    hull: list[int] = []
+    for i in order:
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            turn = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
+            if turn < -1e-15:
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
 
 
 def mp_pure_success(c, p_inc, dps: int = 60):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from measdiscrim import PovmTriple, __version__, boundary_PIB, tangent_PIT
+from measdiscrim import cli
 from measdiscrim.cli import MAX_SAMPLES, main
 
 from oracles import FROZEN
@@ -666,6 +667,116 @@ def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert time.perf_counter() - start < 20.0
     assert {0, 2} <= set(codes)
+
+
+# --- table output ---
+
+
+def cellwise_body(columns) -> str:
+    """The CSV body as one `_fmt` call per cell, joined row by row."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in zip(*values))
+
+
+def random_column(rng, n):
+    kind = rng.integers(7)
+    if kind == 0:  # finite floats, as an array
+        return rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    if kind == 1:  # an array with NaN, ±inf and signed zeros
+        return rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-300], n)
+    if kind == 2:  # integers, as an array
+        return rng.integers(-(10**15), 10**15, n)
+    if kind == 3:  # strings, as an array
+        return np.array(["convex", "concave", "boundary"])[rng.integers(3, size=n)]
+    if kind == 4:  # finite Python floats, with np.float64 among them
+        return [float(v) if k % 2 else np.float64(v) for k, v in enumerate(rng.normal(size=n))]
+    if kind == 5:  # Python ints and a None
+        return [None if k == 0 else int(v) for k, v in enumerate(rng.integers(-99, 99, n))]
+    # every kind of cell in one list column
+    pool = [None, math.nan, math.inf, -math.inf, -0.0, 7, "x%s", np.float64(0.1), 1e16, True]
+    return [pool[k] for k in rng.integers(len(pool), size=n)]
+
+
+def test_csv_body_matches_the_cellwise_format():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.choice([0, 1, 2, int(rng.integers(3, 60))]))
+        columns = [random_column(rng, n) for _ in range(int(rng.integers(1, 6)))]
+        assert cli._csv_body(columns) == cellwise_body(columns)
+    assert cli._csv_body([[], np.empty(0)]) == ""
+    assert cli._csv_body([[-0.0, math.nan, None], np.array([np.inf, -np.inf, 1e-5])]) == (
+        "-0,inf\n,-inf\n,1e-05\n"
+    )
+
+
+# SHA-256 of each table body (the lines after the `# artifact=` header),
+# taken at version 0.1.5 before the tables were written in one pass.
+GOLDEN_BODIES = {
+    "hull": (
+        ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
+        {
+            "hull_points.csv": "33a04ec3ca927fc58d9b850da15d71d37e9648efd8cd053c8828819f90194c96",
+            "hull_vertices.csv": "72a4c41bf1520738ea3ea96a2507a5e18667186f0a776a1f26760f52ebb867d0",
+        },
+    ),
+    "convexity": (
+        ["convexity"],
+        {"convexity.csv": "29ebf8bf028ad297bd2cd855c6ef97267ec970ed7895455182219ab2f423e667"},
+    ),
+    "curves": (
+        ["curves", "--theta", PI6],
+        {"curves.csv": "7b7905284b5b6f86b4aa8c5f5b18ec3df5a01cb652e6cf5733475b3f9d128116"},
+    ),
+    "simulate": (
+        ["simulate", "--mode", "unambiguous", "--noise", "labnoise", "--seed", "3"],
+        {"simulate.csv": "bb8575c3f959afc8fd0b626cda65fe0fa7d9312a3e60ab32bd3fc8816343bd20"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_BODIES))
+def test_table_bodies_match_their_golden_digests(tmp_path, command):
+    argv, digests = GOLDEN_BODIES[command]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == digest, name
+
+
+def test_repeated_calls_in_one_process_agree(tmp_path, capsys):
+    # the parser is built once per process and reused by every call
+    runs = [
+        ["curves", "--theta", "0.3", "--pi-grid", "0:0.2:0.1"],
+        ["hull", "--c", "0.6", "--samples", "300"],
+        ["convexity", "--c-grid", "0.4", "--pi-grid", "0.1:0.5:0.2"],
+        ["oracle", "--theta", "0.3", "--pi", "0.2"],
+        ["simulate", "--mode", "unambiguous", "--t-grid", "0.5", "--trials", "100"],
+        ["replay", "MANIFEST"],
+        ["hull", "--c"],
+        ["--version"],
+    ]
+
+    def session(root):
+        results = []
+        for k, argv in enumerate(runs):
+            out_dir = root / str(k)
+            argv = [str(root / "0" / "manifest.json") if a == "MANIFEST" else a for a in argv]
+            if argv[0] != "--version":
+                argv = [*argv, "--out", str(out_dir)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+            results.append((code, captured.out, captured.err, files))
+        return results
+
+    first = session(tmp_path / "first")
+    second = session(tmp_path / "second")
+    assert [r[0] for r in first] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert first == second
+    assert cli._build_parser() is cli._build_parser()
 
 
 # --- process invocation ---

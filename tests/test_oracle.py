@@ -203,8 +203,10 @@ def test_povm_triple_validation():
 
 @pytest.fixture
 def ascent_only(monkeypatch):
-    """Make the recovery from the dual point fail, so the fallback ascent runs."""
+    """Make the recovery from the dual point and the measurement-blind tester
+    fail, so the fallback ascent runs."""
     monkeypatch.setattr(oracle_module, "_recover_tester", lambda *args: None)
+    monkeypatch.setattr(oracle_module, "_blind_tester", lambda *args: None)
 
 
 @pytest.mark.parametrize("p_inc", [0.0, 0.3, 0.5])
@@ -226,10 +228,32 @@ def test_search_returns_the_recovered_tester_without_restarts(p_inc):
 
 
 def test_search_falls_back_where_the_dual_point_leaves_the_tester_open():
-    # at θ = 0 the measurements coincide and every slack of the dual point vanishes
+    # at θ = 0 the measurements coincide and every slack of the dual point
+    # vanishes; the measurement-blind tester is optimal there
     pair = measurement_pair(0.0)
     _, y, lam = _dual_bound(pair.m0, pair.n0, 0.3)
     assert _recover_tester(pair.m0, pair.n0, y, lam) is None
+    result = md.optimize_povm(pair, 0.3, restarts=4)
+    assert result.converged
+    assert result.restart_values == ()
+    assert result.best_restart is None
+    np.testing.assert_allclose(result.triple.h_i, 0.15 * EYE2, atol=1e-15)
+    closed = entangled_success(0.0, 0.3).p_success
+    assert result.point.p_success == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-9])
+def test_blind_tester_is_certified_where_the_measurements_coincide(theta):
+    c = math.cos(2.0 * theta)
+    for p_inc in (0.0, 0.3, c):
+        result = md.optimize_povm(measurement_pair(theta), p_inc)
+        assert result.converged and result.restart_values == ()
+        assert result.gap <= theta + 1e-15  # the blind tester forgoes ~sin(2θ)/2
+        assert result.p_inc_error <= 1e-12
+
+
+def test_ascent_still_runs_where_the_measurements_coincide(ascent_only):
+    pair = measurement_pair(0.0)
     result = md.optimize_povm(pair, 0.3, restarts=4)
     assert result.converged
     assert 1 <= len(result.restart_values) <= 4
@@ -290,6 +314,17 @@ def test_certified_search_leaves_scipy_optimize_unloaded():
         "import math, sys, measdiscrim\n"
         "pair = measdiscrim.measurement_pair(math.pi / 10.0)\n"
         "result = measdiscrim.optimize_povm(pair, 0.3)\n"
+        "assert result.converged and result.restart_values == ()\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_coinciding_measurements_leave_scipy_optimize_unloaded():
+    code = (
+        "import sys, measdiscrim\n"
+        "result = measdiscrim.optimize_povm(measdiscrim.measurement_pair(0.0), 0.3)\n"
         "assert result.converged and result.restart_values == ()\n"
         "assert 'scipy.optimize' not in sys.modules\n"
     )

@@ -329,6 +329,55 @@ def test_hull_verify_degenerate_overlaps():
         hull_verify(0.5, 50, seed=0)
 
 
+def hull_case(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """A seeded point set of one of the shapes the hull must handle."""
+    x = rng.uniform(0.0, 1.0, n)
+    if kind == "random":
+        return np.column_stack([x, rng.uniform(0.0, 1.0, n)])
+    if kind == "grid":
+        # few grid levels: repeated budgets, duplicate points, collinear runs
+        k = int(rng.integers(2, 40))
+        return np.round(rng.uniform(0.0, 1.0, (n, 2)) * k) / k
+    if kind == "arc":
+        # most points on a concave arc, the rest below it
+        drop = rng.uniform(0.0, 0.2, n) * (rng.uniform(size=n) < 0.3)
+        return np.column_stack([x, np.sqrt(1.0 - (x - 0.5) ** 2) - drop])
+    if kind == "line":
+        # points on one line, so only rounding decides the hull's vertices;
+        # scaled so that the chain keeps some of them
+        scale = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        return np.column_stack([x, a + b * x]) * scale
+    # the samples hull_verify builds: an on-curve grid plus random protocols
+    c = float(rng.uniform(0.05, 0.95))
+    theta = theta_for_overlap(c)
+    grid = np.linspace(0.0, 0.5 * (1.0 + c * c), n // 2 + 1)
+    m = n - len(grid)
+    pi_r, ps_r = q_strategy_points(
+        theta, rng.uniform(0.0, math.pi / 2.0, m), rng.uniform(0.0, 1.0, m)
+    )
+    ps = np.concatenate([single_pure_curve_array(theta, grid).p_success, ps_r])
+    return np.column_stack([np.concatenate([grid, pi_r]), ps])
+
+
+HULL_KINDS = ("random", "grid", "arc", "line", "protocols")
+
+
+def test_upper_hull_matches_the_plain_chain():
+    # the coarse-hull prefilter must leave every vertex index unchanged
+    rng = np.random.default_rng(2718)
+    sizes = [1, 2, 3, 127, 128, 129]
+    cases = [
+        (HULL_KINDS[k % 5], sizes[k // 3 % 6] if k % 3 == 0 else None) for k in range(2000)
+    ]
+    cases += [(kind, 10_000) for kind in HULL_KINDS]
+    for kind, n in cases:
+        n = n if n is not None else int(rng.integers(4, 500))
+        points = hull_case(rng, kind, n)
+        expected = oracles.upper_hull_chain(points)
+        assert strategies.upper_hull(points).tolist() == expected, (kind, n)
+
+
 # --- small containers ---
 
 
