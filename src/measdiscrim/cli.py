@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import check_step, finite_difference_check_array
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .geometry import TOL, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
@@ -644,9 +644,6 @@ def main(argv=None) -> int:
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Analytic curvature of the single-qubit pure curve, with FD validation.
 
 Substituting y = c*x turns the conclusive-rate cubic into
-y^3 - 2y^2 + (1 - P_I)y + P_I c^2 = 0, whose maximizing root gives the
-pure-curve success as
+y^3 - 2y^2 + (1 - P_I)y + P_I c^2 = 0, whose least root, in [-c, c^2]
+(proved in `_cubic`), gives the pure-curve success as
 
     P_S = (1 - P_I)/2 + (sqrt(1-c^2)/2c) * sqrt(c^2-y^2) * [1 - P_I/(1-y)].
 
@@ -13,10 +13,10 @@ follows the q = 0 arc whose curvature -c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2)
 is strictly negative. finite_difference_check validates either branch
 numerically.
 
-`finite_difference_check_array` takes arrays: one array cubic solve gives
-the analytic curvature of every row and one array call of the pure curve
-evaluates every five-point stencil. The other functions take scalars and
-run on the same array code.
+`finite_difference_check_array` takes arrays: one array call of
+`_cubic.least_root` gives the analytic curvature of every row, and one
+array call of the pure curve evaluates every five-point stencil. The other
+functions take scalars and run on the same array code.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import _cubic
 from .errors import BranchCrossingError, DomainError, SingularityError
 from .geometry import TOL
-from .strategies import best_root, boundary_PIB, single_pure_curve_array
+from .strategies import boundary_PIB, single_pure_curve_array
 
 DENOM_FLOOR = 1e-10
 
@@ -67,16 +67,14 @@ def check_step(h):
 
 def _y_roots(c: np.ndarray, p_inc: np.ndarray) -> np.ndarray:
     """y_root on 1-D arrays inside the convex domain."""
-    roots = _cubic.real_roots_array(1.0, -2.0, 1.0 - p_inc, p_inc * c * c)
-    k, _, _, _ = best_root(c, p_inc, roots / c[:, None])
-    return np.clip(roots[np.arange(len(k)), k], -c, c)
+    return _cubic.least_root(1.0, -2.0, 1.0 - p_inc, p_inc * c * c, -c, c * c)
 
 
 def y_root(c: float, p_inc: float) -> float:
     """The maximizing root y = c*x of the substituted cubic.
 
-    Its roots are c times those of the conclusive-rate cubic, so the root
-    is chosen among them by `best_root`, the rule of the pure curve.
+    It is the least root, which lies in [-c, c^2] (see `_cubic`); its
+    x = y/c is the probe of the pure curve.
     """
     _check_convex_domain(c, p_inc)
     return float(_y_roots(np.array([c]), np.array([p_inc]))[0])
@@ -139,11 +137,11 @@ def finite_difference_check_array(
     """finite_difference_check at arrays of overlaps, budgets and steps.
 
     The arguments broadcast to one shape. One array call of the pure curve
-    evaluates the stencils of all rows, and one array solve gives the
-    analytic curvature of every convex row. A convex row whose implicit
-    denominator vanishes comes back NaN in all three outputs, where
-    finite_difference_check raises SingularityError. Every other error
-    is raised for the whole call when any row commits it.
+    evaluates the stencils of all rows, and one array call of the least
+    root gives the analytic curvature of every convex row. A convex row
+    whose implicit denominator vanishes comes back NaN in all three
+    outputs, where finite_difference_check raises SingularityError. Every
+    other error is raised for the whole call when any row commits it.
     """
     shape = np.broadcast(c, p_inc, h).shape
     c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))

@@ -15,7 +15,3 @@ class BranchCrossingError(DomainError):
 
 class SingularityError(DomainError):
     """A closed-form expression degenerates (vanishing denominator)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to reach its tolerance."""

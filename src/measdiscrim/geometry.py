@@ -130,6 +130,9 @@ def filter_for_budget(theta: float, p_inc: float) -> FilterOperator:
     f = sqrt(1 - p_inc / cos^2(theta)); p_inc may not exceed cos(2*theta),
     the point where the filtered states become orthogonal.
     """
+    theta = float(check_theta(theta))
+    if math.isnan(p_inc):
+        raise DomainError("inconclusive budget is not a number")
     if p_inc < -TOL:
         raise DomainError("inconclusive budget must be non-negative")
     c = math.cos(2.0 * theta)

@@ -8,7 +8,8 @@ fixed inconclusive budget P_I admits two families of protocols:
   P_I = 0 to unambiguous discrimination at the endpoint;
 * single-qubit probe at angle ϑ with post-processing probability q of
   guessing on the unfavorable outcome. The best pure protocol at fixed
-  P_I follows a cubic in x = cos(2ϑ) up to the budget boundary_PIB, then
+  P_I follows the least root of a cubic in x = cos(2ϑ), which `_cubic`
+  proves optimal and computes alone, up to the budget boundary_PIB, then
   a q = 0 arc; probabilistically mixing the P_I = 0 protocol with the
   arc's tangent point (at tangent_PIT) is strictly better in between, and
   the resulting piecewise curve is the upper boundary of the convex hull
@@ -156,9 +157,11 @@ def _check_overlap(c) -> np.ndarray:
 
 
 def _check_budget(p_inc, upper, message: str) -> np.ndarray:
-    """Reject budgets more than TOL outside [0, upper]; clamp the rest."""
+    """Reject NaN and budgets more than TOL outside [0, upper]; clamp the rest."""
     p_inc = np.asarray(p_inc, dtype=float)
     if not np.all((p_inc >= -TOL) & (p_inc <= upper + TOL)):
+        if np.isnan(p_inc).any():
+            raise DomainError("budget is not a number")
         raise DomainError(message)
     return np.clip(p_inc, 0.0, upper)
 
@@ -253,35 +256,6 @@ def _pure_probe_success(c, p_inc, x):
     ) * (1.0 - p_inc / (1.0 - x * c))
 
 
-def best_root(c, p_inc, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pick the best admissible root of the conclusive-rate cubic per row.
-
-    `x` is an (n, k) array of candidate roots, ascending in each row and
-    NaN-padded; `c` and `p_inc` have n entries. A root is admissible when
-    |x| ≤ 1, 1 - xc > 0 and q = 1 - 2 P_I/(1 - xc) lies in [0, 1], each up
-    to 1e-9. The choice is a masked argmax of the success; roots within
-    TOL of the best count as ties, broken toward larger x. Returns the
-    column index, x clipped to [-1, 1], q clipped to [0, 1] and the
-    success, one entry per row.
-    """
-    c = np.asarray(c, dtype=float)[:, None]
-    p_inc = np.asarray(p_inc, dtype=float)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = 1.0 - x * c
-        q = 1.0 - 2.0 * p_inc / denom
-        admissible = (
-            (np.abs(x) <= 1.0 + 1e-9) & (denom > 0.0) & (q >= -1e-9) & (q <= 1.0 + 1e-9)
-        )
-        x = np.clip(x, -1.0, 1.0)
-        score = np.where(admissible, _pure_probe_success(c, p_inc, x), -np.inf)
-    if not np.all(admissible.any(axis=1)):
-        raise DomainError("no admissible root of the conclusive-rate cubic")
-    near = score > score.max(axis=1, keepdims=True) - TOL
-    k = x.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
-    rows = np.arange(len(k))
-    return k, x[rows, k], np.clip(q[rows, k], 0.0, 1.0), score[rows, k]
-
-
 def _single_domain(theta, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     theta = check_theta(theta)
     c = np.cos(2.0 * theta)
@@ -295,8 +269,9 @@ def _single_domain(theta, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def single_pure_curve_array(theta, p_inc) -> CurveSamples:
     """single_pure_curve at arrays of angles and budgets (broadcast).
 
-    Returns p_success, x and q; one array cubic solve covers every budget
-    below boundary_PIB.
+    Returns p_success, x and q. Below boundary_PIB the probe x is the
+    least root of the conclusive-rate cubic, in [-1, c] (see `_cubic`),
+    one array call for every budget.
     """
     theta, c, p_inc = _single_domain(theta, p_inc)
     shape = p_inc.shape
@@ -309,8 +284,10 @@ def single_pure_curve_array(theta, p_inc) -> CurveSamples:
     cubic = live & (p_inc < boundary_PIB(c))
     if cubic.any():
         cc, pc = c[cubic], p_inc[cubic]
-        roots = _cubic.real_roots_array(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc)
-        _, x[cubic], q[cubic], ps[cubic] = best_root(cc, pc, roots)
+        xc = _cubic.least_root(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc, -1.0, cc)
+        x[cubic] = xc
+        q[cubic] = np.clip(1.0 - 2.0 * pc / (1.0 - xc * cc), 0.0, 1.0)
+        ps[cubic] = _pure_probe_success(cc, pc, xc)
     arc = live & ~cubic
     if arc.any():
         ca, pa = c[arc], p_inc[arc]

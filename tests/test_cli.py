@@ -1,5 +1,6 @@
 """Command-line front end: outputs, manifests, exit codes, replay."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -286,6 +287,20 @@ def test_oracle_report_matches_the_curve(tmp_path, monkeypatch):
     assert 1 <= len(report["restart_values"]) <= 5
     assert report["best_restart"] == len(report["restart_values"]) - 1
     checksums_match(ascent)
+
+
+def test_oracle_exits_3_when_the_search_does_not_converge(tmp_path, monkeypatch):
+    search = cli.optimize_povm
+    monkeypatch.setattr(
+        cli,
+        "optimize_povm",
+        lambda *args, **kwargs: dataclasses.replace(search(*args, **kwargs), converged=False),
+    )
+    code = main(["oracle", "--theta", PI6, "--pi", "0.3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_NONCONVERGED == 3
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert report["converged"] is False
+    checksums_match(tmp_path)
 
 
 def test_oracle_snaps_the_angle_endpoint(tmp_path):

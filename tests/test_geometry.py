@@ -107,6 +107,12 @@ def test_filter_budget_domain():
         filter_for_budget(math.pi / 6.0, 0.51)
     with pytest.raises(DomainError, match="non-negative"):
         filter_for_budget(math.pi / 6.0, -0.01)
+    with pytest.raises(DomainError, match="budget is not a number"):
+        filter_for_budget(0.3, math.nan)
+    # A bad angle is named before the budget is looked at.
+    for theta, p_inc in ((math.inf, math.nan), (5.0, 0.0)):
+        with pytest.raises(DomainError, match="theta"):
+            filter_for_budget(theta, p_inc)
 
 
 @pytest.mark.parametrize("theta", THETAS[1:-1])

@@ -369,6 +369,20 @@ def test_ideal_bench_matches_the_entangled_curve():
     )
 
 
+def test_ideal_bench_cells_lie_exactly_on_the_entangled_curve():
+    # Filter transmittance T spends P_I = (1 - T) cos^2(theta); from
+    # T = tan^2(theta) on, that budget stays within [0, cos 2theta].
+    device, outcome, detector = np.indices((2, 2, 3))
+    success = detector == device ^ outcome
+    for theta in np.arange(1, 10) * math.pi / 40.0:
+        for t in np.linspace(math.tan(theta) ** 2, 1.0, 11):
+            cells = cell_probabilities(ideal_config(trials=1, theta=theta, t=t))
+            p_inc = (1.0 - t) * math.cos(theta) ** 2
+            assert abs(cells[..., 2].sum() - p_inc) <= 1e-15
+            closed = entangled_success(theta, p_inc)
+            assert abs(cells[success].sum() - closed.p_success) <= 1e-15
+
+
 def test_noisy_bench_matches_the_branch_model():
     config = noisy_config()
     expected, registered = expected_cells(config)

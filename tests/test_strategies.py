@@ -177,6 +177,12 @@ def test_budget_beyond_unambiguous_endpoint_is_rejected():
         single_optimal(theta_for_overlap(0.5), 0.63)
 
 
+@pytest.mark.parametrize("curve", [entangled_success, single_optimal, single_pure_curve])
+def test_nan_budget_is_named_as_not_a_number(curve):
+    with pytest.raises(DomainError, match="budget is not a number"):
+        curve(math.pi / 6.0, math.nan)
+
+
 def test_concave_branch_frozen_values():
     assert concave_branch(theta_for_overlap(0.5), 0.5).p_success == pytest.approx(
         FROZEN["ps_concave_c05_p05"], abs=1e-14
@@ -488,48 +494,32 @@ def test_array_curves_accept_broadcast_shapes():
         entangled_success_array([0.1, math.nan], 0.0)
 
 
-def test_near_degenerate_rows_take_the_scalar_fallback(monkeypatch):
-    calls = []
-    fallback = _cubic._fallback_roots
-
-    def counted(*args):
-        calls.append(args)
-        return fallback(*args)
-
-    monkeypatch.setattr(_cubic, "_fallback_roots", counted)
-    # At P_I = 0 the cubic is x (cx - 1)^2: a double root at 1/c.
-    c = np.linspace(0.05, 0.95, 19)
-    theta = 0.5 * np.arccos(c)
-    at_zero = single_pure_curve_array(theta, np.zeros_like(c))
-    assert len(calls) == len(c)
-    assert np.all(at_zero.x == 0.0)
-    np.testing.assert_allclose(
-        at_zero.p_success, 0.5 * (1.0 + np.sin(2.0 * theta)), atol=1e-15
+def test_least_root_is_the_best_pure_probe():
+    rng = np.random.default_rng(21)
+    c = rng.uniform(0.0, 1.0, 2000)
+    p = rng.uniform(0.0, 1.0, 2000) * boundary_PIB(c)
+    # Edge rows: c within 1e-12 of 0 and of 1, each at P_I = 0, at the
+    # least positive budget and at two budgets just below boundary_PIB.
+    edge_c = np.repeat(
+        [5e-13, 1e-12, 1.5e-12, 0.05, 0.5, 0.95, 1.0 - 1e-12, 1.0 - 5e-13], 4
     )
+    pib = boundary_PIB(edge_c)
+    edge_p = np.tile([0.0, 5e-324, 0.0, 0.0], len(edge_c) // 4)
+    edge_p[2::4] = np.nextafter(pib[2::4], 0.0)
+    edge_p[3::4] = pib[3::4] * (1.0 - 1e-12)
+    c, p = np.append(c, edge_c), np.append(p, edge_p)
 
-    # With the band widened to every row, the bisection path alone must
-    # still reproduce the curve.
-    monkeypatch.setattr(_cubic, "_DEGENERATE_DISC", math.inf)
-    theta, p = seeded_budgets(300, seed=13)
-    c = np.cos(2.0 * theta)
-    keep = (c > 1e-6) & (p < boundary_PIB(c))
-    theta, p, c = theta[keep], p[keep], c[keep]
-    calls.clear()
-    forced = single_pure_curve_array(theta, p)
-    assert len(calls) == len(p)
-    for k in range(len(p)):
-        ps, _, _ = oracles.best_pure_probe(float(c[k]), float(p[k]))
-        assert forced.p_success[k] == pytest.approx(ps, abs=1e-12)
-
-
-def test_best_root_rejects_inadmissible_roots_and_breaks_ties_upward():
-    c, p = [0.5], [0.3]
-    x_opt = FROZEN["x_opt_c05_p03"]
-    # Near the optimum the success is flat to well inside TOL: a tie.
-    for row in ([x_opt - 1e-7, x_opt, np.nan], [x_opt, x_opt + 1e-7, np.nan]):
-        k, x, _, _ = strategies.best_root(c, p, np.array([row]))
-        assert x[0] == row[1] and k[0] == 1
-    # x = 0.9 gives q = 1 - 2 P_I/(1 - xc) < 0; x = 1.5 lies outside [-1, 1].
-    for bad in (0.9, 1.5):
-        with pytest.raises(DomainError, match="no admissible root"):
-            strategies.best_root(c, p, np.array([[bad, np.nan, np.nan]]))
+    y = _cubic.least_root(1.0, -2.0, 1.0 - p, p * c * c, -c, c * c)
+    x = _cubic.least_root(c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c)
+    assert np.all((-c <= y) & (y <= c * c) & (-1.0 <= x) & (x <= c))
+    assert np.all(x[p == 0.0] == 0.0) and np.all(y[p == 0.0] == 0.0)
+    theta = 0.5 * np.arccos(c)
+    curve_c = np.cos(2.0 * theta)
+    curve = single_pure_curve_array(theta, p)
+    assert np.all(curve.x[p == 0.0] == 0.0)
+    assert np.all((-1.0 <= curve.x) & (curve.x <= np.maximum(curve_c, 0.0)))
+    for k in range(len(c)):
+        least = oracles.conclusive_cubic_roots(float(c[k]), float(p[k]))[0]
+        assert abs(x[k] - least) <= 4e-15 and abs(y[k] - c[k] * least) <= 4e-15
+        ps, _, _ = oracles.best_pure_probe(float(curve_c[k]), float(p[k]))
+        assert abs(curve.p_success[k] - ps) <= 1e-15
