@@ -523,3 +523,64 @@ def test_least_root_is_the_best_pure_probe():
         assert abs(x[k] - least) <= 4e-15 and abs(y[k] - c[k] * least) <= 4e-15
         ps, _, _ = oracles.best_pure_probe(float(curve_c[k]), float(p[k]))
         assert abs(curve.p_success[k] - ps) <= 1e-15
+
+
+def test_near_degenerate_rows_take_the_scalar_fallback():
+    """Rows beside a degeneracy stay on the curve.
+
+    At P_I = 0 the cubic is x (cx - 1)^2: the least root is 0 and the
+    other two coincide at 1/c. Below DEGENERATE_C the overlap counts as
+    zero and every row falls back to the line P_S = 1 - P_I, x = 0,
+    q = 1 - 2 P_I, which the least root meets from above the cut.
+    """
+    c = np.linspace(0.05, 0.95, 19)
+    theta = 0.5 * np.arccos(c)
+    at_zero = single_pure_curve_array(theta, np.zeros_like(c))
+    assert np.all(at_zero.x == 0.0)
+    np.testing.assert_allclose(
+        at_zero.p_success, 0.5 * (1.0 + np.sin(2.0 * theta)), atol=1e-15
+    )
+
+    p = np.array([0.0, 0.1, 0.3, 0.5])
+    cut = strategies.DEGENERATE_C
+    line = single_pure_curve_array(0.5 * math.acos(0.1 * cut), p)
+    assert np.all(line.x == 0.0)
+    assert np.array_equal(line.p_success, 1.0 - p)
+    assert np.array_equal(line.q, 1.0 - 2.0 * p)
+    beside = single_pure_curve_array(0.5 * math.acos(10.0 * cut), p)
+    np.testing.assert_allclose(beside.p_success, 1.0 - p, atol=1e-10)
+    np.testing.assert_allclose(beside.x, 0.0, atol=1e-10)
+
+    theta, p = seeded_budgets(300, seed=13)
+    c = np.cos(2.0 * theta)
+    keep = (c > 1e-6) & (p < boundary_PIB(c))
+    theta, p, c = theta[keep], p[keep], c[keep]
+    curve = single_pure_curve_array(theta, p)
+    for k in range(len(p)):
+        ps, _, _ = oracles.best_pure_probe(float(c[k]), float(p[k]))
+        assert curve.p_success[k] == pytest.approx(ps, abs=1e-12)
+
+
+def test_best_root_rejects_inadmissible_roots_and_breaks_ties_upward():
+    """The curve's root is the one admissible root, at the top of a flat tie.
+
+    At c = 0.5, P_I = 0.3 the cubic's roots are x_opt ≈ -0.171, ≈ 1.171
+    (|x| > 1 and q = 1 - 2 P_I/(1 - xc) < 0) and 3 (|x| > 1). Near x_opt
+    the success is flat to well inside TOL, yet the curve returns x_opt
+    itself, whose success is at least that of either neighbour.
+    """
+    c, p = 0.5, 0.3
+    x_opt = FROZEN["x_opt_c05_p03"]
+    low, mid, high = oracles.conclusive_cubic_roots(c, p)
+    assert low == pytest.approx(x_opt, abs=1e-14)
+    assert abs(mid) > 1.0 and 1.0 - 2.0 * p / (1.0 - mid * c) < 0.0
+    assert abs(high) > 1.0
+    least = _cubic.least_root(c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c)
+    assert least[0] == pytest.approx(x_opt, abs=1e-14)
+
+    point, strat = single_pure_curve(theta_for_overlap(c), p)
+    assert strat.x == pytest.approx(x_opt, abs=1e-14)
+    nearby = np.array([x_opt - 1e-7, x_opt + 1e-7])
+    neighbours = strategies._pure_probe_success(c, p, nearby)
+    assert np.all(np.abs(neighbours - point.p_success) < strategies.TOL)
+    assert np.all(neighbours <= point.p_success)
