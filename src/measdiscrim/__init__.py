@@ -15,12 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    FilterOperator,
     MeasurementPair,
-    PureQubitState,
-    apply_filter,
-    apply_sigma_y,
-    filter_for_budget,
     measurement_pair,
     overlap,
 )
@@ -53,17 +48,11 @@ from .convexity import (
     y_root,
 )
 from .oracle import (
-    MeasurementOperatorPair,
     OracleResult,
     PovmTriple,
-    TesterComponent,
-    TesterTriple,
     brute_force_single,
-    covariant_blocks,
     optimize_povm,
     reduced_probabilities,
-    symmetrize,
-    tester_probabilities,
 )
 from .simulator import (
     CoincidenceCounts,
@@ -83,12 +72,7 @@ __all__ = [
     "DomainError",
     "SingularityError",
     "ValidationError",
-    "FilterOperator",
     "MeasurementPair",
-    "PureQubitState",
-    "apply_filter",
-    "apply_sigma_y",
-    "filter_for_budget",
     "measurement_pair",
     "overlap",
     "CurveSamples",
@@ -115,17 +99,11 @@ __all__ = [
     "finite_difference_check",
     "second_derivative",
     "y_root",
-    "MeasurementOperatorPair",
     "OracleResult",
     "PovmTriple",
-    "TesterComponent",
-    "TesterTriple",
     "brute_force_single",
-    "covariant_blocks",
     "optimize_povm",
     "reduced_probabilities",
-    "symmetrize",
-    "tester_probabilities",
     "CoincidenceCounts",
     "EstimateResult",
     "ExperimentConfig",

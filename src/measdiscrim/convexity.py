@@ -32,6 +32,8 @@ from .geometry import TOL
 from .strategies import boundary_PIB, single_pure_curve_array
 
 DENOM_FLOOR = 1e-10
+# The least step whose square is a normal double.
+MIN_STEP = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,12 @@ def _check_overlap_inside(c) -> None:
 
 
 def check_step(h):
-    """The finite-difference step(s), which must be finite and positive."""
-    if not np.all(np.isfinite(h) & (np.asarray(h) > 0.0)):
-        raise DomainError(f"step h must be finite and positive, got {h}")
+    """The finite-difference step(s), which must be finite and at least
+    MIN_STEP: the stencil divides by 3h², which must not underflow."""
+    if not np.all(np.isfinite(h) & (np.asarray(h) >= MIN_STEP)):
+        raise DomainError(
+            f"step h must be finite and positive, at least {MIN_STEP:.3g}, got {h}"
+        )
     return h
 
 
@@ -107,7 +112,7 @@ def second_derivative(c: float, p_inc: float) -> DerivativeBundle:
     """Curvature of the pure curve below the q = 0 boundary budget."""
     _check_convex_domain(c, p_inc)
     if p_inc <= TOL:
-        raise DomainError("curvature defined on the open interval (0, boundary_PIB)")
+        raise DomainError("budget outside the open interval (0, boundary_PIB)")
     *values, denom = (float(v[0]) for v in _derivatives(np.array([c]), np.array([p_inc])))
     if abs(denom) <= DENOM_FLOOR:
         raise SingularityError(

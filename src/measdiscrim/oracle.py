@@ -3,10 +3,13 @@
 A full discrimination experiment (probe, processing, readout, answer
 k ∈ {M, N, inconclusive}) is a three-component process tester
 T_k = H_{k,0}⊗|0⟩⟨0| + H_{k,1}⊗|1⟩⟨1| constrained by Σ T_k = ρ⊗𝕀.
-Averaging each block with its sigma_y conjugate (`symmetrize`) leaves all
-outcome probabilities untouched and lands in the covariant family
+Averaging each block with its sigma_y conjugate leaves all outcome
+probabilities untouched and lands in the covariant family
 H_{k,1} = σ_y H_{k,0} σ_y†, where ρ = 𝕀/2 and everything reduces to three
-2×2 blocks summing to 𝕀/2 (`reduced_probabilities`).
+2×2 blocks summing to 𝕀/2 (`PovmTriple`, `reduced_probabilities`); see
+Chiribella, D'Ariano and Perinotti, Phys. Rev. A 80, 022339 (2009). The
+search works on that reduction alone. The full 4×4 testers and the
+symmetrization that justifies it are checked in the test suite's oracles.
 
 `optimize_povm` maximizes success at a fixed inconclusive rate over those
 blocks through the Lagrange dual of that reduction. For 2×2 blocks each
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .geometry import SIGMA_Y, TOL, MeasurementPair
+from .geometry import TOL, MeasurementPair
 from .strategies import StrategyPoint, q_strategy_points, upper_hull
 
 PSD_TOL = 1e-10
@@ -72,33 +75,6 @@ def _check_symmetric_psd(mat: np.ndarray, name: str, tol: float = PSD_TOL) -> np
 
 
 @dataclass(frozen=True)
-class TesterComponent:
-    """One answer's pair of blocks (H_k0, H_k1), each PSD."""
-
-    h0: np.ndarray
-    h1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "h0", _check_symmetric_psd(self.h0, "h0"))
-        object.__setattr__(self, "h1", _check_symmetric_psd(self.h1, "h1"))
-
-    def full(self) -> np.ndarray:
-        """The 4x4 tester block H_k0 ⊗ |0><0| + H_k1 ⊗ |1><1|."""
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        return np.kron(self.h0, p0) + np.kron(self.h1, p1)
-
-
-@dataclass(frozen=True)
-class TesterTriple:
-    """Components for the three answers M, N, inconclusive."""
-
-    m: TesterComponent
-    n: TesterComponent
-    i: TesterComponent
-
-
-@dataclass(frozen=True)
 class PovmTriple:
     """Covariant-form blocks (H_M0, H_N0, H_I0) summing to rho = 𝕀/2."""
 
@@ -119,72 +95,6 @@ class PovmTriple:
     @property
     def rho(self) -> np.ndarray:
         return 0.5 * EYE2
-
-
-@dataclass(frozen=True)
-class MeasurementOperatorPair:
-    """Block-diagonal 4x4 operators E_X = X0^T⊗|0><0| + X1^T⊗|1><1|."""
-
-    e_m: np.ndarray
-    e_n: np.ndarray
-
-    @classmethod
-    def from_pair(cls, pair: MeasurementPair) -> "MeasurementOperatorPair":
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        e_m = np.kron(pair.m0.T, p0) + np.kron(pair.m1.T, p1)
-        e_n = np.kron(pair.n0.T, p0) + np.kron(pair.n1.T, p1)
-        return cls(e_m=e_m, e_n=e_n)
-
-
-def tester_probabilities(triple: TesterTriple, pair: MeasurementPair) -> StrategyPoint:
-    """Outcome probabilities of a full tester, straight from the 4x4 traces.
-
-    Requires T_M + T_N + T_I = rho ⊗ 𝕀 for some density rho (checked to
-    1e-8); the probe preparation is implicit in the tester formalism.
-    """
-    t_m, t_n, t_i = triple.m.full(), triple.n.full(), triple.i.full()
-    sum0 = triple.m.h0 + triple.n.h0 + triple.i.h0
-    sum1 = triple.m.h1 + triple.n.h1 + triple.i.h1
-    residual = np.abs(sum0 - sum1).max()
-    rho = 0.5 * (sum0 + sum1)
-    trace_err = abs(np.trace(rho) - 1.0)
-    if residual > 1e-8 or trace_err > 1e-8 or np.linalg.eigvalsh(rho)[0] < -1e-8:
-        raise ValidationError(
-            "tester triple does not sum to rho ⊗ identity for a density rho "
-            f"(block residual {residual:.3e}, trace error {trace_err:.3e})"
-        )
-    ops = MeasurementOperatorPair.from_pair(pair)
-    ps = 0.5 * (np.trace(t_m @ ops.e_m.T) + np.trace(t_n @ ops.e_n.T))
-    pe = 0.5 * (np.trace(t_n @ ops.e_m.T) + np.trace(t_m @ ops.e_n.T))
-    pi = 0.5 * np.trace(t_i @ (ops.e_m + ops.e_n).T)
-    return StrategyPoint(float(ps), float(pe), float(pi))
-
-
-def symmetrize(triple: TesterTriple) -> TesterTriple:
-    """Average each block with its sigma_y conjugate.
-
-    The output is covariant (H_k1 = σ_y H_k0 σ_y†) and produces identical
-    probabilities for every measurement pair.
-    """
-
-    def sym(comp: TesterComponent) -> TesterComponent:
-        h0 = 0.5 * (comp.h0 + SIGMA_Y @ comp.h1 @ SIGMA_Y.T)
-        h1 = 0.5 * (comp.h1 + SIGMA_Y @ comp.h0 @ SIGMA_Y.T)
-        return TesterComponent(h0=h0, h1=h1)
-
-    return TesterTriple(m=sym(triple.m), n=sym(triple.n), i=sym(triple.i))
-
-
-def covariant_blocks(triple: TesterTriple) -> PovmTriple:
-    """Extract the H_k0 blocks of a covariant tester as a PovmTriple."""
-    for name, comp in (("m", triple.m), ("n", triple.n), ("i", triple.i)):
-        residual = np.abs(comp.h1 - SIGMA_Y @ comp.h0 @ SIGMA_Y.T).max()
-        if residual > 1e-10:
-            raise ValidationError(
-                f"component {name} is not covariant (residual {residual:.3e})"
-            )
-    return PovmTriple(h_m=triple.m.h0, h_n=triple.n.h0, h_i=triple.i.h0)
 
 
 def reduced_probabilities(triple: PovmTriple, pair: MeasurementPair) -> StrategyPoint:
@@ -772,7 +682,8 @@ def brute_force_single(
     Scans (resolution+1)^2 canonical protocols, keeps the best success in
     each of 4*resolution inconclusive-rate bins, and evaluates the upper
     hull of the survivors at the target rate (chords between scanned
-    protocols are two-point mixtures, hence achievable).
+    protocols are two-point mixtures, hence achievable). Raises DomainError
+    for a target outside [0, (1 + cos 2θ)/2], the rates the scan reaches.
     """
     if resolution < 100:
         raise DomainError("resolution must be at least 100")
@@ -782,6 +693,8 @@ def brute_force_single(
     n_bins = 4 * resolution
     c = math.cos(2.0 * theta)
     pi_max = 0.5 * (1.0 + c)
+    if not -TOL <= p_inc_target <= pi_max + TOL:
+        raise DomainError("inconclusive target outside [0, (1 + cos(2*theta))/2]")
     scale = (n_bins - 1) / pi_max if pi_max > 0 else 0.0
 
     best_ps = np.full(n_bins, -np.inf)

@@ -378,7 +378,7 @@ def scan_intermediate(
             row, _ = _scan_row(theta, t_value, trials, seed, stream, imp)
             rows.append(row)
             stream += 1
-    return CurveTable(columns=SCAN_COLUMNS, rows=tuple(rows), monotone_key=None)
+    return CurveTable(columns=SCAN_COLUMNS, rows=tuple(rows))
 
 
 def scan_unambiguous(
@@ -404,6 +404,4 @@ def scan_unambiguous(
         theta = math.atan(math.sqrt(max(t_value, 0.0)))
         row, counts = _scan_row(theta, t_value, trials, seed, stream, imp)
         rows.append(row + (float(counts.counts[_ERROR].sum()),))
-    return CurveTable(
-        columns=SCAN_COLUMNS + ("error_counts",), rows=tuple(rows), monotone_key=None
-    )
+    return CurveTable(columns=SCAN_COLUMNS + ("error_counts",), rows=tuple(rows))

@@ -94,34 +94,16 @@ class SingleQubitStrategy:
 
 @dataclass(frozen=True)
 class CurveTable:
-    """A columnar table of curve samples.
-
-    When `monotone_key` is set, that column must be strictly increasing
-    (within each distinct value of `group_key`, if given).
-    """
+    """A columnar table of curve samples; every row has one value per column."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    monotone_key: str | None = "p_inc"
-    group_key: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValidationError("row width does not match columns")
-        if self.monotone_key is not None and self.rows:
-            k = self.columns.index(self.monotone_key)
-            g = self.columns.index(self.group_key) if self.group_key else None
-            last: dict = {}
-            for row in self.rows:
-                key = row[g] if g is not None else None
-                if key in last and not row[k] > last[key]:
-                    raise ValidationError(
-                        f"column {self.monotone_key} is not strictly increasing"
-                    )
-                last[key] = row[k]
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ValidationError("row width does not match columns")
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)
@@ -157,9 +139,17 @@ def _check_overlap(c) -> np.ndarray:
 
 
 def _check_budget(p_inc, upper, message: str) -> np.ndarray:
-    """Reject NaN and budgets more than TOL outside [0, upper]; clamp the rest."""
+    """Reject NaN, budgets that do not broadcast against the angles' `upper`
+    and budgets more than TOL outside [0, upper]; clamp the rest."""
     p_inc = np.asarray(p_inc, dtype=float)
-    if not np.all((p_inc >= -TOL) & (p_inc <= upper + TOL)):
+    try:
+        inside = (p_inc >= -TOL) & (p_inc <= upper + TOL)
+    except ValueError:
+        raise DomainError(
+            f"budget shape {p_inc.shape} does not broadcast against "
+            f"angle shape {np.shape(upper)}"
+        ) from None
+    if not np.all(inside):
         if np.isnan(p_inc).any():
             raise DomainError("budget is not a number")
         raise DomainError(message)
@@ -244,6 +234,8 @@ def concave_branch(theta: float, p_inc: float) -> StrategyPoint:
     """The q = 0 single-qubit arc: sqrt requires |1 - 2 P_I| ≤ cos 2θ."""
     theta = float(check_theta(theta))
     c = math.cos(2.0 * theta)
+    if math.isnan(p_inc):
+        raise DomainError("budget is not a number")
     if abs(1.0 - 2.0 * p_inc) > c + TOL:
         raise DomainError("q = 0 arc undefined: |1 - 2*p_inc| exceeds cos(2*theta)")
     return _point(float(_arc_success(c, math.sin(2.0 * theta), p_inc)), p_inc)

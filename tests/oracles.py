@@ -2,10 +2,20 @@
 
 Every helper here recomputes something the library derives in closed form,
 but by a different route: generic polynomial root finders, scipy's convex
-hull and a plain monotone chain, high-precision differencing with mpmath, a branch-by-branch
-expectation model of the Monte Carlo bench, a trial-by-trial sampler of
-that bench, and an explicit tester for the filter protocol. Tests compare the two routes; nothing in this module
-imports the package under test.
+hull and a plain monotone chain, high-precision differencing with mpmath, a
+branch-by-branch expectation model of the Monte Carlo bench, a
+trial-by-trial sampler of that bench, and the process-tester formalism.
+Tests compare the two routes; nothing in this module imports the package
+under test.
+
+The process-tester formalism (Chiribella, D'Ariano and Perinotti, Phys.
+Rev. A 80, 022339, 2009) is kept here in full. A tester is a dict
+{(k, i): H} of 2x2 blocks, answer k in "mni" and remote outcome i in
+(0, 1). `tester_probabilities` reads its statistics off the 4x4 traces,
+`symmetrize` averages it with its sigma_y conjugate, and
+`protocol_tester_blocks` and `random_tester` build testers. The library's
+search works on the covariant 2x2 reduction that this symmetrization
+justifies.
 
 FROZEN holds reference values computed once at 50 significant digits and
 pasted in, so regressions cannot hide behind a shared code path.
@@ -75,6 +85,52 @@ def protocol_tester_blocks(theta: float, f: float) -> dict:
     for k in ("m", "n", "i"):
         blocks[(k, 1)] = SIGMA_Y @ blocks[(k, 0)] @ SIGMA_Y.T
     return blocks
+
+
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def tester_probabilities(blocks: dict, pair) -> tuple[float, float, float]:
+    """(P_S, P_E, P_I) of a tester {(k, i): H} on a measurement pair.
+
+    T_k = H_k0 (x) |0><0| + H_k1 (x) |1><1| is the answer-k element and
+    E_X = X0^T (x) |0><0| + X1^T (x) |1><1| the operator of device X, read
+    off the pair's projectors; the answer-k rate given X is tr T_k E_X^T,
+    and the two devices are equally likely. Raises ValueError unless the
+    blocks sum to rho (x) identity for a density rho (to 1e-8).
+    """
+    sums = [sum(blocks[(k, i)] for k in "mni") for i in (0, 1)]
+    if (
+        np.abs(sums[0] - sums[1]).max() > 1e-8
+        or abs(np.trace(sums[0]) - 1.0) > 1e-8
+        or np.linalg.eigvalsh(sums[0])[0] < -1e-8
+    ):
+        raise ValueError("tester blocks do not sum to rho (x) identity")
+    t = {k: np.kron(blocks[(k, 0)], P0) + np.kron(blocks[(k, 1)], P1) for k in "mni"}
+    e_m = np.kron(pair.m0.T, P0) + np.kron(pair.m1.T, P1)
+    e_n = np.kron(pair.n0.T, P0) + np.kron(pair.n1.T, P1)
+    ps = 0.5 * (np.trace(t["m"] @ e_m.T) + np.trace(t["n"] @ e_n.T))
+    pe = 0.5 * (np.trace(t["n"] @ e_m.T) + np.trace(t["m"] @ e_n.T))
+    pi = 0.5 * np.trace(t["i"] @ (e_m + e_n).T)
+    return float(ps), float(pe), float(pi)
+
+
+def symmetrize(blocks: dict) -> dict:
+    """Average each answer's blocks with their sigma_y conjugates.
+
+    The result is covariant (H_k1 = sigma_y H_k0 sigma_y^T) and, since
+    sigma_y swaps each device's outcome-0 and outcome-1 projectors, has
+    the same statistics on every measurement pair.
+    """
+
+    def conj(h):
+        return SIGMA_Y @ h @ SIGMA_Y.T
+
+    return {
+        (k, i): 0.5 * (blocks[(k, i)] + conj(blocks[(k, 1 - i)]))
+        for k in "mni"
+        for i in (0, 1)
+    }
 
 
 def conclusive_cubic_roots(c: float, p_inc: float) -> list[float]:

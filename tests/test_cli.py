@@ -227,6 +227,8 @@ def test_convexity_rejects_bad_inputs(tmp_path, capsys):
     assert "strictly inside" in capsys.readouterr().err
     assert main(["convexity", "--h", "0", "--c-grid", "0.5", "--out", str(tmp_path)]) == 2
     assert main(["convexity", "--c-grid", "abc", "--out", str(tmp_path)]) == 2
+    # a step whose square underflows would write inf into the table
+    assert main(["convexity", "--h", "5e-324", "--c-grid", "0.5", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("h", ["nan", "-inf", "inf"])

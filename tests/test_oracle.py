@@ -17,7 +17,6 @@ from measdiscrim import (
     single_optimal,
 )
 from measdiscrim import oracle as oracle_module
-from measdiscrim.geometry import SIGMA_Y
 from measdiscrim.oracle import (
     SUM_TOL,
     _dual_bound,
@@ -27,38 +26,29 @@ from measdiscrim.oracle import (
 )
 
 import oracles
-from oracles import FROZEN
+from oracles import FROZEN, SIGMA_Y
 
 EYE2 = np.eye(2)
 
 
-def triple_from_blocks(blocks: dict) -> md.TesterTriple:
-    return md.TesterTriple(
-        m=md.TesterComponent(h0=blocks[("m", 0)], h1=blocks[("m", 1)]),
-        n=md.TesterComponent(h0=blocks[("n", 0)], h1=blocks[("n", 1)]),
-        i=md.TesterComponent(h0=blocks[("i", 0)], h1=blocks[("i", 1)]),
-    )
+def protocol_point(theta: float, f: float):
+    """The filter protocol's statistics, as a StrategyPoint for comparison."""
+    blocks = oracles.protocol_tester_blocks(theta, f)
+    return md.StrategyPoint(*oracles.tester_probabilities(blocks, measurement_pair(theta)))
 
 
-def protocol_triple(theta: float, f: float) -> md.TesterTriple:
-    return triple_from_blocks(oracles.protocol_tester_blocks(theta, f))
-
-
-# --- tester probabilities against the closed-form curve ---
+# --- the filter protocol's tester against the closed-form curve ---
 
 
 def test_full_transmission_tester_is_minimum_error():
-    theta = math.pi / 6.0
-    point = md.tester_probabilities(protocol_triple(theta, 1.0), measurement_pair(theta))
+    point = protocol_point(math.pi / 6.0, 1.0)
     assert point.p_success == pytest.approx(FROZEN["helstrom_pi6"], abs=1e-12)
     assert point.p_inconclusive == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tangent_filter_tester_is_unambiguous():
     theta = math.pi / 6.0
-    point = md.tester_probabilities(
-        protocol_triple(theta, math.tan(theta)), measurement_pair(theta)
-    )
+    point = protocol_point(theta, math.tan(theta))
     assert point.p_success == pytest.approx(2.0 * math.sin(theta) ** 2, abs=1e-12)
     assert point.p_error == pytest.approx(0.0, abs=1e-12)
     assert point.p_inconclusive == pytest.approx(math.cos(2.0 * theta), abs=1e-12)
@@ -66,12 +56,11 @@ def test_tangent_filter_tester_is_unambiguous():
 
 @pytest.mark.parametrize("theta", [0.2, math.pi / 6.0, 0.6, 0.75])
 def test_filter_tester_sweeps_the_entangled_curve(theta):
-    pair = measurement_pair(theta)
     f_floor = math.tan(theta)
     for s in (0.0, 0.25, 0.6, 1.0):
         f = f_floor + (1.0 - f_floor) * s
         p_inc = math.cos(theta) ** 2 * (1.0 - f * f)
-        point = md.tester_probabilities(protocol_triple(theta, f), pair)
+        point = protocol_point(theta, f)
         closed = entangled_success(theta, p_inc)
         assert point.p_success == pytest.approx(closed.p_success, abs=1e-12)
         assert point.p_error == pytest.approx(closed.p_error, abs=1e-12)
@@ -80,45 +69,19 @@ def test_filter_tester_sweeps_the_entangled_curve(theta):
 
 def test_all_inconclusive_tester():
     zero = np.zeros((2, 2))
-    triple = md.TesterTriple(
-        m=md.TesterComponent(h0=zero, h1=zero),
-        n=md.TesterComponent(h0=zero, h1=zero),
-        i=md.TesterComponent(h0=0.5 * EYE2, h1=0.5 * EYE2),
-    )
-    point = md.tester_probabilities(triple, measurement_pair(0.3))
-    assert point.p_inconclusive == pytest.approx(1.0, abs=1e-15)
-    assert point.p_success == pytest.approx(0.0, abs=1e-15)
+    blocks = {(k, i): zero for k in "mn" for i in (0, 1)}
+    blocks.update({("i", 0): 0.5 * EYE2, ("i", 1): 0.5 * EYE2})
+    ps, _, pi = oracles.tester_probabilities(blocks, measurement_pair(0.3))
+    assert pi == pytest.approx(1.0, abs=1e-15)
+    assert ps == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tester_must_sum_to_a_state():
     blocks = oracles.protocol_tester_blocks(0.4, 0.7)
     broken = dict(blocks)
     broken[("i", 0)] = blocks[("i", 0)] + 0.01 * EYE2
-    with pytest.raises(ValidationError, match="sum to rho"):
-        md.tester_probabilities(triple_from_blocks(broken), measurement_pair(0.4))
-
-
-def test_tester_component_validation():
-    with pytest.raises(ValidationError, match="symmetric"):
-        md.TesterComponent(h0=np.array([[1.0, 0.5], [0.0, 1.0]]), h1=EYE2)
-    with pytest.raises(ValidationError, match="eigenvalue below"):
-        md.TesterComponent(h0=np.diag([1.0, -0.2]), h1=EYE2)
-    comp = md.TesterComponent(h0=np.diag([0.25, 0.5]), h1=np.diag([0.5, 0.25]))
-    assert comp.full().shape == (4, 4)
-
-
-def test_measurement_operator_pair_shapes():
-    pair = measurement_pair(0.35)
-    ops = md.MeasurementOperatorPair.from_pair(pair)
-    # corner blocks hold the diagonal outcome weights of each projector
-    np.testing.assert_allclose(
-        ops.e_m[:2, :2], np.diag([pair.m0[0, 0], pair.m1[0, 0]]), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        ops.e_m[2:, 2:], np.diag([pair.m0[1, 1], pair.m1[1, 1]]), atol=1e-12
-    )
-    np.testing.assert_allclose(np.trace(ops.e_m), 2.0, atol=1e-12)
-    np.testing.assert_allclose(np.trace(ops.e_n), 2.0, atol=1e-12)
+    with pytest.raises(ValueError, match="sum to rho"):
+        oracles.tester_probabilities(broken, measurement_pair(0.4))
 
 
 # --- symmetrization ---
@@ -128,48 +91,44 @@ def test_symmetrize_preserves_probabilities_for_random_testers():
     pair = measurement_pair(0.4)
     for seed in range(25):
         blocks, _ = oracles.random_tester(np.random.default_rng(seed))
-        triple = triple_from_blocks(blocks)
-        before = md.tester_probabilities(triple, pair)
-        after = md.tester_probabilities(md.symmetrize(triple), pair)
-        assert after.p_success == pytest.approx(before.p_success, abs=1e-12)
-        assert after.p_error == pytest.approx(before.p_error, abs=1e-12)
-        assert after.p_inconclusive == pytest.approx(
-            before.p_inconclusive, abs=1e-12
-        )
+        before = oracles.tester_probabilities(blocks, pair)
+        after = oracles.tester_probabilities(oracles.symmetrize(blocks), pair)
+        np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-12)
 
 
 def test_symmetrize_output_is_covariant_and_idempotent():
     blocks, _ = oracles.random_tester(np.random.default_rng(123))
-    sym = md.symmetrize(triple_from_blocks(blocks))
-    for comp in (sym.m, sym.n, sym.i):
+    sym = oracles.symmetrize(blocks)
+    for k in "mni":
         np.testing.assert_allclose(
-            comp.h1, SIGMA_Y @ comp.h0 @ SIGMA_Y.T, atol=1e-12
+            sym[(k, 1)], SIGMA_Y @ sym[(k, 0)] @ SIGMA_Y.T, atol=1e-12
         )
-    again = md.symmetrize(sym)
-    for before, after in zip((sym.m, sym.n, sym.i), (again.m, again.n, again.i)):
-        np.testing.assert_allclose(after.h0, before.h0, atol=1e-14)
-        np.testing.assert_allclose(after.h1, before.h1, atol=1e-14)
-
-
-def test_covariant_blocks_requires_covariance():
-    sym = md.symmetrize(protocol_triple(0.5, 0.6))
-    reduced = md.covariant_blocks(sym)
-    assert isinstance(reduced, md.PovmTriple)
-    blocks, _ = oracles.random_tester(np.random.default_rng(5))
-    with pytest.raises(ValidationError):
-        md.covariant_blocks(triple_from_blocks(blocks))
+    again = oracles.symmetrize(sym)
+    for key in sym:
+        np.testing.assert_allclose(again[key], sym[key], atol=1e-14)
 
 
 def test_full_and_reduced_probabilities_agree():
-    for theta, f in ((0.3, 0.8), (math.pi / 6.0, 0.9), (0.7, 0.95)):
+    # the production 2x2 reduction against the 4x4 traces, on the filter
+    # protocol and on symmetrized random testers (both covariant)
+    cases = [
+        (theta, oracles.protocol_tester_blocks(theta, f))
+        for theta, f in ((0.3, 0.8), (math.pi / 6.0, 0.9), (0.7, 0.95))
+    ]
+    rng = np.random.default_rng(7)
+    cases += [
+        (float(rng.uniform(0.0, math.pi / 4.0)), oracles.symmetrize(oracles.random_tester(rng)[0]))
+        for _ in range(5)
+    ]
+    for theta, blocks in cases:
         pair = measurement_pair(theta)
-        triple = protocol_triple(theta, f)
-        full = md.tester_probabilities(triple, pair)
-        reduced = md.reduced_probabilities(md.covariant_blocks(triple), pair)
-        assert reduced.p_success == pytest.approx(full.p_success, abs=1e-12)
-        assert reduced.p_error == pytest.approx(full.p_error, abs=1e-12)
-        assert reduced.p_inconclusive == pytest.approx(
-            full.p_inconclusive, abs=1e-12
+        triple = md.PovmTriple(*(blocks[(k, 0)] for k in "mni"))
+        reduced = md.reduced_probabilities(triple, pair)
+        np.testing.assert_allclose(
+            (reduced.p_success, reduced.p_error, reduced.p_inconclusive),
+            oracles.tester_probabilities(blocks, pair),
+            rtol=0.0,
+            atol=1e-12,
         )
 
 
@@ -428,10 +387,10 @@ def test_dual_bound_holds_for_random_testers():
     for _ in range(1000):
         pair = measurement_pair(float(rng.uniform(0.0, math.pi / 4.0)))
         blocks, _ = oracles.random_tester(rng)
-        point = md.tester_probabilities(triple_from_blocks(blocks), pair)
-        bound, y, lam = _dual_bound(pair.m0, pair.n0, point.p_inconclusive)
+        ps, _, pi = oracles.tester_probabilities(blocks, pair)
+        bound, y, lam = _dual_bound(pair.m0, pair.n0, pi)
         assert_dual_feasible(pair, y, lam)
-        worst = max(worst, point.p_success - bound)
+        worst = max(worst, ps - bound)
     assert worst <= 1e-12
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from measdiscrim import DomainError, ValidationError, entangled_success
+from measdiscrim import DomainError, ValidationError, entangled_success, measurement_pair
 from measdiscrim.simulator import (
     DEFAULT_THETA_GRID,
     MAX_TRIALS,
@@ -23,6 +23,7 @@ from measdiscrim.simulator import (
 )
 
 import oracles
+from oracles import FROZEN
 
 THETA = math.pi / 6.0
 
@@ -381,6 +382,24 @@ def test_ideal_bench_cells_lie_exactly_on_the_entangled_curve():
             assert abs(cells[..., 2].sum() - p_inc) <= 1e-15
             closed = entangled_success(theta, p_inc)
             assert abs(cells[success].sum() - closed.p_success) <= 1e-15
+    # The frozen filters at theta = pi/6, as transmittances T = f^2: f spends
+    # P_I = 0.3, and f = tan(theta) reaches the unambiguous point (0.5, 0, 0.5).
+    theta = math.pi / 6.0
+    pair = measurement_pair(theta)
+    error = ~success & (detector < 2)
+    for f, p_inc, p_success in (
+        (FROZEN["filter_pi6_p03"], 0.3, FROZEN["ps_entangled_pi6_p03"]),
+        (FROZEN["idp_filter_pi6"], 0.5, 0.5),
+    ):
+        cells = cell_probabilities(ideal_config(trials=1, theta=theta, t=f * f))
+        point = (cells[success].sum(), cells[error].sum(), cells[..., 2].sum())
+        assert abs(point[2] - p_inc) <= 1e-15
+        assert abs(point[0] - p_success) <= 1e-15
+        blocks = oracles.protocol_tester_blocks(theta, f)
+        np.testing.assert_allclose(
+            point, oracles.tester_probabilities(blocks, pair), rtol=0.0, atol=1e-15
+        )
+    assert not cells[error].any()  # no error cell fires at the unambiguous point
 
 
 def test_noisy_bench_matches_the_branch_model():

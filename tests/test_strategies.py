@@ -177,7 +177,9 @@ def test_budget_beyond_unambiguous_endpoint_is_rejected():
         single_optimal(theta_for_overlap(0.5), 0.63)
 
 
-@pytest.mark.parametrize("curve", [entangled_success, single_optimal, single_pure_curve])
+@pytest.mark.parametrize(
+    "curve", [entangled_success, single_optimal, single_pure_curve, concave_branch]
+)
 def test_nan_budget_is_named_as_not_a_number(curve):
     with pytest.raises(DomainError, match="budget is not a number"):
         curve(math.pi / 6.0, math.nan)
@@ -414,10 +416,10 @@ def test_single_qubit_strategy_validation():
 
 def test_curve_table_validation():
     with pytest.raises(ValidationError, match="row width"):
-        CurveTable(columns=("a", "b"), rows=((1.0,),), monotone_key=None)
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        CurveTable(columns=("p_inc", "v"), rows=((0.2, 1.0), (0.1, 2.0)))
-    table = CurveTable(columns=("p_inc", "v"), rows=((0.1, 1.0), (0.2, 2.0)))
+        CurveTable(columns=("a", "b"), rows=((1.0,),))
+    # rows keep their order: a scan lists them as it ran them
+    table = CurveTable(columns=("p_inc", "v"), rows=([0.2, 1.0], (0.1, 2.0)))
+    assert table.rows == ((0.2, 1.0), (0.1, 2.0))
     assert table.column("v") == [1.0, 2.0]
 
 
@@ -492,6 +494,14 @@ def test_array_curves_accept_broadcast_shapes():
         single_pure_curve_array(math.pi / 6.0, [0.1, 0.7])
     with pytest.raises(DomainError, match="theta"):
         entangled_success_array([0.1, math.nan], 0.0)
+
+
+@pytest.mark.parametrize(
+    "curve", [entangled_success_array, single_pure_curve_array, single_optimal_array]
+)
+def test_array_curves_name_mismatched_shapes(curve):
+    with pytest.raises(DomainError, match=r"budget shape \(2,\) .* angle shape \(3,\)"):
+        curve(np.zeros(3), np.zeros(2))
 
 
 def test_least_root_is_the_best_pure_probe():
