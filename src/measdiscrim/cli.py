@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .convexity import check_step, finite_difference_check_array
 from .errors import DomainError, ValidationError
-from .geometry import TOL, check_theta, measurement_pair, overlap
+from .geometry import TOL, check_integer, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
     ImperfectionModel,
@@ -38,6 +38,7 @@ from .simulator import (
     scan_unambiguous,
 )
 from .strategies import (
+    MAX_SAMPLES,
     boundary_PIB,
     default_pi_grid,
     entangled_success,
@@ -59,9 +60,6 @@ REL_ERR_LIMIT = 1e-3
 FD_BOUNDARY = 1e-7
 # Largest number of points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 100_000
-# Largest `hull --samples`: the working arrays of a million samples take
-# about 200 MB.
-MAX_SAMPLES = 1_000_000
 
 CURVE_COLUMNS = (
     "p_inc",
@@ -262,8 +260,6 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
 
 
 def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
-    if parameters["samples"] > MAX_SAMPLES:
-        raise DomainError(f"hull verification takes at most {MAX_SAMPLES} samples")
     report = hull_verify(parameters["c"], parameters["samples"], seed)
     checksum = _params_checksum("hull", parameters, seed)
     outputs = {}
@@ -558,10 +554,10 @@ def _cmd_replay(args) -> int:
 
 def _seed(text: str) -> int:
     """A --seed value: numpy's generators take non-negative integers only."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+    try:
+        return check_integer(int(text), "seed")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(sub, seed_help: str | None = None) -> None:

@@ -15,8 +15,10 @@ numerically.
 
 `finite_difference_check_array` takes arrays: one array call of
 `_cubic.least_root` gives the analytic curvature of every row, and one
-array call of the pure curve evaluates every five-point stencil. The other
-functions take scalars and run on the same array code.
+call of the pure-curve kernel evaluates every five-point stencil. Each
+public function runs one domain check on entry, the budget's before any
+stencil is formed; the private helpers and the `strategies` kernels they
+call (`_pib`, `_pure_kernel`) assume checked, flat float arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import _cubic
 from .errors import BranchCrossingError, DomainError, SingularityError
 from .geometry import TOL
-from .strategies import boundary_PIB, single_pure_curve_array
+from .strategies import _pib, _pure_kernel
 
 DENOM_FLOOR = 1e-10
 # The least step whose square is a normal double.
@@ -51,7 +53,7 @@ class DerivativeBundle:
 
 def _check_convex_domain(c, p_inc) -> None:
     _check_overlap_inside(c)
-    if not np.all((p_inc >= -TOL) & (p_inc < boundary_PIB(c))):
+    if not np.all((p_inc >= -TOL) & (p_inc < _pib(c))):
         raise DomainError("budget outside [0, boundary_PIB)")
 
 
@@ -129,7 +131,7 @@ def _concave_curvature(c, p_inc):
 def concave_second_derivative(c: float, p_inc: float) -> float:
     """Curvature of the q = 0 arc; strictly negative on its domain."""
     _check_overlap_inside(c)
-    if not boundary_PIB(c) < p_inc < 0.5 * (1.0 + c * c):
+    if not _pib(c) < p_inc < 0.5 * (1.0 + c * c):
         raise DomainError("budget outside (boundary_PIB, (1 + c^2)/2)")
     if c * c - (1.0 - 2.0 * p_inc) ** 2 <= 0.0:
         raise DomainError("q = 0 arc curvature undefined: c^2 - (1-2*p_inc)^2 <= 0")
@@ -152,10 +154,10 @@ def finite_difference_check_array(
     c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))
     check_step(h)
     _check_overlap_inside(c)
-    if not np.all(np.isfinite(p_inc)):
-        raise DomainError("budget must be finite")
-    pib = boundary_PIB(c)
     p_top = 0.5 * (1.0 + c * c)
+    if not np.all((p_inc >= 0.0) & (p_inc <= p_top)):
+        raise DomainError("budget must be finite and lie in [0, (1 + c^2)/2]")
+    pib = _pib(c)
     straddle = ((p_inc - h < pib) & (pib < p_inc + h)) | (np.abs(p_inc - pib) <= TOL)
     if straddle.any():
         k = int(np.argmax(straddle))
@@ -178,7 +180,11 @@ def finite_difference_check_array(
         analytic[convex] = np.where(np.abs(denom) <= DENOM_FLOOR, np.nan, d2)
     s = 0.5 * h
     stencil = p_inc + np.array([-h, -s, np.zeros_like(h), s, h])
-    f = single_pure_curve_array(0.5 * np.arccos(c), stencil).p_success
+    # The curve is read at θ = arccos(c)/2 and that angle's own cos 2θ, which
+    # can differ from c in the last bit; the convexity tables depend on it.
+    theta = 0.5 * np.arccos(c)
+    c_probe = np.cos(2.0 * theta)
+    f = _pure_kernel(np.tile(theta, 5), np.tile(c_probe, 5), stencil.ravel())[0].reshape(5, -1)
     numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
     numeric[np.isnan(analytic)] = np.nan
     rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1e-12)
@@ -193,14 +199,10 @@ def finite_difference_check(
     Uses a five-point stencil at half steps, so exactly [p_inc - h,
     p_inc + h] must stay inside one branch; straddling the q = 0 boundary
     budget raises BranchCrossingError. Returns (analytic, numeric,
-    rel_err) with rel_err = |a - n| / max(|a|, 1e-12). The stencil values
-    come from one array call of the pure curve, which follows the cubic
-    below boundary_PIB and the q = 0 arc above it.
+    rel_err) with rel_err = |a - n| / max(|a|, 1e-12).
     finite_difference_check_array takes arrays.
     """
-    analytic, numeric, rel_err = (
-        float(v) for v in finite_difference_check_array(c, p_inc, h)
-    )
+    analytic, numeric, rel_err = map(float, finite_difference_check_array(c, p_inc, h))
     if math.isnan(analytic):
         second_derivative(c, p_inc)  # raises SingularityError naming the denominator
     return analytic, numeric, rel_err

@@ -1,4 +1,4 @@
-"""The measurement pair and the one domain check on its angle.
+"""The measurement pair, and the domain checks for angles and integer arguments.
 
 Two projective qubit measurements M and N are parameterized by a single
 angle theta in [0, pi/4]. Their outcome-0 eigenvectors (cos θ, sin θ) and
@@ -14,6 +14,7 @@ test suite's process-tester oracle, not here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,37 @@ def check_theta(theta) -> np.ndarray:
     if not np.all((theta >= -TOL) & (theta <= math.pi / 4.0 + TOL)):
         raise DomainError("theta outside [0, pi/4]")
     return np.clip(theta, 0.0, math.pi / 4.0)
+
+
+def check_integer(
+    value, name: str, low: int = 0, high: int | None = None, *,
+    below: str | None = None, above: str | None = None,
+) -> int:
+    """Reject bools, NaN, non-integral numbers and integers outside
+    [low, high]; return the value as a Python int.
+
+    The one domain check for counts and seeds, run before anything is sized
+    by them. Python and numpy integers and integral floats pass; high=None
+    leaves the range open above, as numpy does for seeds. Every message
+    names the argument; `below` and `above` replace the range messages
+    where a caller keeps its own wording.
+    """
+    n = None
+    if isinstance(value, (float, np.floating)):
+        n = int(value) if float(value).is_integer() else None
+    elif not isinstance(value, (bool, np.bool_)):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+    if n is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if n < low:
+        least = "non-negative" if low == 0 else f"at least {low}"
+        raise DomainError(below or f"{name} must be {least}, got {n}")
+    if high is not None and n > high:
+        raise DomainError(above or f"{name} must be at most {high}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .geometry import TOL, MeasurementPair
+from .geometry import TOL, MeasurementPair, check_integer
 from .strategies import StrategyPoint, q_strategy_points, upper_hull
 
 PSD_TOL = 1e-10
 SUM_TOL = 1e-10
 EYE2 = np.eye(2)
+# Largest brute_force_single resolution: 25 times the default's protocols,
+# about 5 s of scanning on one x86-64 core.
+MAX_RESOLUTION = 10_000
 
 
 def minimize(*args, **kwargs):
@@ -587,11 +590,10 @@ def optimize_povm(
     nearest the target rate, is returned with converged=False.
 
     `converged` means |P_I − target| ≤ tol and gap ≤ tol.
-    Raises DomainError for a target outside [0, cos 2θ], `restarts` < 1, or
-    a `tol` that is not finite and positive.
+    Raises DomainError for a target outside [0, cos 2θ], `restarts` that
+    is not an integer ≥ 1, or a `tol` that is not finite and positive.
     """
-    if restarts < 1:
-        raise DomainError(f"restarts must be at least 1, got {restarts}")
+    restarts = check_integer(restarts, "restarts", 1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     c = math.cos(2.0 * pair.theta)
@@ -683,10 +685,10 @@ def brute_force_single(
     each of 4*resolution inconclusive-rate bins, and evaluates the upper
     hull of the survivors at the target rate (chords between scanned
     protocols are two-point mixtures, hence achievable). Raises DomainError
-    for a target outside [0, (1 + cos 2θ)/2], the rates the scan reaches.
+    for a target outside [0, (1 + cos 2θ)/2], the rates the scan reaches,
+    and for a resolution that is not an integer in [100, MAX_RESOLUTION].
     """
-    if resolution < 100:
-        raise DomainError("resolution must be at least 100")
+    resolution = check_integer(resolution, "resolution", 100, MAX_RESOLUTION)
     theta = pair.theta
     angles = np.linspace(0.0, math.pi / 2.0, resolution + 1)
     qs = np.linspace(0.0, 1.0, resolution + 1)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .geometry import check_theta
+from .geometry import check_integer, check_theta
 from .strategies import CurveTable, StrategyPoint
 
 DEFAULT_THETA_GRID = tuple(j * math.pi / 30.0 for j in range(1, 8))
@@ -155,8 +155,12 @@ class ExperimentConfig:
         if not 0.0 <= self.vrc_transmittance <= 1.0:
             raise DomainError("transmittance must lie in [0, 1]")
         object.__setattr__(self, "theta", float(check_theta(self.theta)))
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise DomainError(f"trials must lie in [1, 2**63 - 1], got {self.trials}")
+        bounds = f"trials must lie in [1, 2**63 - 1], got {self.trials}"
+        trials = check_integer(
+            self.trials, "trials", 1, MAX_TRIALS, below=bounds, above=bounds
+        )
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
 
 
 @dataclass(frozen=True)

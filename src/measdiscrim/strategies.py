@@ -18,12 +18,13 @@ fixed inconclusive budget P_I admits two families of protocols:
 `hull_verify` rebuilds that hull numerically from sampled protocols;
 `advantage` measures how much the entangled family wins by.
 
-The curves have one implementation each that works on numpy arrays:
-`entangled_success_array`, `single_pure_curve_array` and
-`single_optimal_array` take angles and budgets that broadcast together and
-return `CurveSamples`. `boundary_PIB` and `tangent_PIT` accept arrays of
-overlaps. The scalar functions of the same names without `_array` wrap
-them and return `StrategyPoint`s and `SingleQubitStrategy`s.
+Each public closed form checks and clamps its inputs once, on entry
+(`check_theta`, `_check_budget`, `_check_overlap`), then calls private
+kernels (`_entangled`, `_pib`, `_pit`, `_pure_kernel`, `_optimal_kernel`)
+that check nothing: they take clamped float arrays, flat where they index
+by branch, with c = cos 2θ computed once by the caller. The `_array`
+curves broadcast angles against budgets and return `CurveSamples`; the
+scalar ones return `StrategyPoint`s and `SingleQubitStrategy`s.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ import numpy as np
 
 from . import _cubic
 from .errors import DomainError, ValidationError
-from .geometry import TOL, check_theta
+from .geometry import TOL, check_integer, check_theta
 # Below this overlap the measurements are effectively orthogonal and the
 # single-qubit formulas are replaced by their analytic limits.
 DEGENERATE_C = 1e-12
+# Most protocols hull_verify samples; their working arrays take about 200 MB.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,8 @@ class StrategyPoint:
                 raise ValidationError(f"probability {v} outside [0, 1]")
         if abs(sum(vals) - 1.0) > TOL:
             raise ValidationError(f"probabilities sum to {sum(vals)}, not 1")
-        object.__setattr__(self, "p_success", min(max(self.p_success, 0.0), 1.0))
-        object.__setattr__(self, "p_error", min(max(self.p_error, 0.0), 1.0))
-        object.__setattr__(
-            self, "p_inconclusive", min(max(self.p_inconclusive, 0.0), 1.0)
-        )
+        for name, v in zip(("p_success", "p_error", "p_inconclusive"), vals):
+            object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ class SingleQubitStrategy:
             if not -TOL <= self.q <= 1.0 + TOL:
                 raise ValidationError("q outside [0, 1]")
             object.__setattr__(self, "q", min(max(self.q, 0.0), 1.0))
-        else:
-            weights = [w for w, _ in self.mixture]
-            if abs(sum(weights) - 1.0) > TOL:
-                raise ValidationError("mixture weights must sum to 1")
+        elif abs(sum(w for w, _ in self.mixture) - 1.0) > TOL:
+            raise ValidationError("mixture weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,17 @@ def _point(p_success: float, p_inc: float) -> StrategyPoint:
     return StrategyPoint(p_success, 1.0 - p_success - p_inc, p_inc)
 
 
+def _entangled(theta, p_inc):
+    """Entangled-probe success; checked arrays broadcast."""
+    root = np.sqrt(np.maximum(0.0, 1.0 - p_inc / np.cos(theta) ** 2))
+    return 0.5 * (1.0 - p_inc + np.sin(2.0 * theta) * root)
+
+
 def entangled_success_array(theta, p_inc) -> CurveSamples:
     """entangled_success at arrays of angles and budgets (broadcast)."""
     theta = check_theta(theta)
-    c = np.cos(2.0 * theta)
-    p_inc = _check_budget(p_inc, c, "budget exceeds IDP point")
-    root = np.sqrt(np.maximum(0.0, 1.0 - p_inc / np.cos(theta) ** 2))
-    return CurveSamples(p_inc, 0.5 * (1.0 - p_inc + np.sin(2.0 * theta) * root))
+    p_inc = _check_budget(p_inc, np.cos(2.0 * theta), "budget exceeds IDP point")
+    return CurveSamples(p_inc, _entangled(theta, p_inc))
 
 
 def entangled_success(theta: float, p_inc: float) -> StrategyPoint:
@@ -193,31 +195,32 @@ def helstrom_point(theta: float) -> StrategyPoint:
     return _point(0.5 * (1.0 + math.sin(2.0 * theta)), 0.0)
 
 
+def _pib(c):
+    return (3.0 + np.sqrt(1.0 + 8.0 * c * c)) / 8.0
+
+
+def _pit(c):
+    c2 = c * c
+    return (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (2.0 * (1.0 + 4.0 * c2))
+
+
 def boundary_PIB(c):
     """Budget where the pure-curve optimum hits q = 0: (3 + sqrt(1+8c²))/8.
-
-    Accepts an array of overlaps.
-    """
-    c = _check_overlap(c)
-    return _scalar((3.0 + np.sqrt(1.0 + 8.0 * c * c)) / 8.0)
+    Accepts an array of overlaps."""
+    return _scalar(_pib(_check_overlap(c)))
 
 
 def tangent_PIT(c):
-    """Budget where the line from the P_I = 0 point touches the q = 0 arc.
-
-    Accepts an array of overlaps. The tangent point lies on the arc, so
-    it is never below boundary_PIB; a violation raises ValidationError.
-    """
+    """Budget where the line from the P_I = 0 point touches the q = 0 arc;
+    accepts an array of overlaps. The tangent point lies on the arc, so it
+    is never below boundary_PIB; a violation raises ValidationError."""
     c = _check_overlap(c)
     if np.any(c < DEGENERATE_C):
         raise DomainError(
             "tangent point undefined at c = 0 (hull degenerates to a segment)"
         )
-    c2 = c * c
-    pit = (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (
-        2.0 * (1.0 + 4.0 * c2)
-    )
-    if np.any(pit < boundary_PIB(c) - TOL):
+    pit = _pit(c)
+    if np.any(pit < _pib(c) - TOL):
         raise ValidationError("tangent budget lies below the q = 0 boundary budget")
     return _scalar(pit)
 
@@ -243,37 +246,30 @@ def concave_branch(theta: float, p_inc: float) -> StrategyPoint:
 
 def _pure_probe_success(c, p_inc, x):
     """Success of the pure probe x = cos 2ϑ with the optimal q; arrays broadcast."""
-    return 0.5 * (1.0 - p_inc) + 0.5 * np.sqrt(
-        np.maximum(0.0, (1.0 - c * c) * (1.0 - x * x))
-    ) * (1.0 - p_inc / (1.0 - x * c))
+    root = np.sqrt(np.maximum(0.0, (1.0 - c * c) * (1.0 - x * x)))
+    return 0.5 * (1.0 - p_inc) + 0.5 * root * (1.0 - p_inc / (1.0 - x * c))
 
 
-def _single_domain(theta, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _single_domain(theta, p_inc):
+    """The broadcast shape and flat, checked θ, c = cos 2θ and P_I."""
     theta = check_theta(theta)
     c = np.cos(2.0 * theta)
     p_max = 0.5 * (1.0 + c * c)
-    p_inc = _check_budget(
-        p_inc, p_max, "budget exceeds the unambiguous endpoint (1 + c^2)/2"
-    )
-    return np.broadcast_arrays(theta, c, p_inc)
+    p_inc = _check_budget(p_inc, p_max, "budget exceeds the unambiguous endpoint (1 + c^2)/2")
+    theta, c, p_inc = np.broadcast_arrays(theta, c, p_inc)
+    return p_inc.shape, theta.ravel(), c.ravel(), p_inc.ravel()
 
 
-def single_pure_curve_array(theta, p_inc) -> CurveSamples:
-    """single_pure_curve at arrays of angles and budgets (broadcast).
-
-    Returns p_success, x and q. Below boundary_PIB the probe x is the
-    least root of the conclusive-rate cubic, in [-1, c] (see `_cubic`),
-    one array call for every budget.
-    """
-    theta, c, p_inc = _single_domain(theta, p_inc)
-    shape = p_inc.shape
-    theta, c, p_inc = theta.ravel(), c.ravel(), p_inc.ravel()
+def _pure_kernel(theta, c, p_inc):
+    """P_S, x and q of the pure curve on flat, checked θ, c and P_I. Below
+    boundary_PIB the probe x is the least root of the conclusive-rate cubic,
+    in [-1, c] (see `_cubic`), one array call for every budget."""
     # Orthogonal measurements: the curve is the straight P_S = 1 - P_I.
     ps = 1.0 - p_inc
     x = np.zeros(p_inc.shape)
     q = 1.0 - 2.0 * p_inc
     live = c >= DEGENERATE_C
-    cubic = live & (p_inc < boundary_PIB(c))
+    cubic = live & (p_inc < _pib(c))
     if cubic.any():
         cc, pc = c[cubic], p_inc[cubic]
         xc = _cubic.least_root(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc, -1.0, cc)
@@ -286,6 +282,13 @@ def single_pure_curve_array(theta, p_inc) -> CurveSamples:
         x[arc] = np.clip((1.0 - 2.0 * pa) / ca, -1.0, 1.0)
         q[arc] = 0.0
         ps[arc] = _arc_success(ca, np.sin(2.0 * theta[arc]), pa)
+    return ps, x, q
+
+
+def single_pure_curve_array(theta, p_inc) -> CurveSamples:
+    """single_pure_curve at arrays of angles and budgets (broadcast), with x and q."""
+    shape, theta, c, p_inc = _single_domain(theta, p_inc)
+    ps, x, q = _pure_kernel(theta, c, p_inc)
     return CurveSamples(*(a.reshape(shape) for a in (p_inc, ps, x, q)))
 
 
@@ -305,24 +308,30 @@ def single_pure_curve(
     return _point(float(samples.p_success), float(samples.p_inc)), strat
 
 
+def _optimal_kernel(theta, c, p_inc):
+    """P_S and tangent weight of the optimal curve on flat, checked θ, c and
+    P_I, with the x and q of the pure probe each row uses: the tangent
+    probe on the chord below tangent_PIT, the row's own on the arc."""
+    ps, w_t, x, q = np.full((4,) + p_inc.shape, np.nan)
+    pit = _pit(c)
+    chord = (c >= DEGENERATE_C) & (p_inc < pit)
+    arc = ~chord
+    if arc.any():
+        ps[arc], x[arc], q[arc] = _pure_kernel(theta[arc], c[arc], p_inc[arc])
+    if chord.any():
+        th, ct, pt = theta[chord], c[chord], pit[chord]
+        w_t[chord] = w = p_inc[chord] / pt
+        # At small c the tangent budget can round an ulp past (1 + c²)/2.
+        ps_t, x[chord], q[chord] = _pure_kernel(th, ct, np.minimum(pt, 0.5 * (1.0 + ct * ct)))
+        ps[chord] = (1.0 - w) * (0.5 * (1.0 + np.sin(2.0 * th))) + w * ps_t
+    return ps, w_t, x, q
+
+
 def single_optimal_array(theta, p_inc) -> CurveSamples:
     """single_optimal at arrays of angles and budgets (broadcast)."""
-    theta, c, p_inc = _single_domain(theta, p_inc)
-    ps = np.empty(p_inc.shape)
-    w_t = np.full(p_inc.shape, np.nan)
-    chord = c >= DEGENERATE_C
-    pit = np.full(p_inc.shape, np.nan)
-    pit[chord] = tangent_PIT(c[chord])
-    chord &= p_inc < pit
-    arc = ~chord
-    ps[arc] = single_pure_curve_array(theta[arc], p_inc[arc]).p_success
-    if np.any(chord):
-        th, pt = theta[chord], pit[chord]
-        w_t[chord] = p_inc[chord] / pt
-        ps_a = 0.5 * (1.0 + np.sin(2.0 * th))
-        ps_t = single_pure_curve_array(th, pt).p_success
-        ps[chord] = (1.0 - w_t[chord]) * ps_a + w_t[chord] * ps_t
-    return CurveSamples(p_inc, ps, w_tangent=w_t)
+    shape, theta, c, p_inc = _single_domain(theta, p_inc)
+    ps, w_t = (a.reshape(shape) for a in _optimal_kernel(theta, c, p_inc)[:2])
+    return CurveSamples(p_inc.reshape(shape), ps, w_tangent=w_t)
 
 
 def single_optimal(
@@ -335,20 +344,15 @@ def single_optimal(
     point on, the pure q = 0 arc is already optimal.
     single_optimal_array takes arrays.
     """
-    samples = single_optimal_array(theta, p_inc)
-    theta = float(check_theta(theta))
-    p_inc, w_t = float(samples.p_inc), float(samples.w_tangent)
-    if math.isnan(w_t):
-        return single_pure_curve(theta, p_inc)
-    strat_a = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0)
-    _, strat_t = single_pure_curve(theta, tangent_PIT(math.cos(2.0 * theta)))
-    strat = SingleQubitStrategy(
-        probe_angle=None,
-        x=None,
-        q=None,
-        mixture=((1.0 - w_t, strat_a), (w_t, strat_t)),
-    )
-    return _point(float(samples.p_success), p_inc), strat
+    shape, theta, c, p_inc = _single_domain(theta, p_inc)
+    samples = _optimal_kernel(theta, c, p_inc)
+    p_success, w_t, x, q = (float(v.reshape(shape)) for v in samples)
+    strat = SingleQubitStrategy(probe_angle=0.5 * math.acos(x), x=x, q=q)
+    if not math.isnan(w_t):
+        strat_a = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0)
+        mixture = ((1.0 - w_t, strat_a), (w_t, strat))
+        strat = SingleQubitStrategy(probe_angle=None, x=None, q=None, mixture=mixture)
+    return _point(p_success, float(p_inc.reshape(shape))), strat
 
 
 def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
@@ -370,9 +374,14 @@ def advantage(theta: float, p_inc: float) -> float:
     Strictly positive whenever p_inc > 0, exactly zero at p_inc = 0 where
     both families reduce to minimum-error discrimination.
     """
-    ent = entangled_success(theta, p_inc)
-    single, _ = single_optimal(theta, p_inc)
-    return ent.p_success - single.p_success
+    theta = check_theta(theta)
+    c = np.cos(2.0 * theta)
+    p_ent = _check_budget(p_inc, c, "budget exceeds IDP point")
+    ent = _point(float(_entangled(theta, p_ent)), float(p_ent))
+    # The single-qubit family clamps the budget into its own, wider domain.
+    p_single = np.clip(np.asarray(p_inc, dtype=float), 0.0, 0.5 * (1.0 + c * c))
+    ps_single = _optimal_kernel(*(np.ravel(a) for a in (theta, c, p_single)))[0]
+    return ent.p_success - _point(float(ps_single[0]), float(p_single)).p_success
 
 
 def default_pi_grid(upper: float, step: float = 0.01) -> np.ndarray:
@@ -503,15 +512,18 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     location of the tangency vertex. Degenerate overlaps (c near 0 or 1)
     yield a straight-segment report without a tangency point.
     """
-    if n_samples < 100:
-        raise DomainError("hull verification needs at least 100 samples")
+    n_samples = check_integer(
+        n_samples, "n_samples", 100, MAX_SAMPLES,
+        below="hull verification needs at least 100 samples",
+        above=f"hull verification takes at most {MAX_SAMPLES} samples",
+    )
+    seed = check_integer(seed, "seed")
     c = min(max(float(_check_overlap(c)), 0.0), 1.0)
     theta = 0.5 * math.acos(c)
     p_max = 0.5 * (1.0 + c * c)
     degenerate = c < DEGENERATE_C or c > 1.0 - DEGENERATE_C
 
-    n_grid = n_samples // 2
-    grid = np.linspace(0.0, p_max, max(n_grid - 2, 2))
+    grid = np.linspace(0.0, p_max, max(n_samples // 2 - 2, 2))
     if not degenerate:
         special = np.array([boundary_PIB(c), tangent_PIT(c)])
         grid = np.unique(np.concatenate([grid, special]))
@@ -532,28 +544,14 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
 
     point_a = (0.0, helstrom_point(theta).p_success)
     point_u = (p_max, 0.5 * (1.0 - c * c))
-    if degenerate:
-        point_t = None
-        tangent_p_inc = None
-        tangent_error = None
-    else:
+    point_t = tangent_p_inc = tangent_error = None
+    if not degenerate:
         pit = tangent_PIT(c)
         point_t = (pit, single_pure_curve(theta, pit)[0].p_success)
-        tangent_p_inc = float(vertices[1][0]) if len(vertices) > 1 else None
-        tangent_error = (
-            abs(tangent_p_inc - pit) if tangent_p_inc is not None else None
-        )
+        if len(vertices) > 1:
+            tangent_p_inc = float(vertices[1][0])
+            tangent_error = abs(tangent_p_inc - pit)
     return HullReport(
-        c=c,
-        n_samples=n_samples,
-        seed=seed,
-        degenerate=degenerate,
-        max_deviation=max_deviation,
-        tangent_p_inc=tangent_p_inc,
-        tangent_error=tangent_error,
-        vertices=vertices,
-        points=points,
-        point_a=point_a,
-        point_t=point_t,
-        point_u=point_u,
+        c, n_samples, seed, degenerate, max_deviation, tangent_p_inc, tangent_error,
+        vertices, points, point_a, point_t, point_u,
     )

@@ -1,8 +1,8 @@
 """The library's contract, fuzzed over its public surface.
 
-Every call on edge inputs gives a finite, validated result, or raises a
-`measdiscrim.errors` type whose message names the bad argument. The import
-guard pins what `import measdiscrim` loads and exports.
+Every call on edge inputs, float or integer, gives a finite, validated
+result, or raises a `measdiscrim.errors` type whose message names the bad
+argument. The import guard pins what `import measdiscrim` loads and exports.
 """
 
 import dataclasses
@@ -78,7 +78,7 @@ def floats(value):
     return np.empty(0)
 
 
-def check_call(label, call, args, words):
+def check_call(label, call, args, words, must_raise=False):
     """A finite result, or an error type of the package naming an argument."""
     try:
         result = call(*args)
@@ -86,6 +86,7 @@ def check_call(label, call, args, words):
         assert type(err).__module__ == "measdiscrim.errors", (label, args, repr(err))
         assert any(w in str(err) for w in words), (label, args, str(err))
         return
+    assert not must_raise, (label, args, "accepted")
     assert np.all(np.isfinite(floats(result))), (label, args, result)
 
 
@@ -122,6 +123,40 @@ def test_array_calls_on_nan_empty_and_mismatched_arrays(name):
             m = n + int(rng.integers(1, 4))
             args = [rng.uniform(0.0, high, size) for high, size in zip(highs, (n, m))]
             check_call(name, call, args, words[1])
+
+
+# No count or seed is -1, 2.5, NaN or True; 0 and 2**63 may be in range.
+NOT_COUNTS = (-1, 2.5, math.nan, True)
+INTEGER_EDGES = NOT_COUNTS + (0, 2**63)
+
+# name: (call, small valid base arguments, words naming each argument). Every
+# count is checked before anything is sized by it, so 2**63 allocates nothing.
+INTEGER_CALLS = {
+    "run_trials": (
+        lambda trials, seed: md.run_trials(md.ExperimentConfig(0.3, 0.5, trials, seed)),
+        (10, 0),
+        (("trials",), ("seed",)),
+    ),
+    "hull_verify": (
+        lambda n, seed: md.hull_verify(0.5, n, seed), (100, 0), (("samples",), ("seed",))
+    ),
+    "brute_force_single": (
+        lambda r: md.brute_force_single(PAIR, 0.2, resolution=r), (100,), (("resolution",),)
+    ),
+    "optimize_povm": (
+        lambda r: md.optimize_povm(PAIR, 0.2, restarts=r), (1,), (("restarts",),)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
+def test_integer_arguments_on_edge_values(name):
+    call, base, words = INTEGER_CALLS[name]
+    for i, named in enumerate(words):
+        for k, value in enumerate(INTEGER_EDGES):
+            args = list(base)
+            args[i] = value
+            check_call(name, call, args, named, must_raise=k < len(NOT_COUNTS))
 
 
 def test_import_loads_no_scipy_and_exports_exactly_all():

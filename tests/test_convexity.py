@@ -171,3 +171,17 @@ def test_domain_validation():
         concave_second_derivative(0.5, 0.63)
     with pytest.raises(DomainError, match="step h"):
         finite_difference_check(0.5, 0.3, h=0.0)
+
+
+def test_budget_is_range_checked_before_the_stencil():
+    # A budget outside [0, (1 + c^2)/2] is outside the domain, whatever the
+    # step; no stencil is formed from it, so nothing overflows.
+    for p_inc in (1e308, math.nan, math.inf, -1e-13, 0.625 + 1e-12):
+        with pytest.raises(DomainError, match="budget must be finite and lie in") as err:
+            finite_difference_check(0.5, p_inc, h=1e308)
+        assert not isinstance(err.value, BranchCrossingError)
+    # The endpoints themselves are in the domain; their stencils leave it.
+    with pytest.raises(BranchCrossingError, match="at 0"):
+        finite_difference_check(0.5, 0.0)
+    with pytest.raises(BranchCrossingError, match="unambiguous endpoint"):
+        finite_difference_check(0.5, 0.625)

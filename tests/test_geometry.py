@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from measdiscrim import DomainError, measurement_pair, overlap
+from measdiscrim.geometry import check_integer
 
 from oracles import FROZEN, SIGMA_Y
 
@@ -61,6 +62,23 @@ def test_theta_domain_is_validated():
         measurement_pair(-0.01)
     with pytest.raises(DomainError, match="theta outside"):
         measurement_pair(math.pi / 4.0 + 0.01)
+
+
+def test_integer_check_accepts_integers_and_names_the_rest():
+    assert check_integer(np.int64(7), "seed") == 7
+    assert check_integer(100.0, "n", 100) == 100
+    assert check_integer(2**200, "seed") == 2**200  # seeds of any size, as in numpy
+    for bad in (True, np.bool_(False), 2.5, math.nan, math.inf, "3", None):
+        with pytest.raises(DomainError, match=r"^seed must be an integer"):
+            check_integer(bad, "seed")
+    with pytest.raises(DomainError, match=r"^seed must be non-negative, got -1$"):
+        check_integer(-1, "seed")
+    with pytest.raises(DomainError, match=r"^n must be at least 100, got 99$"):
+        check_integer(99, "n", 100, 200)
+    with pytest.raises(DomainError, match=r"^n must be at most 200, got 201$"):
+        check_integer(201, "n", 100, 200)
+    with pytest.raises(DomainError, match=r"^too many$"):
+        check_integer(2**63, "n", 100, 200, above="too many")
 
 
 @pytest.mark.parametrize("theta", THETAS[1:-1])

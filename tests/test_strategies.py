@@ -123,7 +123,7 @@ def test_branch_boundary_frozen_values():
 
 def test_tangent_point_invariant_survives_optimization(monkeypatch):
     # The check is an explicit raise, so `python -O` keeps it.
-    monkeypatch.setattr(strategies, "boundary_PIB", lambda c: 1.0)
+    monkeypatch.setattr(strategies, "_pib", lambda c: 1.0)
     with pytest.raises(ValidationError, match="below the q = 0 boundary"):
         tangent_PIT(0.5)
 
@@ -211,6 +211,17 @@ def test_hull_frozen_mixture():
     assert comp_a.q == 1.0
     # tangent component sits on the q = 0 arc at the tangency budget
     assert comp_t.q == 0.0
+
+
+def test_mixture_tangent_is_the_pure_curve_at_the_tangent_budget():
+    # Near c = 0 the tangent budget can round an ulp past (1 + c^2)/2, where
+    # the pure curve clamps it; the mixture's tangent protocol must match.
+    for gap in (m * 10.0**-k for k in range(2, 13) for m in (1.0, 2.0, 3.0, 5.0, 7.0)):
+        theta = math.pi / 4.0 - gap
+        pit = tangent_PIT(float(np.cos(2.0 * theta)))
+        tangent = single_optimal(theta, 0.5 * pit)[1].mixture[1][1]
+        expected = single_pure_curve(theta, pit)[1]
+        assert (tangent.x, tangent.q) == (expected.x, expected.q), gap
 
 
 @pytest.mark.parametrize("c", [0.3, 0.5, 0.7, 0.9])
