@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .strategies import (
     CurveSamples,
-    CurveTable,
     HullReport,
     SingleQubitStrategy,
     StrategyPoint,
@@ -76,7 +75,6 @@ __all__ = [
     "measurement_pair",
     "overlap",
     "CurveSamples",
-    "CurveTable",
     "HullReport",
     "SingleQubitStrategy",
     "StrategyPoint",

@@ -5,10 +5,13 @@ together with a run manifest (command, resolved parameters, seed, artifact
 version, output checksums). Replaying a manifest re-runs the command and
 verifies that every output reproduces byte for byte.
 
-Runners hand their tables to `_write_table` as columns; a CSV body is
-formatted in one pass, with `_fmt` as the rule for every cell. `convexity`
-builds the rows of its whole (c, P_I) grid in c-major order and checks
-them with one `finite_difference_check_array` call.
+Runners hand their tables to `_write_table` as 1-D numpy arrays, one per
+column; a CSV body is formatted in one pass, with `_fmt` as the rule for
+every cell. `convexity` builds the rows of its whole (c, P_I) grid in
+c-major order and checks them with one `finite_difference_check_array`
+call. `simulate` writes the {column: array} table of a scan, whose rows
+are evaluated in one array pass with one generator per row keyed by
+(seed, stream).
 
 Exit statuses: 0 success, 2 domain or validation error, 3 numerical
 non-convergence, 4 acceptance-threshold breach or replay mismatch.
@@ -74,8 +77,6 @@ CONVEXITY_COLUMNS = ("c", "p_inc", "d2_analytic", "d2_numeric", "rel_err", "bran
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         if math.isnan(value):
             return ""
@@ -102,20 +103,9 @@ def _write_bytes(path: Path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cells(column) -> list:
-    """A column's cells as a list of Python values."""
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
-def _finite_floats(column) -> bool:
-    """Whether every cell of the column is a finite float."""
-    if isinstance(column, np.ndarray):
-        return column.dtype.kind == "f" and bool(np.isfinite(column).all())
-    return all(isinstance(v, float) and math.isfinite(v) for v in column)
-
-
 def _csv_body(columns) -> str:
-    """The CSV lines of the rows, formatted with one `%` operation.
+    """The CSV lines of the rows of 1-D array columns, formatted with one
+    `%` operation.
 
     A column of finite floats goes through `%.12g`, which gives the same
     text as `_fmt`; every other column is run through `_fmt` and placed with
@@ -123,8 +113,8 @@ def _csv_body(columns) -> str:
     """
     specs, cells = [], []
     for column in columns:
-        values = _cells(column)
-        if _finite_floats(column):
+        values = column.tolist()
+        if column.dtype.kind == "f" and np.isfinite(column).all():
             specs.append("%.12g")
             cells.append(values)
         else:
@@ -138,7 +128,7 @@ def _csv_body(columns) -> str:
 
 
 def _write_table(path: Path, names, columns, checksum: str, fmt: str) -> str:
-    """Write a table given as one sequence or 1-D array per column name.
+    """Write a table given as one 1-D array per column name.
 
     CSV rows are formatted by `_csv_body` in one pass; JSON rows are the
     columns zipped back together, with NaN written as null.
@@ -146,7 +136,7 @@ def _write_table(path: Path, names, columns, checksum: str, fmt: str) -> str:
     if fmt == "csv":
         header = f"# artifact={__version__} manifest={checksum}\n{','.join(names)}\n"
         return _write_bytes(path, (header + _csv_body(columns)).encode("utf-8"))
-    values = [_cells(column) for column in columns]
+    values = [column.tolist() for column in columns]
     payload = {
         "artifact_version": __version__,
         "manifest": checksum,
@@ -421,9 +411,8 @@ def _run_simulate(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int
         )
     checksum = _params_checksum("simulate", parameters, seed)
     name = f"simulate.{fmt}"
-    columns = [table.column(n) for n in table.columns]
     outputs = {
-        name: _write_table(out_dir / name, table.columns, columns, checksum, fmt)
+        name: _write_table(out_dir / name, table, table.values(), checksum, fmt)
     }
     _write_manifest(out_dir, "simulate", parameters, seed, outputs)
     return outputs, EXIT_OK

@@ -13,6 +13,12 @@ The simulation is exact-cell: `cell_probabilities` gives, in closed form,
 the chance that one trial registers in each cell, and since trials are
 independent and identically distributed `run_trials` draws all counts as
 one multinomial from a generator keyed by (seed, stream).
+
+The scans check their whole (theta, T) grid once and evaluate all rows in
+one array pass: cells, draws (one generator per row, keyed by (seed,
+stream) with stream = row index) and estimates work on a leading row
+axis. They return {column: 1-D array}. The per-config `cell_probabilities`,
+`run_trials` and `estimate` are the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .geometry import check_integer, check_theta
-from .strategies import CurveTable, StrategyPoint
+from .strategies import StrategyPoint
 
 DEFAULT_THETA_GRID = tuple(j * math.pi / 30.0 for j in range(1, 8))
 DEFAULT_INTERMEDIATE_T_GRID = tuple(1.0 - 0.1 * k for k in range(10))
@@ -143,6 +149,23 @@ def load_imperfections(source: str) -> ImperfectionModel:
     return ImperfectionModel.from_mapping(_parse_config_text(path.read_text()))
 
 
+def _check_bench(theta, transmittance, trials, seed):
+    """The one domain check of the bench settings, for one row or a grid.
+
+    Checks every transmittance, then every angle (`check_theta`), then the
+    trial count and the seed, so a grid with two faults reports the first
+    in that order. Returns the clamped angles and the count and seed as
+    Python ints.
+    """
+    t = np.asarray(transmittance, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise DomainError("transmittance must lie in [0, 1]")
+    theta = check_theta(theta)
+    bounds = f"trials must lie in [1, 2**63 - 1], got {trials}"
+    trials = check_integer(trials, "trials", 1, MAX_TRIALS, below=bounds, above=bounds)
+    return theta, trials, check_integer(seed, "seed")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     theta: float
@@ -152,15 +175,12 @@ class ExperimentConfig:
     imperfections: ImperfectionModel = field(default_factory=ImperfectionModel.ideal)
 
     def __post_init__(self):
-        if not 0.0 <= self.vrc_transmittance <= 1.0:
-            raise DomainError("transmittance must lie in [0, 1]")
-        object.__setattr__(self, "theta", float(check_theta(self.theta)))
-        bounds = f"trials must lie in [1, 2**63 - 1], got {self.trials}"
-        trials = check_integer(
-            self.trials, "trials", 1, MAX_TRIALS, below=bounds, above=bounds
+        theta, trials, seed = _check_bench(
+            self.theta, self.vrc_transmittance, self.trials, self.seed
         )
+        object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -185,35 +205,22 @@ class CoincidenceCounts:
         return int(self.counts.sum())
 
 
-def cell_probabilities(config: ExperimentConfig) -> np.ndarray:
-    """Probability that one trial registers in each cell, shape (2, 2, 3).
-
-    Indexed (device, outcome, detector). Sums over three branches per
-    (device, outcome): the collapsed singlet and the two impostors |0>, |1>
-    that stand in for the white-noise part of a Werner state. Each branch
-    gets the feed-forward swap on outcome 0, fails the filter with
-    probability (1 - T) a^2 (detector I), and otherwise reaches the dark
-    (A) or bright (B) port; the phase average of the interference term is
-    E[cos chi] = exp(-sigma^2 / 2). Cells are then thinned by the product
-    of the outcome-side and answer-side efficiencies; the rest of the unit
-    mass is the chance that a trial registers nowhere.
-    """
-    imp = config.imperfections
-    t_filter = config.vrc_transmittance
-    cos_t, sin_t = math.cos(config.theta), math.sin(config.theta)
+def _cells(theta, transmittance, imp: ImperfectionModel) -> np.ndarray:
+    """`cell_probabilities` for rows of checked (theta, T), shape (R, 2, 2, 3)."""
+    theta = np.asarray(theta, dtype=float).tolist()
+    c = np.array([math.cos(x) for x in theta])
+    s = np.array([math.sin(x) for x in theta])
+    o, z = np.ones_like(c), np.zeros_like(c)
     # Held-qubit amplitudes (a, b) per (device, outcome, branch), with the
     # feed-forward swap already applied on outcome 0.
-    a = np.array(
-        [[[-cos_t, 0.0, 1.0], [cos_t, 1.0, 0.0]], [[cos_t, 0.0, 1.0], [cos_t, 1.0, 0.0]]]
-    )
-    b = np.array(
-        [[[sin_t, 1.0, 0.0], [sin_t, 0.0, 1.0]], [[sin_t, 1.0, 0.0], [-sin_t, 0.0, 1.0]]]
-    )
+    a = np.stack([-c, z, o, c, o, z, c, z, o, c, o, z], axis=-1).reshape(-1, 2, 2, 3)
+    b = np.stack([s, o, z, s, z, o, s, o, z, -s, z, o], axis=-1).reshape(-1, 2, 2, 3)
+    t_filter = np.asarray(transmittance, dtype=float)[:, None, None, None]
     impostor = 0.125 * (1.0 - imp.singlet_visibility)
     weight = np.array([0.25 * imp.singlet_visibility, impostor, impostor])
 
     p_fail = (1.0 - t_filter) * a * a
-    a_pass = math.sqrt(t_filter) * a
+    a_pass = np.sqrt(t_filter) * a
     norm = np.sqrt(a_pass * a_pass + b * b)
     norm = np.where(norm > 0.0, norm, 1.0)
     a_out = a_pass / norm
@@ -234,8 +241,39 @@ def cell_probabilities(config: ExperimentConfig) -> np.ndarray:
     branches = np.stack(
         [p_pass * (1.0 - p_bright), p_pass * p_bright, p_fail], axis=-1
     )
-    cells = (weight[:, None] * branches).sum(axis=2)
+    cells = (weight[:, None] * branches).sum(axis=3)
     return cells * imp.cell_efficiencies()
+
+
+def cell_probabilities(config: ExperimentConfig) -> np.ndarray:
+    """Probability that one trial registers in each cell, shape (2, 2, 3).
+
+    Indexed (device, outcome, detector). Sums over three branches per
+    (device, outcome): the collapsed singlet and the two impostors |0>, |1>
+    that stand in for the white-noise part of a Werner state. Each branch
+    gets the feed-forward swap on outcome 0, fails the filter with
+    probability (1 - T) a^2 (detector I), and otherwise reaches the dark
+    (A) or bright (B) port; the phase average of the interference term is
+    E[cos chi] = exp(-sigma^2 / 2). Cells are then thinned by the product
+    of the outcome-side and answer-side efficiencies; the rest of the unit
+    mass is the chance that a trial registers nowhere.
+    """
+    return _cells([config.theta], [config.vrc_transmittance], config.imperfections)[0]
+
+
+def _draw(cells: np.ndarray, trials: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Counts for rows of cells, shape (R, 2, 2, 3).
+
+    Row k is one Multinomial(trials; cells, loss) draw from the generator
+    keyed by (seed, stream + k).
+    """
+    flat = cells.reshape(len(cells), 12)
+    pvals = np.column_stack([flat, np.maximum(1.0 - flat.sum(axis=1), 0.0)])
+    counts = [
+        np.random.default_rng((seed, stream + k)).multinomial(trials, p)
+        for k, p in enumerate(pvals)
+    ]
+    return np.array(counts, dtype=np.int64).reshape(-1, 13)[:, :12].reshape(-1, 2, 2, 3)
 
 
 def run_trials(config: ExperimentConfig, stream: int = 0) -> CoincidenceCounts:
@@ -246,11 +284,9 @@ def run_trials(config: ExperimentConfig, stream: int = 0) -> CoincidenceCounts:
     of Multinomial(trials; cell probabilities, loss) from the generator
     keyed by (seed, stream). The cost does not depend on `trials`.
     """
-    cells = cell_probabilities(config).ravel()
-    pvals = np.append(cells, max(1.0 - cells.sum(), 0.0))
-    rng = np.random.default_rng((config.seed, stream))
-    counts = rng.multinomial(config.trials, pvals)[:12]
-    return CoincidenceCounts(counts=counts.reshape(2, 2, 3), trials=config.trials)
+    cells = cell_probabilities(config)[None]
+    counts = _draw(cells, config.trials, config.seed, stream)[0]
+    return CoincidenceCounts(counts=counts, trials=config.trials)
 
 
 @dataclass(frozen=True)
@@ -272,22 +308,46 @@ _DEVICE, _OUTCOME, _DETECTOR = np.indices((2, 2, 3))
 _SUCCESS = _DETECTOR == _DEVICE ^ _OUTCOME
 _ERROR = _DETECTOR == 1 - (_DEVICE ^ _OUTCOME)
 _INCONCLUSIVE = _DETECTOR == 2
+_ALL = np.ones((2, 2, 3), dtype=bool)
 
 
-def _ratio(numerator, denominator, counts, weights) -> tuple[float, float]:
-    """A reweighted count ratio and its delta-method standard error.
+def _ratio(numerator, denominator, counts, weights):
+    """Reweighted count ratios of rows and their delta-method standard errors.
 
     The estimate is f = A/B with A = sum(n_k / w_k) over the numerator
     cells and B the same over the denominator cells. Under multinomial
     counts, Var f ~ sum_k g_k^2 n_k / B^2 with g_k = (1[k in num] -
     f 1[k in den]) / w_k; for unit weights this is f (1 - f) / n_den.
+    A row with B = 0 gets NaN for both.
     """
-    a = numerator / weights
-    b = denominator / weights
-    total = float((b * counts).sum())
-    f = float((a * counts).sum()) / total
-    g = a - f * b
-    return f, math.sqrt(float((g * g * counts).sum())) / total
+    a = (numerator / weights).reshape(12)
+    b = (denominator / weights).reshape(12)
+    total = (b * counts).sum(axis=1)
+    has = total > 0.0
+    total = np.where(has, total, 1.0)
+    f = (a * counts).sum(axis=1) / total
+    g = a - f[:, None] * b
+    sigma = np.sqrt((g * g * counts).sum(axis=1)) / total
+    return np.where(has, f, np.nan), np.where(has, sigma, np.nan)
+
+
+def _estimate_rows(counts: np.ndarray, imp: ImperfectionModel) -> dict:
+    """`estimate` for rows of counts (R, 2, 2, 3), as the estimate columns
+    of SCAN_COLUMNS; rows with no conclusive event get NaN rel_success."""
+    flat = counts.reshape(len(counts), 12)
+    if not flat.sum(axis=1).all():
+        raise ValidationError("no registered coincidences to estimate from")
+    weights = imp.cell_efficiencies()
+    columns = {}
+    for name, numerator, denominator in (
+        ("p_inc", _INCONCLUSIVE, _ALL),
+        ("p_success", _SUCCESS, _ALL),
+        ("p_error", _ERROR, _ALL),
+        ("rel_success", _SUCCESS, ~_INCONCLUSIVE),
+    ):
+        ratio = _ratio(numerator, denominator, flat, weights)
+        columns[name], columns[f"{name}_sigma"] = ratio
+    return columns
 
 
 def estimate(
@@ -301,63 +361,33 @@ def estimate(
     errors over the registered coincidences. The conditional success rate
     uses only conclusive events.
     """
-    registered = counts.total
-    if registered == 0:
-        raise ValidationError("no registered coincidences to estimate from")
     imp = efficiencies if efficiencies is not None else ImperfectionModel.ideal()
-    weights = imp.cell_efficiencies()
-    n = counts.counts
-    all_cells = np.ones((2, 2, 3), dtype=bool)
-    p_success, s_success = _ratio(_SUCCESS, all_cells, n, weights)
-    p_error, s_error = _ratio(_ERROR, all_cells, n, weights)
-    p_inc, s_inc = _ratio(_INCONCLUSIVE, all_cells, n, weights)
-    point = StrategyPoint(p_success, p_error, p_inc)
-    conclusive = registered - int(n[_INCONCLUSIVE].sum())
-    if conclusive > 0:
-        rel, rel_sigma = _ratio(_SUCCESS, ~_INCONCLUSIVE, n, weights)
-    else:
-        rel = float("nan")
-        rel_sigma = float("nan")
+    row = {k: float(v[0]) for k, v in _estimate_rows(counts.counts[None], imp).items()}
+    registered = counts.total
     return EstimateResult(
-        point=point,
-        std_errors=(s_success, s_error, s_inc),
+        point=StrategyPoint(row["p_success"], row["p_error"], row["p_inc"]),
+        std_errors=(row["p_success_sigma"], row["p_error_sigma"], row["p_inc_sigma"]),
         registered=registered,
-        conclusive=conclusive,
-        rel_success=rel,
-        rel_success_sigma=rel_sigma,
+        conclusive=registered - int(counts.counts[_INCONCLUSIVE].sum()),
+        rel_success=row["rel_success"],
+        rel_success_sigma=row["rel_success_sigma"],
     )
 
 
-def _scan_row(
-    theta: float,
-    transmittance: float,
-    trials: int,
-    seed: int,
-    stream: int,
-    imperfections: ImperfectionModel,
-) -> tuple:
-    config = ExperimentConfig(
-        theta=theta,
-        vrc_transmittance=transmittance,
-        trials=trials,
-        seed=seed,
-        imperfections=imperfections,
-    )
-    counts = run_trials(config, stream=stream)
-    est = estimate(counts, imperfections)
-    row = (
-        theta,
-        transmittance,
-        est.point.p_inconclusive,
-        est.std_errors[2],
-        est.point.p_success,
-        est.std_errors[0],
-        est.point.p_error,
-        est.std_errors[1],
-        est.rel_success,
-        est.rel_success_sigma,
-    )
-    return row, counts
+def _scan(theta, transmittance, trials, seed, imperfections) -> tuple[dict, np.ndarray]:
+    """Check the (theta, T) rows once, then draw and estimate them all.
+
+    Returns the SCAN_COLUMNS and the counts; row k uses stream k. The
+    theta column keeps the angles as given; the cells use them clamped.
+    """
+    imp = imperfections if imperfections is not None else ImperfectionModel.ideal()
+    theta = np.asarray(theta, dtype=float)
+    transmittance = np.asarray(transmittance, dtype=float)
+    clamped, trials, seed = _check_bench(theta, transmittance, trials, seed)
+    counts = _draw(_cells(clamped, transmittance, imp), trials, seed)
+    columns = {"theta": theta, "transmittance": transmittance}
+    columns.update(_estimate_rows(counts, imp))
+    return columns, counts
 
 
 def scan_intermediate(
@@ -366,23 +396,19 @@ def scan_intermediate(
     trials: int = 1_000_000,
     seed: int = 0,
     imperfections: ImperfectionModel | None = None,
-) -> CurveTable:
-    """Sweep filter transmittance across probe angles; one row per cell."""
+) -> dict:
+    """Sweep filter transmittance across probe angles, theta-major.
+
+    Returns {column: 1-D array} in SCAN_COLUMNS order, one row per cell.
+    """
     thetas = DEFAULT_THETA_GRID if theta_list is None else tuple(theta_list)
     t_values = (
         DEFAULT_INTERMEDIATE_T_GRID
         if transmittance_list is None
         else tuple(transmittance_list)
     )
-    imp = imperfections if imperfections is not None else ImperfectionModel.ideal()
-    rows = []
-    stream = 0
-    for theta in thetas:
-        for t_value in t_values:
-            row, _ = _scan_row(theta, t_value, trials, seed, stream, imp)
-            rows.append(row)
-            stream += 1
-    return CurveTable(columns=SCAN_COLUMNS, rows=tuple(rows))
+    theta = np.repeat(thetas, len(t_values))
+    return _scan(theta, np.tile(t_values, len(thetas)), trials, seed, imperfections)[0]
 
 
 def scan_unambiguous(
@@ -390,22 +416,20 @@ def scan_unambiguous(
     trials: int = 1_000_000,
     seed: int = 0,
     imperfections: ImperfectionModel | None = None,
-) -> CurveTable:
+) -> dict:
     """Sweep the unambiguous working points theta = arctan(sqrt(T)).
 
-    The extra error_counts column holds raw coincidences in the four
-    wrong-answer cells, which an ideal bench never fires.
+    Returns {column: 1-D array}: SCAN_COLUMNS and an extra error_counts
+    column with the raw coincidences in the four wrong-answer cells, which
+    an ideal bench never fires.
     """
     t_values = (
         DEFAULT_UNAMBIGUOUS_T_GRID
         if transmittance_list is None
         else tuple(transmittance_list)
     )
-    imp = imperfections if imperfections is not None else ImperfectionModel.ideal()
-    rows = []
-    for stream, t_value in enumerate(t_values):
-        # A negative T is rejected by ExperimentConfig, not by sqrt.
-        theta = math.atan(math.sqrt(max(t_value, 0.0)))
-        row, counts = _scan_row(theta, t_value, trials, seed, stream, imp)
-        rows.append(row + (float(counts.counts[_ERROR].sum()),))
-    return CurveTable(columns=SCAN_COLUMNS + ("error_counts",), rows=tuple(rows))
+    # A negative T is rejected by the bench check, not by sqrt.
+    theta = [math.atan(math.sqrt(max(t, 0.0))) for t in t_values]
+    columns, counts = _scan(theta, t_values, trials, seed, imperfections)
+    columns["error_counts"] = counts[:, _ERROR].sum(axis=1).astype(float)
+    return columns

@@ -90,24 +90,6 @@ class SingleQubitStrategy:
             raise ValidationError("mixture weights must sum to 1")
 
 
-@dataclass(frozen=True)
-class CurveTable:
-    """A columnar table of curve samples; every row has one value per column."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        if any(len(row) != len(self.columns) for row in self.rows):
-            raise ValidationError("row width does not match columns")
-
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
-
 class CurveSamples(NamedTuple):
     """Closed-form curve values at many budgets, as numpy arrays.
 

@@ -189,12 +189,11 @@ def test_criterion_6_monte_carlo_hits_the_curve(capsys):
 def test_criterion_7_unambiguous_scan(capsys):
     start = time.perf_counter()
     ideal = scan_unambiguous(trials=1_000_000, seed=0)
-    error_counts = ideal.column("error_counts")
+    error_counts = ideal["error_counts"]
     worst_pull = 0.0
-    for row in ideal.rows:
-        t_value = row[1]
-        ps, ps_sigma = row[4], row[5]
-        pi, pi_sigma = row[2], row[3]
+    for k, t_value in enumerate(ideal["transmittance"]):
+        ps, ps_sigma = ideal["p_success"][k], ideal["p_success_sigma"][k]
+        pi, pi_sigma = ideal["p_inc"][k], ideal["p_inc_sigma"][k]
         want_ps = 2.0 * t_value / (1.0 + t_value)
         want_pi = (1.0 - t_value) / (1.0 + t_value)
         worst_pull = max(
@@ -205,7 +204,7 @@ def test_criterion_7_unambiguous_scan(capsys):
     bench = scan_unambiguous(
         trials=1_000_000, seed=0, imperfections=load_imperfections("labnoise")
     )
-    max_error = max(bench.column("p_error"))
+    max_error = max(bench["p_error"])
     elapsed = time.perf_counter() - start
     ok = (
         max(error_counts) == 0.0

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import measdiscrim as md
+from measdiscrim import cli
 
 EDGES = (math.nan, math.inf, -math.inf, -0.1, 1e308, -1e-13, 0.0, 5e-324, 1.0, 0.3)
 
@@ -157,6 +158,55 @@ def test_integer_arguments_on_edge_values(name):
             args = list(base)
             args[i] = value
             check_call(name, call, args, named, must_raise=k < len(NOT_COUNTS))
+
+
+# One fault in the last row of a scan grid, or in its trials or seed, and
+# the message the per-row checks gave before the scans became one pass.
+SCAN_FAULTS = (
+    *(({"t": t}, "transmittance must lie in [0, 1]") for t in (-0.1, 1.1, math.nan)),
+    *(({"theta": v}, "theta outside [0, pi/4]") for v in (-0.1, 1.0, math.nan)),
+    ({"trials": 0}, "trials must lie in [1, 2**63 - 1], got 0"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": math.nan}, "trials must be an integer, got nan"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2**63}, f"trials must lie in [1, 2**63 - 1], got {2**63}"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+)
+
+
+def test_scans_check_their_whole_grid_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the grid was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for fault, message in SCAN_FAULTS:
+        thetas = [0.3, fault.get("theta", 0.5)]
+        t_values = [0.5, fault.get("t", 0.6)]
+        trials, seed = fault.get("trials", 100), fault.get("seed", 0)
+        scans = [lambda: md.scan_intermediate(thetas, t_values, trials, seed)]
+        if "theta" not in fault:  # the unambiguous scan derives its angles
+            scans.append(lambda: md.scan_unambiguous(t_values, trials, seed))
+        for scan in scans:
+            with pytest.raises(md.DomainError) as info:
+                scan()
+            assert type(info.value) is md.DomainError, (fault, info.value)
+            assert str(info.value) == message, fault
+
+
+def test_a_scan_row_with_no_registered_coincidence_is_rejected(tmp_path, capsys):
+    faint = md.ImperfectionModel(*(1e-9,) * 5)
+    message = "^no registered coincidences to estimate from$"
+    with pytest.raises(md.ValidationError, match=message):
+        md.scan_intermediate([0.3], [0.5, 0.6], trials=1, imperfections=faint)
+    with pytest.raises(md.ValidationError, match=message):
+        md.scan_unambiguous([0.5], trials=1, imperfections=faint)
+    cfg = tmp_path / "faint.cfg"
+    cfg.write_text("".join(f"eta_{d} = 1e-9\n" for d in ("D0", "D1", "DA", "DB", "DI")))
+    argv = ["simulate", "--mode", "unambiguous", "--t-grid", "0.5", "--trials", "1"]
+    assert cli.main([*argv, "--noise", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "no registered coincidences" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy_and_exports_exactly_all():

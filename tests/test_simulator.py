@@ -463,21 +463,57 @@ def test_feed_forward_correction_matters():
 # --- working-point scans ---
 
 
+def assert_rows_match_the_per_config_route(table, imp, trials, seed):
+    """Row k of a scan is, bit for bit, estimate(run_trials(config, stream=k))."""
+    device, outcome, detector = np.indices((2, 2, 3))
+    error = detector == 1 - (device ^ outcome)
+    for k, (theta, t_value) in enumerate(zip(table["theta"], table["transmittance"])):
+        config = ExperimentConfig(theta, t_value, trials, seed, imp)
+        counts = run_trials(config, stream=k)
+        est = estimate(counts, imp)
+        want = {
+            "p_inc": est.point.p_inconclusive,
+            "p_inc_sigma": est.std_errors[2],
+            "p_success": est.point.p_success,
+            "p_success_sigma": est.std_errors[0],
+            "p_error": est.point.p_error,
+            "p_error_sigma": est.std_errors[1],
+            "rel_success": est.rel_success,
+            "rel_success_sigma": est.rel_success_sigma,
+            "error_counts": float(counts.counts[error].sum()),
+        }
+        for name in list(table)[2:]:
+            got = table[name][k]
+            assert got == want[name] or (math.isnan(got) and math.isnan(want[name])), (
+                name, k, got, want[name]
+            )
+
+
 def test_intermediate_scan_layout_and_streams():
     table = scan_intermediate(
         theta_list=[THETA], transmittance_list=[0.8, 0.5], trials=50_000
     )
-    assert table.columns == SCAN_COLUMNS
-    assert len(table.rows) == 2
-    assert table.column("theta") == [THETA, THETA]
-    assert table.column("transmittance") == [0.8, 0.5]
-    # row k reproduces a direct run on stream k
-    direct = estimate(run_trials(ideal_config(trials=50_000, t=0.5), stream=1))
-    assert table.rows[1][4] == pytest.approx(direct.point.p_success, abs=1e-15)
+    assert list(table) == list(SCAN_COLUMNS)
+    assert all(column.shape == (2,) for column in table.values())
+    assert table["theta"].tolist() == [THETA, THETA]
+    assert table["transmittance"].tolist() == [0.8, 0.5]
     again = scan_intermediate(
         theta_list=[THETA], transmittance_list=[0.8, 0.5], trials=50_000
     )
-    assert again.rows == table.rows
+    for name, column in table.items():
+        np.testing.assert_array_equal(again[name], column)
+    # Row k of either scan reproduces a direct run on stream k, bit for bit,
+    # on the edges of the grid. On an ideal bench the unambiguous point
+    # T = 0 leaves no conclusive event, so its rel_success is NaN.
+    for imp in (ImperfectionModel.ideal(), load_imperfections("labnoise")):
+        grid = scan_intermediate([0.0, math.pi / 4.0], [0.0, 1.0], 20_000, 4, imp)
+        assert grid["theta"].tolist() == [0.0, 0.0, math.pi / 4.0, math.pi / 4.0]
+        assert grid["transmittance"].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert_rows_match_the_per_config_route(grid, imp, 20_000, 4)
+        points = scan_unambiguous([0.0, 1.0], 20_000, 4, imp)
+        assert list(points) == [*SCAN_COLUMNS, "error_counts"]
+        assert_rows_match_the_per_config_route(points, imp, 20_000, 4)
+        assert math.isnan(points["rel_success"][0]) == (imp.singlet_visibility == 1.0)
 
 
 def test_default_theta_grid_spans_the_angle_range():
@@ -488,14 +524,13 @@ def test_default_theta_grid_spans_the_angle_range():
 
 def test_unambiguous_scan_has_no_errors_on_an_ideal_bench():
     table = scan_unambiguous(transmittance_list=[0.2, 0.6, 1.0], trials=150_000)
-    assert table.columns == SCAN_COLUMNS + ("error_counts",)
-    for row in table.rows:
-        t_value = row[1]
+    assert list(table) == [*SCAN_COLUMNS, "error_counts"]
+    assert not table["error_counts"].any()  # no wrong-port coincidences at all
+    for k, t_value in enumerate(table["transmittance"]):
         theta = math.atan(math.sqrt(t_value))
-        assert row[0] == pytest.approx(theta, abs=1e-15)
-        assert row[-1] == 0.0  # no wrong-port coincidences at all
-        ps, ps_sigma = row[4], row[5]
-        pi, pi_sigma = row[2], row[3]
+        assert table["theta"][k] == pytest.approx(theta, abs=1e-15)
+        ps, ps_sigma = table["p_success"][k], table["p_success_sigma"][k]
+        pi, pi_sigma = table["p_inc"][k], table["p_inc_sigma"][k]
         assert_within_sigma(ps, 2.0 * t_value / (1.0 + t_value), ps_sigma)
         assert_within_sigma(pi, (1.0 - t_value) / (1.0 + t_value), pi_sigma)
 
@@ -505,4 +540,4 @@ def test_unambiguous_scan_errors_stay_bounded_with_bench_noise():
     table = scan_unambiguous(
         transmittance_list=[0.3, 0.7], trials=100_000, imperfections=bench
     )
-    assert max(table.column("p_error")) <= 0.032
+    assert table["p_error"].max() <= 0.032

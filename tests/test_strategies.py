@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from measdiscrim import (
-    CurveTable,
     DomainError,
     StrategyPoint,
     ValidationError,
@@ -423,15 +422,6 @@ def test_single_qubit_strategy_validation():
             q=None,
             mixture=((0.5, SingleQubitStrategy(0.3, math.cos(0.6), 0.5)),),
         )
-
-
-def test_curve_table_validation():
-    with pytest.raises(ValidationError, match="row width"):
-        CurveTable(columns=("a", "b"), rows=((1.0,),))
-    # rows keep their order: a scan lists them as it ran them
-    table = CurveTable(columns=("p_inc", "v"), rows=([0.2, 1.0], (0.1, 2.0)))
-    assert table.rows == ((0.2, 1.0), (0.1, 2.0))
-    assert table.column("v") == [1.0, 2.0]
 
 
 def test_default_pi_grid_hits_both_endpoints():
