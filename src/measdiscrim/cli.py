@@ -5,13 +5,13 @@ together with a run manifest (command, resolved parameters, seed, artifact
 version, output checksums). Replaying a manifest re-runs the command and
 verifies that every output reproduces byte for byte.
 
-Runners hand their tables to `_write_table` as 1-D numpy arrays, one per
-column; a CSV body is formatted in one pass, with `_fmt` as the rule for
-every cell. `convexity` builds the rows of its whole (c, P_I) grid in
-c-major order and checks them with one `finite_difference_check_array`
-call. `simulate` writes the {column: array} table of a scan, whose rows
-are evaluated in one array pass with one generator per row keyed by
-(seed, stream).
+`_COMMANDS` maps each computing subcommand to (the parameters its parsed
+flags resolve to, its runner). A runner `_run_<cmd>(parameters, seed)`
+writes nothing: it returns {file name: (column names, 1-D array columns)
+or report dict} and an exit code. `_execute`, the one run path of fresh
+runs and `replay`, writes those files under one version/checksum header
+(CSV bodies in one `%` pass, with `_fmt` as the cell rule) and then the
+manifest.
 
 Exit statuses: 0 success, 2 domain or validation error, 3 numerical
 non-convergence, 4 acceptance-threshold breach or replay mismatch.
@@ -35,6 +35,8 @@ from .errors import DomainError, ValidationError
 from .geometry import TOL, check_integer, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
+    DEFAULT_INTERMEDIATE_T_GRID,
+    DEFAULT_UNAMBIGUOUS_T_GRID,
     ImperfectionModel,
     load_imperfections,
     scan_intermediate,
@@ -74,6 +76,7 @@ CURVE_COLUMNS = (
     "advantage",
 )
 CONVEXITY_COLUMNS = ("c", "p_inc", "d2_analytic", "d2_numeric", "rel_err", "branch")
+HULL_COLUMNS = ("p_inc", "p_success")
 
 
 def _fmt(value) -> str:
@@ -85,22 +88,10 @@ def _fmt(value) -> str:
 
 
 def _params_checksum(command: str, parameters: dict, seed: int) -> str:
-    canonical = json.dumps(
-        {
-            "artifact_version": __version__,
-            "command": command,
-            "parameters": parameters,
-            "seed": seed,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    run = {"artifact_version": __version__, "command": command,
+           "parameters": parameters, "seed": seed}
+    canonical = json.dumps(run, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _write_bytes(path: Path, data: bytes) -> str:
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
 
 
 def _csv_body(columns) -> str:
@@ -127,45 +118,31 @@ def _csv_body(columns) -> str:
     return ("%s\n" % ",".join(specs) * n_rows) % tuple(flat.ravel().tolist())
 
 
-def _write_table(path: Path, names, columns, checksum: str, fmt: str) -> str:
-    """Write a table given as one 1-D array per column name.
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
-    CSV rows are formatted by `_csv_body` in one pass; JSON rows are the
-    columns zipped back together, with NaN written as null.
+
+def _output_bytes(name: str, result, checksum: str) -> bytes:
+    """The bytes of one output file, headed by the version and the checksum.
+
+    A report dict is written as JSON. A table goes to CSV or JSON by the
+    suffix of its file name; its JSON rows are the columns zipped back
+    together, with NaN written as null.
     """
-    if fmt == "csv":
-        header = f"# artifact={__version__} manifest={checksum}\n{','.join(names)}\n"
-        return _write_bytes(path, (header + _csv_body(columns)).encode("utf-8"))
-    values = [column.tolist() for column in columns]
-    payload = {
-        "artifact_version": __version__,
-        "manifest": checksum,
-        "columns": list(names),
-        "rows": [
-            [None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in zip(*values)
-        ],
-    }
-    return _write_json(path, payload)
-
-
-def _write_json(path: Path, payload: dict) -> str:
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    return _write_bytes(path, data)
-
-
-def _write_manifest(
-    out_dir: Path, command: str, parameters: dict, seed: int, outputs: dict
-) -> None:
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "artifact_version": __version__,
-        "params_checksum": _params_checksum(command, parameters, seed),
-        "outputs": outputs,
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+    if not isinstance(result, dict):
+        names, columns = result
+        if name.endswith(".csv"):
+            header = f"# artifact={__version__} manifest={checksum}\n{','.join(names)}\n"
+            return (header + _csv_body(columns)).encode("utf-8")
+        values = [column.tolist() for column in columns]
+        result = {
+            "columns": list(names),
+            "rows": [
+                [None if isinstance(v, float) and math.isnan(v) else v for v in row]
+                for row in zip(*values)
+            ],
+        }
+    return _json_bytes({"artifact_version": __version__, "manifest": checksum, **result})
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -208,15 +185,17 @@ def _resolve_theta(value: float, degrees: bool) -> float:
     return float(check_theta(theta))
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _curves_parameters(args) -> dict:
+    theta = _resolve_theta(args.theta, args.degrees)
+    if args.pi_grid is not None:
+        grid = _parse_grid(args.pi_grid)
+    else:
+        grid = default_pi_grid(overlap(measurement_pair(theta)))
+    return {"theta": theta, "pi_grid": [float(v) for v in grid], "format": args.format}
 
 
-def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
+def _run_curves(parameters: dict, seed: int) -> tuple[dict, int]:
     theta = parameters["theta"]
-    fmt = parameters["format"]
     pair = measurement_pair(theta)
     c = overlap(pair)
     p_max = 0.5 * (1.0 + c * c)
@@ -241,27 +220,17 @@ def _run_curves(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         pts_single = np.where(p < 1.0 - TOL, ps_opt / (1.0 - p), np.nan)
     adv = ps_ent - ps_opt
     columns = (p, ps_ent, ps_opt, ps_pure, pts_ent, pts_single, adv)
-
-    checksum = _params_checksum("curves", parameters, seed)
-    name = f"curves.{fmt}"
-    outputs = {name: _write_table(out_dir / name, CURVE_COLUMNS, columns, checksum, fmt)}
-    _write_manifest(out_dir, "curves", parameters, seed, outputs)
-    return outputs, EXIT_OK
+    return {f"curves.{parameters['format']}": (CURVE_COLUMNS, columns)}, EXIT_OK
 
 
-def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
+def _hull_parameters(args) -> dict:
+    # hull writes CSV only; "format" stays recorded so old manifests replay.
+    return {"c": args.c, "samples": args.samples, "format": "csv"}
+
+
+def _run_hull(parameters: dict, seed: int) -> tuple[dict, int]:
     report = hull_verify(parameters["c"], parameters["samples"], seed)
-    checksum = _params_checksum("hull", parameters, seed)
-    outputs = {}
-    for name, table in (
-        ("hull_points.csv", report.points), ("hull_vertices.csv", report.vertices)
-    ):
-        outputs[name] = _write_table(
-            out_dir / name, ("p_inc", "p_success"), table.T, checksum, "csv"
-        )
-    payload = {
-        "artifact_version": __version__,
-        "manifest": checksum,
+    summary = {
         "c": report.c,
         "n_samples": report.n_samples,
         "seed": report.seed,
@@ -274,10 +243,13 @@ def _run_hull(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         "point_u": list(report.point_u),
         "n_vertices": int(len(report.vertices)),
     }
-    outputs["hull_report.json"] = _write_json(out_dir / "hull_report.json", payload)
-    _write_manifest(out_dir, "hull", parameters, seed, outputs)
+    results = {
+        "hull_points.csv": (HULL_COLUMNS, report.points.T),
+        "hull_vertices.csv": (HULL_COLUMNS, report.vertices.T),
+        "hull_report.json": summary,
+    }
     code = EXIT_OK if report.max_deviation <= HULL_DEVIATION_LIMIT else EXIT_THRESHOLD
-    return outputs, code
+    return results, code
 
 
 def _convexity_default_budgets(c: float) -> list[float]:
@@ -295,8 +267,13 @@ def _convexity_default_budgets(c: float) -> list[float]:
     return [float(p) for p in np.concatenate([convex, concave])]
 
 
-def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
-    fmt = parameters["format"]
+def _convexity_parameters(args) -> dict:
+    pi_grid = None if args.pi_grid is None else _parse_grid(args.pi_grid)
+    return {"c_grid": _parse_grid(args.c_grid), "pi_grid": pi_grid, "h": args.h,
+            "format": args.format}
+
+
+def _run_convexity(parameters: dict, seed: int) -> tuple[dict, int]:
     h = check_step(parameters["h"])
     c_grid = parameters["c_grid"]
     if not all(0.0 < c < 1.0 for c in c_grid):
@@ -334,33 +311,29 @@ def _run_convexity(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, in
     breach = bool(
         np.any(convex & (analytic < CONVEX_FLOOR)) or np.any(rel_err > REL_ERR_LIMIT)
     )
-
-    checksum = _params_checksum("convexity", parameters, seed)
-    name = f"convexity.{fmt}"
     columns = (c, p, analytic, numeric, rel_err, branch)
-    outputs = {
-        name: _write_table(out_dir / name, CONVEXITY_COLUMNS, columns, checksum, fmt)
+    name = f"convexity.{parameters['format']}"
+    return {name: (CONVEXITY_COLUMNS, columns)}, EXIT_THRESHOLD if breach else EXIT_OK
+
+
+def _oracle_parameters(args) -> dict:
+    return {
+        "theta": _resolve_theta(args.theta, args.degrees),
+        "p_inc_target": args.pi,
+        "tol": args.tol,
+        "restarts": args.restarts,
     }
-    _write_manifest(out_dir, "convexity", parameters, seed, outputs)
-    return outputs, EXIT_THRESHOLD if breach else EXIT_OK
 
 
-def _run_oracle(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
+def _run_oracle(parameters: dict, seed: int) -> tuple[dict, int]:
     theta = parameters["theta"]
     target = parameters["p_inc_target"]
     pair = measurement_pair(theta)
     result = optimize_povm(
-        pair,
-        target,
-        tol=parameters["tol"],
-        seed=seed,
-        restarts=parameters["restarts"],
+        pair, target, tol=parameters["tol"], seed=seed, restarts=parameters["restarts"]
     )
     closed = entangled_success(theta, min(max(target, 0.0), overlap(pair)))
-    checksum = _params_checksum("oracle", parameters, seed)
-    payload = {
-        "artifact_version": __version__,
-        "manifest": checksum,
+    report = {
         "theta": theta,
         "p_inc_target": target,
         "tol": parameters["tol"],
@@ -384,15 +357,28 @@ def _run_oracle(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
         "restart_values": list(result.restart_values),
         "best_restart": result.best_restart,
     }
-    outputs = {
-        "oracle_report.json": _write_json(out_dir / "oracle_report.json", payload)
+    code = EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return {"oracle_report.json": report}, code
+
+
+def _simulate_parameters(args) -> dict:
+    if args.t_grid is not None:
+        t_grid = _parse_grid(args.t_grid)
+    elif args.mode == "intermediate":
+        t_grid = DEFAULT_INTERMEDIATE_T_GRID
+    else:
+        t_grid = DEFAULT_UNAMBIGUOUS_T_GRID
+    return {
+        "mode": args.mode,
+        "theta_grid": [_resolve_theta(v, args.degrees) for v in args.theta or ()] or None,
+        "t_grid": [float(v) for v in t_grid],
+        "trials": args.trials,
+        "noise": load_imperfections(args.noise).to_mapping(),
+        "format": args.format,
     }
-    _write_manifest(out_dir, "oracle", parameters, seed, outputs)
-    return outputs, EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def _run_simulate(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
-    fmt = parameters["format"]
+def _run_simulate(parameters: dict, seed: int) -> tuple[dict, int]:
     imperfections = ImperfectionModel.from_mapping(parameters["noise"])
     if parameters["mode"] == "intermediate":
         table = scan_intermediate(
@@ -409,97 +395,51 @@ def _run_simulate(parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int
             seed=seed,
             imperfections=imperfections,
         )
-    checksum = _params_checksum("simulate", parameters, seed)
-    name = f"simulate.{fmt}"
-    outputs = {
-        name: _write_table(out_dir / name, table, table.values(), checksum, fmt)
-    }
-    _write_manifest(out_dir, "simulate", parameters, seed, outputs)
-    return outputs, EXIT_OK
+    name = f"simulate.{parameters['format']}"
+    return {name: (list(table), list(table.values()))}, EXIT_OK
 
 
-_RUNNERS = {
-    "curves": _run_curves,
-    "hull": _run_hull,
-    "convexity": _run_convexity,
-    "oracle": _run_oracle,
-    "simulate": _run_simulate,
+# Each computing subcommand: (its parameters from the parsed flags, its runner).
+_COMMANDS = {
+    "curves": (_curves_parameters, _run_curves),
+    "hull": (_hull_parameters, _run_hull),
+    "convexity": (_convexity_parameters, _run_convexity),
+    "oracle": (_oracle_parameters, _run_oracle),
+    "simulate": (_simulate_parameters, _run_simulate),
 }
 
 
-def _cmd_curves(args) -> int:
-    theta = _resolve_theta(args.theta, args.degrees)
-    c = overlap(measurement_pair(theta))
-    if args.pi_grid is not None:
-        grid = _parse_grid(args.pi_grid)
-    else:
-        grid = [float(v) for v in default_pi_grid(c)]
-    parameters = {
-        "theta": theta,
-        "pi_grid": [float(v) for v in grid],
-        "format": args.format,
-    }
-    _, code = _run_curves(parameters, args.seed, _out_dir(args))
-    return code
+def _execute(command: str, parameters: dict, seed: int, out_dir: Path) -> tuple[dict, int]:
+    """Run `command` and write its outputs and `manifest.json` into `out_dir`.
 
-
-def _cmd_hull(args) -> int:
-    parameters = {"c": args.c, "samples": args.samples, "format": args.format}
-    _, code = _run_hull(parameters, args.seed, _out_dir(args))
-    return code
-
-
-def _cmd_convexity(args) -> int:
-    parameters = {
-        "c_grid": [float(v) for v in _parse_grid(args.c_grid)],
-        "pi_grid": (
-            [float(v) for v in _parse_grid(args.pi_grid)]
-            if args.pi_grid is not None
-            else None
-        ),
-        "h": args.h,
-        "format": args.format,
-    }
-    _, code = _run_convexity(parameters, args.seed, _out_dir(args))
-    return code
-
-
-def _cmd_oracle(args) -> int:
-    parameters = {
-        "theta": _resolve_theta(args.theta, args.degrees),
-        "p_inc_target": args.pi,
-        "tol": args.tol,
-        "restarts": args.restarts,
-    }
-    _, code = _run_oracle(parameters, args.seed, _out_dir(args))
-    return code
-
-
-def _cmd_simulate(args) -> int:
-    if args.t_grid is not None:
-        t_grid = _parse_grid(args.t_grid)
-    elif args.mode == "intermediate":
-        t_grid = [1.0 - 0.1 * k for k in range(10)]
-    else:
-        t_grid = [0.1 * k for k in range(11)]
-    theta_grid = (
-        [_resolve_theta(v, args.degrees) for v in args.theta]
-        if args.theta
-        else None
+    Returns ({file name: SHA-256}, exit code). Nothing is written if the
+    runner raises; an output directory that cannot be made or written to is
+    a `DomainError`.
+    """
+    results, code = _COMMANDS[command][1](parameters, seed)
+    checksum = _params_checksum(command, parameters, seed)
+    files = {name: _output_bytes(name, result, checksum) for name, result in results.items()}
+    outputs = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    files["manifest.json"] = _json_bytes(
+        {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "artifact_version": __version__,
+            "params_checksum": checksum,
+            "outputs": outputs,
+        }
     )
-    parameters = {
-        "mode": args.mode,
-        "theta_grid": theta_grid,
-        "t_grid": [float(v) for v in t_grid],
-        "trials": args.trials,
-        "noise": load_imperfections(args.noise).to_mapping(),
-        "format": args.format,
-    }
-    _, code = _run_simulate(parameters, args.seed, _out_dir(args))
-    return code
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            (out_dir / name).write_bytes(data)
+    except OSError as exc:
+        raise DomainError(f"cannot write outputs to {out_dir}: {exc.strerror}") from None
+    return outputs, code
 
 
-def _cmd_replay(args) -> int:
+def _replay(args) -> int:
     path = Path(args.manifest)
     if not path.is_file():
         raise DomainError(f"manifest not found: {args.manifest}")
@@ -516,21 +456,30 @@ def _cmd_replay(args) -> int:
             raise ValidationError(f"manifest is missing the {key!r} field")
     if not isinstance(manifest["outputs"], dict):
         raise ValidationError("manifest outputs must map file names to checksums")
-    command = manifest["command"]
-    runner = _RUNNERS.get(command) if isinstance(command, str) else None
-    if runner is None:
+    command, parameters, seed = manifest["command"], manifest["parameters"], manifest["seed"]
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValidationError(f"manifest names an unknown command: {command}")
     if manifest["artifact_version"] != __version__:
         raise ValidationError(
             f"manifest was written by measdiscrim {manifest['artifact_version']}, "
             f"this is measdiscrim {__version__}"
         )
-    expected = _params_checksum(command, manifest["parameters"], manifest["seed"])
-    if expected != manifest["params_checksum"]:
+    if not isinstance(parameters, dict):
+        raise ValidationError("manifest parameters must be a JSON object")
+    # The format names an output file, so only the two known suffixes pass.
+    if parameters.get("format", "csv") not in ("csv", "json"):
+        raise ValidationError(f"manifest format must be csv or json: {parameters['format']!r}")
+    if _params_checksum(command, parameters, seed) != manifest["params_checksum"]:
         raise ValidationError("manifest checksum does not match its parameters")
     out_dir = Path(args.out) if args.out is not None else path.parent / "replay"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, _ = runner(manifest["parameters"], manifest["seed"], out_dir)
+    try:
+        outputs, _ = _execute(command, parameters, seed, out_dir)
+    except (DomainError, ValidationError):
+        raise
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"manifest {path} holds {command} parameters that do not run: {exc!r}"
+        ) from None
     stored = manifest["outputs"]
     names = sorted(set(stored) | set(outputs))
     mismatched = [n for n in names if stored.get(n) != outputs.get(n)]
@@ -549,13 +498,17 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(sub, seed_help: str | None = None) -> None:
+def _add_flags(sub, *flags: str, seed_help: str | None = None) -> None:
+    """Add --out and those of --format, --seed and --degrees that `sub` reads."""
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
-    sub.add_argument(
-        "--degrees", action="store_true", help="interpret angle arguments as degrees"
-    )
+    if "--format" in flags:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    if "--seed" in flags:
+        sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
+    if "--degrees" in flags:
+        sub.add_argument(
+            "--degrees", action="store_true", help="interpret angle arguments as degrees"
+        )
 
 
 @functools.cache
@@ -572,23 +525,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="tabulate the analytic trade-off curves")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--pi-grid", default=None, help="budget grid start:stop:step")
-    _add_common(p)
-    p.set_defaults(func=_cmd_curves)
+    _add_flags(p, "--format", "--degrees")
 
     p = sub.add_parser("hull", help="verify the single-qubit hull numerically")
     p.add_argument("--c", type=float, required=True, help="measurement overlap")
     p.add_argument(
         "--samples", type=int, default=10000, help=f"protocols to sample, at most {MAX_SAMPLES}"
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_hull)
+    _add_flags(p, "--seed")
 
     p = sub.add_parser("convexity", help="second-derivative certification table")
     p.add_argument("--c-grid", default="0.05:0.95:0.05")
     p.add_argument("--pi-grid", default=None)
     p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    _add_common(p)
-    p.set_defaults(func=_cmd_convexity)
+    _add_flags(p, "--format")
 
     p = sub.add_parser("oracle", help="numerically re-derive one optimal point")
     p.add_argument("--theta", type=float, required=True)
@@ -601,8 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="most fallback ascent starts, used only if the tester read off the "
         "dual certificate fails its check",
     )
-    _add_common(p, seed_help="seed of the fallback ascent starts")
-    p.set_defaults(func=_cmd_oracle)
+    _add_flags(p, "--seed", "--degrees", seed_help="seed of the fallback ascent starts")
 
     p = sub.add_parser("simulate", help="Monte Carlo bench scans")
     p.add_argument("--mode", choices=("intermediate", "unambiguous"), required=True)
@@ -610,22 +559,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", default=None, help="transmittance grid start:stop:step")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--noise", default="ideal", help="ideal, a preset name, or a path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    _add_flags(p, "--format", "--seed", "--degrees")
 
     p = sub.add_parser("replay", help="re-run a manifest and verify checksums")
     p.add_argument("manifest", help="path to a run manifest")
     p.add_argument("--out", default=None, help="directory for replayed outputs")
-    p.set_defaults(func=_cmd_replay)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "replay":
+            return _replay(args)
+        # curves and convexity draw nothing and record seed 0.
+        seed = getattr(args, "seed", 0)
+        parameters = _COMMANDS[args.command][0](args)
+        return _execute(args.command, parameters, seed, Path(args.out))[1]
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

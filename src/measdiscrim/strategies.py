@@ -43,6 +43,8 @@ from .geometry import TOL, check_integer, check_theta
 DEGENERATE_C = 1e-12
 # Most protocols hull_verify samples; their working arrays take about 200 MB.
 MAX_SAMPLES = 1_000_000
+# Spacing of the default budget grid of the curves.
+PI_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -366,12 +368,12 @@ def advantage(theta: float, p_inc: float) -> float:
     return ent.p_success - _point(float(ps_single[0]), float(p_single)).p_success
 
 
-def default_pi_grid(upper: float, step: float = 0.01) -> np.ndarray:
-    """Uniform budget grid over [0, upper] with both endpoints exact."""
+def default_pi_grid(upper: float) -> np.ndarray:
+    """Budget grid over [0, upper] in steps of 0.01, with both endpoints exact."""
     if upper < 0.0:
         raise DomainError("grid upper bound must be non-negative")
-    n = int(math.floor(upper / step + 1e-9))
-    values = [k * step for k in range(n + 1)]
+    n = int(math.floor(upper / PI_GRID_STEP + 1e-9))
+    values = [k * PI_GRID_STEP for k in range(n + 1)]
     if not values or values[-1] < upper - TOL:
         values.append(upper)
     else:

@@ -501,6 +501,79 @@ def test_replay_requires_a_manifest(tmp_path, capsys):
     assert "outputs must map" in capsys.readouterr().err
 
 
+def rewrite_parameters(manifest_path, target, edit):
+    """Write `target`: the manifest with edited parameters and a matching checksum."""
+    manifest = json.loads(manifest_path.read_text())
+    manifest["parameters"] = edit(manifest["parameters"])
+    manifest["params_checksum"] = cli._params_checksum(
+        manifest["command"], manifest["parameters"], manifest["seed"]
+    )
+    target.write_text(json.dumps(manifest))
+    return target
+
+
+def edited(key, value=None, drop=False):
+    def edit(parameters):
+        parameters = dict(parameters)
+        if drop:
+            del parameters[key]
+        else:
+            parameters[key] = value
+        return parameters
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, edit, messages",
+    [
+        ("curves", lambda _: [1, 2], ["parameters must be a JSON object"]),
+        ("curves", edited("pi_grid", drop=True), ["do not run", "KeyError('pi_grid')"]),
+        ("curves", edited("theta", "x"), ["do not run", "ValueError"]),
+        ("convexity", edited("pi_grid", "abc"), ["do not run", "TypeError"]),
+        ("convexity", edited("pi_grid", [[0.1]]), ["do not run", "IndexError"]),
+        ("simulate", edited("noise", None), ["do not run", "AttributeError"]),
+        ("curves", edited("format", "xml"), ["format must be csv or json"]),
+        ("curves", edited("format", "/../../x"), ["format must be csv or json"]),
+    ],
+)
+def test_replay_rejects_malformed_parameters_with_a_matching_checksum(
+    tmp_path, capsys, command, edit, messages
+):
+    argv = {
+        "curves": ["curves", "--theta", "0.3", "--pi-grid", "0:0.2:0.1"],
+        "convexity": ["convexity", "--c-grid", "0.5", "--pi-grid", "0.1:0.3:0.1"],
+        "simulate": ["simulate", "--mode", "unambiguous", "--t-grid", "0.5", "--trials", "100"],
+    }[command]
+    run = tmp_path / "run"
+    assert main([*argv, "--out", str(run)]) == 0
+    manifest = rewrite_parameters(run / "manifest.json", tmp_path / "bad.json", edit)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "replay"
+    assert main(["replay", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(message in err for message in messages), err
+    # a parameter that fails to re-run names the manifest
+    assert ("do not run" in err) == (str(manifest) in err)
+    # nothing is written, inside --out or outside it
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    argv = ["curves", "--theta", "0.3", "--pi-grid", "0:0.2:0.1"]
+    assert main([*argv, "--out", str(blocker)]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert main([*argv, "--out", str(blocker / "sub")]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    run = tmp_path / "run"
+    assert main([*argv, "--out", str(run)]) == 0
+    assert main(["replay", str(run / "manifest.json"), "--out", str(blocker)]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
 # --- seeded fuzzing of every subcommand ---
 
 
@@ -634,12 +707,17 @@ def fuzz_argv(rng, case_dir, manifests):
             argv += ["--noise", str(rng.choice(["nosuchpreset", "./missing.cfg"]))]
         elif noise == 3:
             argv += ["--noise", fuzz_noise_file(rng, case_dir / "noise.cfg")]
-    if rng.random() < 0.3:
-        argv += fuzz_flag(rng, "--seed", str(rng.choice(["-1", "7", "10" * 15, "z"])))
-    if rng.random() < 0.3:
-        argv += ["--format", str(rng.choice(["csv", "json", "xml"]))]
-    if rng.random() < 0.2:
-        argv += ["--degrees"]
+    seed = (
+        fuzz_flag(rng, "--seed", str(rng.choice(["-1", "7", "10" * 15, "z"])))
+        if rng.random() < 0.3
+        else []
+    )
+    fmt = ["--format", str(rng.choice(["csv", "json", "xml"]))] if rng.random() < 0.3 else []
+    degrees = ["--degrees"] if rng.random() < 0.2 else []
+    # only flags the command takes: the others stop at argparse, tested apart
+    for flag in (seed, fmt, degrees):
+        if flag and flag[0].split("=")[0] in FLAGS[command]:
+            argv += flag
     return argv + ["--out", str(case_dir / "out")]
 
 
@@ -761,6 +839,98 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
     for name, digest in digests.items():
         body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(body).hexdigest() == digest, name
+
+
+# SHA-256 of whole files, header lines included, and of the manifests, taken
+# at version 0.1.5 before every command's outputs were written by one
+# `cli._execute`.
+GOLDEN_FILES = {
+    "hull": (
+        ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
+        {
+            "hull_report.json": "75874d4683fabb5855f66a9be8f7ebaf30cbbc75da5cc13c1cbe7c50dfd781a4",
+            "hull_vertices.csv": "8d5054f6140d9d3441430318726c35fa8a299b99258a6d086a020f1ab5b6cea6",
+            "manifest.json": "c1c371244a23e4abe41da727fadd9075893a264707b0a1805da123384d400ed4",
+        },
+    ),
+    "oracle": (
+        ["oracle", "--theta", PI6, "--pi", "0.3"],
+        {
+            "oracle_report.json": "fa2f7c714946e7f3200a355251b12a21614e4aa58e5103b00f9628a13c4429e3",
+            "manifest.json": "22dc0e322889c57c6cb7f29dd5dcf26eb8db970ac5a2836f8e91e7c8f899e442",
+        },
+    ),
+    "curves": (
+        ["curves", "--theta", PI6],
+        {
+            "curves.csv": "0e33fc2a9ae664c69bfaba8dee8809b9e8ab5ae77e2f92f79629c6ca483e2eb3",
+            "manifest.json": "4f9a1f8f09183d991d0ac0cf2f0420453126ac8d94a3a7e974b423680c1f73ec",
+        },
+    ),
+    "convexity-json": (
+        ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
+         "--format", "json"],
+        {
+            "convexity.json": "61724557b0e7a4034be191fd8d9650be5b455890c9332bf881286f43f99cd4bf",
+            "manifest.json": "d2c673c6eccf2fe9f95d2231036c8a45237ce8a3c60585aa9e2b4d7370f0f4a0",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FILES))
+def test_whole_files_match_their_golden_digests(tmp_path, command):
+    argv, digests = GOLDEN_FILES[command]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# The flags each subcommand takes, beyond --help, with a value for each.
+FLAGS = {
+    "curves": {"--theta": "0.3", "--pi-grid": "0:0.2:0.1", "--out": "o",
+               "--format": "json", "--degrees": None},
+    "hull": {"--c": "0.5", "--samples": "100", "--out": "o", "--seed": "2"},
+    "convexity": {"--c-grid": "0.5", "--pi-grid": "0.1", "--h": "1e-4", "--out": "o",
+                  "--format": "json"},
+    "oracle": {"--theta": "0.3", "--pi": "0.2", "--tol": "1e-4", "--restarts": "3",
+               "--out": "o", "--seed": "2", "--degrees": None},
+    "simulate": {"--mode": "unambiguous", "--theta": "0.3", "--t-grid": "0.5",
+                 "--trials": "100", "--noise": "ideal", "--out": "o", "--format": "json",
+                 "--seed": "2", "--degrees": None},
+}
+# Flags that changed nothing computed and are no longer accepted.
+REMOVED_FLAGS = [
+    ("curves", "--seed", "1"),
+    ("convexity", "--seed", "1"),
+    ("hull", "--format", "csv"),
+    ("hull", "--degrees", None),
+    ("convexity", "--degrees", None),
+    ("oracle", "--format", "json"),
+]
+
+
+def flag_argv(flags):
+    return [item for flag, value in flags.items() for item in (flag, value) if item]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_flag_of_a_command_parses(command):
+    args = cli._build_parser().parse_args([command, *flag_argv(FLAGS[command])])
+    expected = {flag[2:].replace("-", "_") for flag in FLAGS[command]}
+    assert set(vars(args)) == expected | {"command"}
+    assert sum(len(flags) for flags in FLAGS.values()) == 30
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_a_removed_flag_exits_2(tmp_path, capsys, command, flag, value):
+    required = {k: v for k, v in FLAGS[command].items() if k in ("--theta", "--pi", "--c")}
+    argv = [command, *flag_argv(required), *flag_argv({flag: value}), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_repeated_calls_in_one_process_agree(tmp_path, capsys):
