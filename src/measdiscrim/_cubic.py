@@ -69,7 +69,10 @@ def least_root(a3, a2, a1, a0, lo, hi) -> np.ndarray:
         b2, b1, b0 = coefs[1:] / coefs[0]
         shift = b2 / 3.0
         p = b1 - b2 * b2 / 3.0
-        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+        # Curves share b2 over many rows: cube each distinct value once.
+        # The array power keeps its bits; b2 * b2 * b2 would not.
+        distinct, inverse = np.unique(b2, return_inverse=True)
+        q = 2.0 * (distinct**3)[inverse] / 27.0 - b2 * b1 / 3.0 + b0
         m = 2.0 * np.sqrt(-p / 3.0)
         phi = np.arccos(np.minimum(np.maximum(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
         x = m * np.cos(phi - _LEAST) - shift

@@ -10,8 +10,8 @@ flags resolve to, its runner). A runner `_run_<cmd>(parameters, seed)`
 writes nothing: it returns {file name: (column names, 1-D array columns)
 or report dict} and an exit code. `_execute`, the one run path of fresh
 runs and `replay`, writes those files under one version/checksum header
-(CSV bodies in one `%` pass, with `_fmt` as the cell rule) and then the
-manifest.
+(CSV bodies in one bytes `%` pass, with `_fmt` as the cell rule) and then
+the manifest.
 
 Exit statuses: 0 success, 2 domain or validation error, 3 numerical
 non-convergence, 4 acceptance-threshold breach or replay mismatch.
@@ -94,28 +94,25 @@ def _params_checksum(command: str, parameters: dict, seed: int) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _csv_body(columns) -> str:
-    """The CSV lines of the rows of 1-D array columns, formatted with one
-    `%` operation.
+def _csv_body(columns) -> bytes:
+    """The CSV lines of the rows of 1-D array columns, formatted as bytes
+    with one `%` operation.
 
     A column of finite floats goes through `%.12g`, which gives the same
-    text as `_fmt`; every other column is run through `_fmt` and placed with
-    `%s`, so `_fmt` stays the one rule for a cell.
+    text as `_fmt`; every other column becomes an object array of its
+    `_fmt` cells, encoded, and is placed with `%s`, so `_fmt` stays the one
+    rule for a cell.
     """
     specs, cells = [], []
     for column in columns:
-        values = column.tolist()
         if column.dtype.kind == "f" and np.isfinite(column).all():
-            specs.append("%.12g")
-            cells.append(values)
+            specs.append(b"%.12g")
+            cells.append(column)
         else:
-            specs.append("%s")
-            cells.append([_fmt(v) for v in values])
-    n_rows = len(cells[0]) if cells else 0
-    flat = np.empty((n_rows, len(cells)), dtype=object)
-    for k, values in enumerate(cells):
-        flat[:, k] = values
-    return ("%s\n" % ",".join(specs) * n_rows) % tuple(flat.ravel().tolist())
+            specs.append(b"%s")
+            cells.append(np.array([_fmt(v).encode() for v in column.tolist()], dtype=object))
+    rows = np.column_stack(cells)
+    return (b",".join(specs) + b"\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -133,7 +130,7 @@ def _output_bytes(name: str, result, checksum: str) -> bytes:
         names, columns = result
         if name.endswith(".csv"):
             header = f"# artifact={__version__} manifest={checksum}\n{','.join(names)}\n"
-            return (header + _csv_body(columns)).encode("utf-8")
+            return header.encode("utf-8") + _csv_body(columns)
         values = [column.tolist() for column in columns]
         result = {
             "columns": list(names),

@@ -412,8 +412,9 @@ def q_strategy_points(
     return p_inc, p_success
 
 
-# Every HULL_STRIDE-th sorted point, plus the last, forms the coarse hull
-# that `upper_hull` prefilters with, once there are more than HULL_PREFILTER.
+# Every HULL_STRIDE-th row in input order, plus the rows of least and
+# greatest budget, forms the coarse hull that `upper_hull` prefilters with,
+# once there are more than HULL_PREFILTER rows.
 HULL_STRIDE = 32
 HULL_PREFILTER = 128
 # Points more than this below the coarse hull are dropped. It covers the
@@ -441,31 +442,39 @@ def _monotone_chain(xs: list, ys: list) -> list[int]:
     return hull
 
 
-def upper_hull(points: np.ndarray) -> np.ndarray:
-    """Indices into `points` of its upper convex hull, left to right.
+def _chain(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The upper-hull vertices among `rows`, left to right.
 
-    Sorts the (P_I, P_S) rows by budget and keeps the highest point at each
-    budget. Past `HULL_PREFILTER` points, the Akl–Toussaint throw-away step
-    runs first: the chain runs on every `HULL_STRIDE`-th sorted point plus
-    the last one, and every point more than `HULL_MARGIN` below that coarse
-    hull is dropped, except the first and last, which are always kept. A
-    vertex of the full hull never lies below the hull of a subset, so this
-    changes no result. The chain (`_monotone_chain`, on Python floats) then
-    runs on the survivors.
+    The rows are sorted by budget, and only the highest point at each budget
+    is kept (of equal points, the one listed first), before the chain runs.
     """
-    order = np.lexsort((-points[:, 1], points[:, 0]))
+    order = rows[np.lexsort((-points[rows, 1], points[rows, 0]))]
     keep = np.ones(len(order), dtype=bool)
     keep[1:] = np.diff(points[order, 0]) > 0.0
     order = order[keep]
-    xs, ys = points[order, 0], points[order, 1]
-    if len(order) > HULL_PREFILTER:
-        coarse = np.append(np.arange(0, len(order) - 1, HULL_STRIDE), len(order) - 1)
-        coarse = coarse[_monotone_chain(xs[coarse].tolist(), ys[coarse].tolist())]
-        floor = np.interp(xs[1:-1], xs[coarse], ys[coarse]) - HULL_MARGIN
-        keep = np.ones(len(order), dtype=bool)
-        keep[1:-1] = ys[1:-1] >= floor
-        order, xs, ys = order[keep], xs[keep], ys[keep]
-    return order[_monotone_chain(xs.tolist(), ys.tolist())]
+    return order[_monotone_chain(points[order, 0].tolist(), points[order, 1].tolist())]
+
+
+def upper_hull(points: np.ndarray) -> np.ndarray:
+    """Indices into `points` of its upper convex hull, left to right.
+
+    Keeps the highest point at each budget (P_I, column 0). Past
+    `HULL_PREFILTER` points, the Akl–Toussaint throw-away step runs first,
+    before any full sort: the chain runs on every `HULL_STRIDE`-th row in
+    input order plus the rows of least and greatest budget, and every point
+    more than `HULL_MARGIN` below that coarse hull is dropped. The coarse
+    hull spans the whole budget range, and a vertex of the full hull never
+    lies below the hull of a subset, so the highest points at the least and
+    greatest budget survive and this changes no result. The survivors are
+    then sorted and chained (`_monotone_chain`, on Python floats).
+    """
+    rows = np.arange(len(points))
+    if len(points) > HULL_PREFILTER:
+        xs, ys = points[:, 0], points[:, 1]
+        sample = np.append(rows[::HULL_STRIDE], [np.argmin(xs), np.argmax(xs)])
+        coarse = _chain(points, sample)
+        rows = np.flatnonzero(ys >= np.interp(xs, xs[coarse], ys[coarse]) - HULL_MARGIN)
+    return _chain(points, rows)
 
 
 @dataclass(frozen=True)
@@ -509,8 +518,8 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
 
     grid = np.linspace(0.0, p_max, max(n_samples // 2 - 2, 2))
     if not degenerate:
-        special = np.array([boundary_PIB(c), tangent_PIT(c)])
-        grid = np.unique(np.concatenate([grid, special]))
+        pit = tangent_PIT(c)
+        grid = np.unique(np.concatenate([grid, [boundary_PIB(c), pit]]))
     curve_pts = np.column_stack([grid, single_pure_curve_array(theta, grid).p_success])
 
     rng = np.random.default_rng(seed)
@@ -530,7 +539,6 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     point_u = (p_max, 0.5 * (1.0 - c * c))
     point_t = tangent_p_inc = tangent_error = None
     if not degenerate:
-        pit = tangent_PIT(c)
         point_t = (pit, single_pure_curve(theta, pit)[0].p_success)
         if len(vertices) > 1:
             tangent_p_inc = float(vertices[1][0])

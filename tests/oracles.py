@@ -1,8 +1,9 @@
 """Independent cross-check routes used by the test suite.
 
 Every helper here recomputes something the library derives in closed form,
-but by a different route: generic polynomial root finders, scipy's convex
-hull and a plain monotone chain, high-precision differencing with mpmath, a
+but by a different route: generic polynomial root finders, the cubic's
+trigonometric root with b2**3 raised on every row, scipy's convex hull and
+a plain monotone chain, high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
 trial-by-trial sampler of that bench, and the process-tester formalism.
 Tests compare the two routes; nothing in this module imports the package
@@ -137,6 +138,36 @@ def conclusive_cubic_roots(c: float, p_inc: float) -> list[float]:
     """Real roots of the conclusive-rate cubic via the companion matrix."""
     roots = np.roots([c * c, -2.0 * c, 1.0 - p_inc, p_inc * c])
     return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
+
+
+def trig_least_root(a3, a2, a1, a0, lo, hi) -> np.ndarray:
+    """The least root of a3 x^3 + a2 x^2 + a1 x + a0 per row, in [lo, hi].
+
+    The row algebra of `_cubic.least_root`, written out with b2**3 raised on
+    every row: normalize each row by its largest coefficient, take the
+    trigonometric root m cos(phi - 4 pi/3) - b2/3 of the depressed cubic,
+    clip it to the bracket, take three Newton steps (none where the
+    derivative vanishes) and clip again. The cube is numpy's array power
+    over the whole column, because numpy's scalar power can round
+    differently from its array loop.
+    """
+    rows = np.array(np.broadcast_arrays(a3, a2, a1, a0, lo, hi), dtype=float)
+    coefs, (lo, hi) = rows[:4].reshape(4, -1), rows[4:].reshape(2, -1)
+    coefs = coefs / np.abs(coefs).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b2, b1, b0 = coefs[1:] / coefs[0]
+        p = b1 - b2 * b2 / 3.0
+        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+        m = 2.0 * np.sqrt(-p / 3.0)
+        phi = np.arccos(np.minimum(np.maximum(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
+        x = m * np.cos(phi - 4.0 * math.pi / 3.0) - b2 / 3.0
+    x = np.clip(x, lo, hi)
+    c3, c2, c1, c0 = coefs
+    for _ in range(3):
+        df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        f = ((c3 * x + c2) * x + c1) * x + c0
+        x = x - np.divide(f, df, out=np.zeros(x.shape), where=df != 0.0)
+    return np.clip(x, lo, hi)
 
 
 def best_pure_probe(c: float, p_inc: float):

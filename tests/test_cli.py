@@ -790,10 +790,19 @@ def test_csv_body_matches_the_cellwise_format():
     for _ in range(300):
         n = int(rng.choice([0, 1, 2, int(rng.integers(3, 60))]))
         columns = [random_column(rng, n) for _ in range(int(rng.integers(1, 6)))]
-        assert cli._csv_body(columns) == cellwise_body(columns)
-    assert cli._csv_body([np.array([], dtype=str), np.empty(0)]) == ""
+        assert cli._csv_body(columns) == cellwise_body(columns).encode()
+    assert cli._csv_body([np.array([], dtype=str), np.empty(0)]) == b""
     edges = [np.array([-0.0, math.nan, 1e16]), np.array([np.inf, -np.inf, 1e-5])]
-    assert cli._csv_body(edges) == "-0,inf\n,-inf\n1e+16,1e-05\n"
+    assert cli._csv_body(edges) == b"-0,inf\n,-inf\n1e+16,1e-05\n"
+    fixed = [
+        [np.empty(0), np.array([], dtype=int), np.array([], dtype=bool)],  # no rows
+        [np.array([0.5]), np.array([7]), np.array([True]), np.array(["convex"])],
+        [np.array([-0.0, 1e16, 1e-05]), np.array([3, -(2**62), 0])],  # finite floats
+        [np.array([np.nan, np.inf, -np.inf]), np.array([False, True, False])],
+        [np.array(["boundary", "concave", ""]), np.array([-0.0, np.nan, 1e16])],
+    ]
+    for columns in fixed:
+        assert cli._csv_body(columns) == cellwise_body(columns).encode(), columns
 
 
 # SHA-256 of each table body (the lines after the first line), taken at

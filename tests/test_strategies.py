@@ -396,6 +396,66 @@ def test_upper_hull_matches_the_plain_chain():
         assert strategies.upper_hull(points).tolist() == expected, (kind, n)
 
 
+
+def arranged(rng: np.random.Generator, points: np.ndarray, how: str) -> np.ndarray:
+    """The rows of `points` in an order the hull's coarse sample must survive."""
+    if how == "shuffled":
+        return points[rng.permutation(len(points))]
+    if how == "reversed":
+        return points[::-1]
+    x = points[:, 0]
+    extreme = (x == x.min()) | (x == x.max())
+    if how == "extremes off the stride":
+        # rows at the least and greatest budget fill the slots between
+        # stride rows first, so only argmin and argmax can sample them
+        rows = np.concatenate(
+            [rng.permutation(np.flatnonzero(extreme)), rng.permutation(np.flatnonzero(~extreme))]
+        )
+        slots = np.argsort(np.arange(len(x)) % strategies.HULL_STRIDE == 0, kind="stable")
+        order = np.empty_like(rows)
+        order[slots] = rows
+        return points[order]
+    # "tied extremes": the first row at the least and at the greatest
+    # budget, where argmin and argmax look, lies below the highest one
+    lo, hi = np.argmin(x), np.argmax(x)
+    ties = points[[lo, hi]] - [[0.0, 0.25], [0.0, 0.5]]
+    return np.vstack([ties, points[rng.permutation(len(points))]])
+
+
+HULL_ORDERS = ("shuffled", "reversed", "extremes off the stride", "tied extremes")
+
+
+def test_upper_hull_prefilter_needs_no_sorted_rows():
+    # the coarse sample is taken in input order, so no row order may change
+    # the vertices; the least and greatest budget rows are always sampled
+    rng = np.random.default_rng(1414)
+    cases = [(kind, how, 10_000) for kind in HULL_KINDS for how in HULL_ORDERS]
+    cases += [
+        (HULL_KINDS[k % 5], HULL_ORDERS[k // 5 % 4], 129 if k % 2 else int(rng.integers(130, 600)))
+        for k in range(400)
+    ]
+    for kind, how, n in cases:
+        points = arranged(rng, hull_case(rng, kind, n), how)
+        expected = oracles.upper_hull_chain(points)
+        assert strategies.upper_hull(points).tolist() == expected, (kind, how, n)
+
+
+@pytest.mark.parametrize("n", [129, 10_000])
+def test_upper_hull_of_collinear_rows(n):
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 64, n) / 64.0
+    lines = {
+        "sloped": np.column_stack([x, 0.25 + 0.5 * x]),  # exact in binary
+        "flat": np.column_stack([x, np.full(n, 0.375)]),
+        "one budget": np.column_stack([np.full(n, 0.5), rng.uniform(0.0, 1.0, n)]),
+    }
+    for name, points in lines.items():
+        for how in HULL_ORDERS[:3]:
+            rows = arranged(rng, points, how)
+            expected = oracles.upper_hull_chain(rows)
+            assert strategies.upper_hull(rows).tolist() == expected, (name, how)
+            assert len(expected) <= 2
+
 # --- small containers ---
 
 
@@ -535,6 +595,23 @@ def test_least_root_is_the_best_pure_probe():
         ps, _, _ = oracles.best_pure_probe(float(curve_c[k]), float(p[k]))
         assert abs(curve.p_success[k] - ps) <= 1e-15
 
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 5000])
+def test_least_root_keeps_its_bits(n):
+    # cubing each distinct b2 once must give the bits of cubing every row
+    rng = np.random.default_rng(70 + n)
+    for pool in (1, 3, n):  # one, a few and all-distinct overlaps
+        c = rng.uniform(0.0, 1.0, max(pool, 1))[rng.integers(0, max(pool, 1), n)]
+        p = rng.uniform(0.0, 1.0, n) * boundary_PIB(c)
+        p[: n // 10] = 0.0
+        for coefs in (
+            (c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c),  # x-form
+            (1.0, -2.0, 1.0 - p, p * c * c, -c, c * c),  # y-form
+        ):
+            root = _cubic.least_root(*coefs)
+            assert root.shape == (n,)
+            assert root.tobytes() == oracles.trig_least_root(*coefs).tobytes(), pool
 
 def test_near_degenerate_rows_take_the_scalar_fallback():
     """Rows beside a degeneracy stay on the curve.
