@@ -44,6 +44,7 @@ from .simulator import (
 )
 from .strategies import (
     MAX_SAMPLES,
+    _p_top,
     boundary_PIB,
     default_pi_grid,
     entangled_success,
@@ -195,7 +196,7 @@ def _run_curves(parameters: dict, seed: int) -> tuple[dict, int]:
     theta = parameters["theta"]
     pair = measurement_pair(theta)
     c = overlap(pair)
-    p_max = 0.5 * (1.0 + c * c)
+    p_max = _p_top(c)
     grid = parameters["pi_grid"]
     if not grid:
         raise DomainError("budget grid is empty")
@@ -251,7 +252,7 @@ def _run_hull(parameters: dict, seed: int) -> tuple[dict, int]:
 
 def _convexity_default_budgets(c: float) -> list[float]:
     pib = boundary_PIB(c)
-    p_top = 0.5 * (1.0 + c * c)
+    p_top = _p_top(c)
     convex = np.linspace(1e-3, pib - 1e-3, 30)
     # The concave band (pib, (1+c^2)/2) shrinks to nothing as c -> 0; keep
     # the margins inside it and drop it entirely once it is too thin.
@@ -287,7 +288,7 @@ def _run_convexity(parameters: dict, seed: int) -> tuple[dict, int]:
     c = np.repeat(np.array(c_grid, dtype=float), [len(b) for b in budgets])
     p = np.concatenate(budgets) if budgets else np.empty(0)
     pib = boundary_PIB(c)
-    p_top = 0.5 * (1.0 + c * c)
+    p_top = _p_top(c)
     if not np.all((p >= -TOL) & (p <= p_top + TOL)):
         raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
     p = np.clip(p, 0.0, p_top)

@@ -18,7 +18,7 @@ numerically.
 call of the pure-curve kernel evaluates every five-point stencil. Each
 public function runs one domain check on entry, the budget's before any
 stencil is formed; the private helpers and the `strategies` kernels they
-call (`_pib`, `_pure_kernel`) assume checked, flat float arrays.
+call (`_p_top`, `_pib`, `_pure_kernel`) assume checked, flat float arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import _cubic
 from .errors import BranchCrossingError, DomainError, SingularityError
 from .geometry import TOL
-from .strategies import _pib, _pure_kernel
+from .strategies import _p_top, _pib, _pure_kernel
 
 DENOM_FLOOR = 1e-10
 # The least step whose square is a normal double.
@@ -131,7 +131,7 @@ def _concave_curvature(c, p_inc):
 def concave_second_derivative(c: float, p_inc: float) -> float:
     """Curvature of the q = 0 arc; strictly negative on its domain."""
     _check_overlap_inside(c)
-    if not _pib(c) < p_inc < 0.5 * (1.0 + c * c):
+    if not _pib(c) < p_inc < _p_top(c):
         raise DomainError("budget outside (boundary_PIB, (1 + c^2)/2)")
     if c * c - (1.0 - 2.0 * p_inc) ** 2 <= 0.0:
         raise DomainError("q = 0 arc curvature undefined: c^2 - (1-2*p_inc)^2 <= 0")
@@ -154,7 +154,7 @@ def finite_difference_check_array(
     c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))
     check_step(h)
     _check_overlap_inside(c)
-    p_top = 0.5 * (1.0 + c * c)
+    p_top = _p_top(c)
     if not np.all((p_inc >= 0.0) & (p_inc <= p_top)):
         raise DomainError("budget must be finite and lie in [0, (1 + c^2)/2]")
     pib = _pib(c)

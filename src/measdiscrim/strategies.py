@@ -13,14 +13,15 @@ fixed inconclusive budget P_I admits two families of protocols:
   a q = 0 arc; probabilistically mixing the P_I = 0 protocol with the
   arc's tangent point (at tangent_PIT) is strictly better in between, and
   the resulting piecewise curve is the upper boundary of the convex hull
-  of all pure protocols.
+  of all pure protocols: the pure curve read at the tangent budget on
+  the chord, at the row's own budget on the arc.
 
 `hull_verify` rebuilds that hull numerically from sampled protocols;
 `advantage` measures how much the entangled family wins by.
 
 Each public closed form checks and clamps its inputs once, on entry
-(`check_theta`, `_check_budget`, `_check_overlap`), then calls private
-kernels (`_entangled`, `_pib`, `_pit`, `_pure_kernel`, `_optimal_kernel`)
+(`check_theta`, `_check_budget`, `_check_overlap`), then calls private kernels
+(`_entangled`, `_p_top`, `_pib`, `_pit`, `_pure_kernel`, `_optimal_kernel`)
 that check nothing: they take clamped float arrays, flat where they index
 by branch, with c = cos 2θ computed once by the caller. The `_array`
 curves broadcast angles against budgets and return `CurveSamples`; the
@@ -179,6 +180,10 @@ def helstrom_point(theta: float) -> StrategyPoint:
     return _point(0.5 * (1.0 + math.sin(2.0 * theta)), 0.0)
 
 
+def _p_top(c):
+    return 0.5 * (1.0 + c * c)
+
+
 def _pib(c):
     return (3.0 + np.sqrt(1.0 + 8.0 * c * c)) / 8.0
 
@@ -238,8 +243,7 @@ def _single_domain(theta, p_inc):
     """The broadcast shape and flat, checked θ, c = cos 2θ and P_I."""
     theta = check_theta(theta)
     c = np.cos(2.0 * theta)
-    p_max = 0.5 * (1.0 + c * c)
-    p_inc = _check_budget(p_inc, p_max, "budget exceeds the unambiguous endpoint (1 + c^2)/2")
+    p_inc = _check_budget(p_inc, _p_top(c), "budget exceeds the unambiguous endpoint (1 + c^2)/2")
     theta, c, p_inc = np.broadcast_arrays(theta, c, p_inc)
     return p_inc.shape, theta.ravel(), c.ravel(), p_inc.ravel()
 
@@ -294,20 +298,15 @@ def single_pure_curve(
 
 def _optimal_kernel(theta, c, p_inc):
     """P_S and tangent weight of the optimal curve on flat, checked θ, c and
-    P_I, with the x and q of the pure probe each row uses: the tangent
-    probe on the chord below tangent_PIT, the row's own on the arc."""
-    ps, w_t, x, q = np.full((4,) + p_inc.shape, np.nan)
+    P_I, with the x and q of the pure probe each row uses, from one pure-curve
+    call: a chord row below tangent_PIT reads the curve at the tangent budget
+    and mixes it with the P_I = 0 point; an arc row reads it at its own."""
     pit = _pit(c)
     chord = (c >= DEGENERATE_C) & (p_inc < pit)
-    arc = ~chord
-    if arc.any():
-        ps[arc], x[arc], q[arc] = _pure_kernel(theta[arc], c[arc], p_inc[arc])
-    if chord.any():
-        th, ct, pt = theta[chord], c[chord], pit[chord]
-        w_t[chord] = w = p_inc[chord] / pt
-        # At small c the tangent budget can round an ulp past (1 + c²)/2.
-        ps_t, x[chord], q[chord] = _pure_kernel(th, ct, np.minimum(pt, 0.5 * (1.0 + ct * ct)))
-        ps[chord] = (1.0 - w) * (0.5 * (1.0 + np.sin(2.0 * th))) + w * ps_t
+    # At small c the tangent budget can round an ulp past (1 + c²)/2.
+    ps, x, q = _pure_kernel(theta, c, np.where(chord, np.minimum(pit, _p_top(c)), p_inc))
+    w_t = np.where(chord, p_inc / pit, np.nan)
+    ps = np.where(chord, (1.0 - w_t) * (0.5 * (1.0 + np.sin(2.0 * theta))) + w_t * ps, ps)
     return ps, w_t, x, q
 
 
@@ -329,8 +328,7 @@ def single_optimal(
     single_optimal_array takes arrays.
     """
     shape, theta, c, p_inc = _single_domain(theta, p_inc)
-    samples = _optimal_kernel(theta, c, p_inc)
-    p_success, w_t, x, q = (float(v.reshape(shape)) for v in samples)
+    p_success, w_t, x, q = (float(v.reshape(shape)) for v in _optimal_kernel(theta, c, p_inc))
     strat = SingleQubitStrategy(probe_angle=0.5 * math.acos(x), x=x, q=q)
     if not math.isnan(w_t):
         strat_a = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0)
@@ -348,7 +346,7 @@ def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
     theta = float(check_theta(theta))
     c = math.cos(2.0 * theta)
     entangled = StrategyPoint(2.0 * math.sin(theta) ** 2, 0.0, c)
-    single = StrategyPoint(0.5 * (1.0 - c * c), 0.0, 0.5 * (1.0 + c * c))
+    single = StrategyPoint(0.5 * (1.0 - c * c), 0.0, _p_top(c))
     return entangled, single
 
 
@@ -363,7 +361,7 @@ def advantage(theta: float, p_inc: float) -> float:
     p_ent = _check_budget(p_inc, c, "budget exceeds IDP point")
     ent = _point(float(_entangled(theta, p_ent)), float(p_ent))
     # The single-qubit family clamps the budget into its own, wider domain.
-    p_single = np.clip(np.asarray(p_inc, dtype=float), 0.0, 0.5 * (1.0 + c * c))
+    p_single = np.clip(np.asarray(p_inc, dtype=float), 0.0, _p_top(c))
     ps_single = _optimal_kernel(*(np.ravel(a) for a in (theta, c, p_single)))[0]
     return ent.p_success - _point(float(ps_single[0]), float(p_single)).p_success
 
@@ -513,13 +511,14 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     seed = check_integer(seed, "seed")
     c = min(max(float(_check_overlap(c)), 0.0), 1.0)
     theta = 0.5 * math.acos(c)
-    p_max = 0.5 * (1.0 + c * c)
+    p_max = _p_top(c)
     degenerate = c < DEGENERATE_C or c > 1.0 - DEGENERATE_C
 
     grid = np.linspace(0.0, p_max, max(n_samples // 2 - 2, 2))
     if not degenerate:
         pit = tangent_PIT(c)
-        grid = np.unique(np.concatenate([grid, [boundary_PIB(c), pit]]))
+        grid = np.sort(np.concatenate([grid, [boundary_PIB(c), pit]]))
+        grid = grid[np.append(True, np.diff(grid) > 0.0)]  # np.unique loads numpy.ma
     curve_pts = np.column_stack([grid, single_pure_curve_array(theta, grid).p_success])
 
     rng = np.random.default_rng(seed)
@@ -527,8 +526,7 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     angles = rng.uniform(0.0, math.pi / 2.0, n_rand)
     qs = rng.uniform(0.0, 1.0, n_rand)
     pi_r, ps_r = q_strategy_points(theta, angles, qs)
-    inside = pi_r <= p_max + TOL
-    rand_pts = np.column_stack([pi_r[inside], ps_r[inside]])
+    rand_pts = np.column_stack([pi_r, ps_r])[pi_r <= p_max + TOL]
 
     points = np.vstack([curve_pts, rand_pts])
     vertices = points[upper_hull(points)]
@@ -539,7 +537,7 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
     point_u = (p_max, 0.5 * (1.0 - c * c))
     point_t = tangent_p_inc = tangent_error = None
     if not degenerate:
-        point_t = (pit, single_pure_curve(theta, pit)[0].p_success)
+        point_t = (pit, float(curve_pts[np.searchsorted(grid, pit), 1]))
         if len(vertices) > 1:
             tangent_p_inc = float(vertices[1][0])
             tangent_error = abs(tangent_p_inc - pit)

@@ -7,7 +7,8 @@ a plain monotone chain, high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
 trial-by-trial sampler of that bench, and the process-tester formalism.
 Tests compare the two routes; nothing in this module imports the package
-under test.
+under test. `two_pass_optimal` takes the library's pure-curve kernel as an
+argument and checks only how the optimal curve is put together from it.
 
 The process-tester formalism (Chiribella, D'Ariano and Perinotti, Phys.
 Rev. A 80, 022339, 2009) is kept here in full. A tester is a dict
@@ -168,6 +169,33 @@ def trig_least_root(a3, a2, a1, a0, lo, hi) -> np.ndarray:
         f = ((c3 * x + c2) * x + c1) * x + c0
         x = x - np.divide(f, df, out=np.zeros(x.shape), where=df != 0.0)
     return np.clip(x, lo, hi)
+
+
+def two_pass_optimal(pure_kernel, theta, c, p_inc):
+    """The optimal single-qubit curve assembled from two masked pure-curve calls.
+
+    The arc rows (and rows below overlap 1e-12) are read at their own
+    budget, the chord rows below the tangent budget at that budget, capped
+    at (1 + c^2)/2, and mixed with the P_I = 0 point; each result is
+    scattered back into NaN-filled columns. `pure_kernel(theta, c, p_inc)`
+    returns (P_S, x, q) on flat rows. The caller passes the library's, as
+    this checks how the optimal curve is assembled from the pure curve,
+    not the pure curve itself. Returns P_S, the tangent weight (NaN off
+    the chord), x and q.
+    """
+    ps, w_t, x, q = np.full((4,) + p_inc.shape, np.nan)
+    c2 = c * c
+    pit = (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (2.0 * (1.0 + 4.0 * c2))
+    chord = (c >= 1e-12) & (p_inc < pit)
+    arc = ~chord
+    if arc.any():
+        ps[arc], x[arc], q[arc] = pure_kernel(theta[arc], c[arc], p_inc[arc])
+    if chord.any():
+        th, ct, pt = theta[chord], c[chord], pit[chord]
+        w_t[chord] = w = p_inc[chord] / pt
+        ps_t, x[chord], q[chord] = pure_kernel(th, ct, np.minimum(pt, 0.5 * (1.0 + ct * ct)))
+        ps[chord] = (1.0 - w) * (0.5 * (1.0 + np.sin(2.0 * th))) + w * ps_t
+    return ps, w_t, x, q
 
 
 def best_pure_probe(c: float, p_inc: float):

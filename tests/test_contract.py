@@ -223,3 +223,14 @@ def test_import_loads_no_scipy_and_exports_exactly_all():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_hull_verify_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 15 ms of a fresh process
+    code = (
+        "import sys, measdiscrim\n"
+        "measdiscrim.hull_verify(0.5, 100, 0)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

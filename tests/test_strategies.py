@@ -347,6 +347,26 @@ def test_hull_verify_degenerate_overlaps():
         hull_verify(0.5, 50, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.5, 0.7, 0.9, 0.999])
+def test_hull_verify_reads_the_tangent_point_off_its_grid(c, seed):
+    n = 1000
+    report = hull_verify(c, n, seed)
+    theta, pib, pit = theta_for_overlap(c), boundary_PIB(c), tangent_PIT(c)
+    assert report.point_t[0] == pit
+    expected = single_pure_curve(theta, pit)[0].p_success
+    assert np.float64(report.point_t[1]).tobytes() == np.float64(expected).tobytes()
+    # the on-curve grid comes first: the linspace plus both budgets, sorted,
+    # without repeats, each row on the pure curve
+    grid = sorted(set(np.linspace(0.0, 0.5 * (1.0 + c * c), n // 2 - 2)) | {pib, pit})
+    rows = report.points[: len(grid)]
+    assert rows[:, 0].tolist() == grid
+    assert np.all(np.diff(rows[:, 0]) > 0.0)
+    assert pib in rows[:, 0] and pit in rows[:, 0]
+    curve = single_pure_curve_array(theta, np.array(grid)).p_success
+    assert rows[:, 1].tobytes() == curve.tobytes()
+
+
 def hull_case(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
     """A seeded point set of one of the shapes the hull must handle."""
     x = rng.uniform(0.0, 1.0, n)
@@ -612,6 +632,86 @@ def test_least_root_keeps_its_bits(n):
             root = _cubic.least_root(*coefs)
             assert root.shape == (n,)
             assert root.tobytes() == oracles.trig_least_root(*coefs).tobytes(), pool
+
+
+def optimal_bit_cases() -> tuple[np.ndarray, np.ndarray]:
+    """Angles and budgets for the one-pass optimal curve.
+
+    Seeded random angles, overlaps from 1e-12 to 1e-3 and from 1 - 1e-2 to
+    1 - 1e-12 (where boundary_PIB, tangent_PIT and (1 + c^2)/2 lie within
+    ulps of each other near c = 0), each at budget 0, boundary_PIB,
+    tangent_PIT, (1 + c^2)/2 and a seeded random budget.
+    """
+    rng = np.random.default_rng(31)
+    c = np.concatenate([
+        np.cos(2.0 * rng.uniform(0.0, math.pi / 4.0, 300)),
+        np.geomspace(1e-12, 1e-3, 150),
+        1.0 - np.geomspace(1e-2, 1e-12, 150),
+    ])
+    theta = 0.5 * np.arccos(c)
+    c = np.cos(2.0 * theta)
+    p_top = 0.5 * (1.0 + c * c)
+    live = np.maximum(c, strategies.DEGENERATE_C)
+    budgets = (
+        np.zeros_like(c),
+        np.minimum(boundary_PIB(live), p_top),
+        np.minimum(tangent_PIT(live), p_top),
+        p_top,
+        rng.uniform(0.0, 1.0, len(c)) * p_top,
+    )
+    return np.tile(theta, len(budgets)), np.concatenate(budgets)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_one_pass_optimal_curve_keeps_its_bits():
+    theta, p = optimal_bit_cases()
+    samples = single_optimal_array(theta, p)
+    c, p = np.cos(2.0 * theta), samples.p_inc
+    ps, w_t, x, q = oracles.two_pass_optimal(strategies._pure_kernel, theta, c, p)
+    assert np.isfinite(w_t).any() and np.isnan(w_t).any()
+    assert_same_bits(samples.p_success, ps)
+    assert_same_bits(samples.w_tangent, w_t)
+    for k in range(0, len(p), 3):
+        point, strat = single_optimal(theta[k], p[k])
+        expected = StrategyPoint(ps[k], 1.0 - ps[k] - p[k], p[k])
+        assert_same_bits(
+            (point.p_success, point.p_error, point.p_inconclusive),
+            (expected.p_success, expected.p_error, expected.p_inconclusive),
+        )
+        if np.isnan(w_t[k]):
+            assert strat.mixture is None
+            assert_same_bits((strat.x, strat.q), (x[k], q[k]))
+        else:
+            (w_a, anchor), (w, tangent) = strat.mixture
+            assert (anchor.x, anchor.q) == (0.0, 1.0)
+            assert_same_bits((w_a, w, tangent.x, tangent.q), (1.0 - w_t[k], w_t[k], x[k], q[k]))
+    # advantage, at budgets inside the entangled domain [0, c]
+    p_ent = np.minimum(p, c)
+    ps_ent = oracles.two_pass_optimal(strategies._pure_kernel, theta, c, p_ent)[0]
+    for k in range(0, len(p), 3):
+        ent = entangled_success(theta[k], p_ent[k]).p_success
+        single = StrategyPoint(ps_ent[k], 1.0 - ps_ent[k] - p_ent[k], p_ent[k]).p_success
+        assert_same_bits(advantage(theta[k], p_ent[k]), ent - single)
+
+
+def test_one_pass_optimal_curve_keeps_its_bits_when_broadcast():
+    rng = np.random.default_rng(32)
+    theta = rng.uniform(0.0, math.pi / 4.0, (50, 1))
+    p = rng.uniform(0.0, 0.5, (1, 40))
+    samples = single_optimal_array(theta, p)
+    assert samples.p_success.shape == samples.w_tangent.shape == (50, 40)
+    flat_theta, flat_p = (a.ravel() for a in np.broadcast_arrays(theta, p))
+    ps, w_t, _, _ = oracles.two_pass_optimal(
+        strategies._pure_kernel, flat_theta, np.cos(2.0 * flat_theta), flat_p
+    )
+    assert_same_bits(samples.p_success, ps.reshape(50, 40))
+    assert_same_bits(samples.w_tangent, w_t.reshape(50, 40))
+
 
 def test_near_degenerate_rows_take_the_scalar_fallback():
     """Rows beside a degeneracy stay on the curve.
