@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .convexity import check_step, finite_difference_check_array
 from .errors import DomainError, ValidationError
-from .geometry import TOL, check_integer, check_theta, measurement_pair, overlap
+from .geometry import GRID_SNAP, TOL, check_integer, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
 from .simulator import (
     DEFAULT_INTERMEDIATE_T_GRID,
@@ -162,13 +162,13 @@ def _parse_grid(text: str) -> list[float]:
     if count < 0.0:
         raise DomainError("grid step never reaches the stop value")
     # n + 1 points for n = count steps; `not <=` also catches an overflow to inf.
-    if not count <= MAX_GRID_POINTS - 1 + 1e-9:
+    if not count <= MAX_GRID_POINTS - 1 + GRID_SNAP:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     n = int(round(count))
-    if abs(count - n) > 1e-9:
-        n = int(math.floor(count + 1e-9))
+    if abs(count - n) > GRID_SNAP:
+        n = int(math.floor(count + GRID_SNAP))
     grid = [start + k * step for k in range(n + 1)]
-    if abs(grid[-1] - stop) <= 1e-9 * max(1.0, abs(step)):
+    if abs(grid[-1] - stop) <= GRID_SNAP * max(1.0, abs(step)):
         grid[-1] = stop
     return grid
 

@@ -34,6 +34,10 @@ from .geometry import TOL
 from .strategies import _p_top, _pib, _pure_kernel
 
 DENOM_FLOOR = 1e-10
+# Floor of c² - y² under its root, which rounding can leave ≤ 0: a tiny normal double.
+SQUARE_FLOOR = 1e-300
+# Least |curvature| rel_err divides by: far below the least tabled one, 5e-7 at c = 0.001.
+REL_ERR_FLOOR = 1e-12
 # The least step whose square is a normal double.
 MIN_STEP = math.sqrt(np.finfo(float).tiny)
 
@@ -97,7 +101,7 @@ def _derivatives(c: np.ndarray, p_inc: np.ndarray) -> tuple[np.ndarray, ...]:
         y_double_prime = 2.0 * (y_prime + y_prime * y_prime * (2.0 - 3.0 * y)) / denom
     c2 = c * c
     one = 1.0 - y
-    sq = np.sqrt(np.maximum(1e-300, c2 - y * y))
+    sq = np.sqrt(np.maximum(SQUARE_FLOOR, c2 - y * y))
     alpha = 2.0 * (y - c2) / (sq * one * one)
     beta = (
         p_inc * (3.0 * c2 * y * y + c2 - 2.0 * c2 * c2 - 2.0 * y**3)
@@ -187,7 +191,7 @@ def finite_difference_check_array(
     f = _pure_kernel(np.tile(theta, 5), np.tile(c_probe, 5), stencil.ravel())[0].reshape(5, -1)
     numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
     numeric[np.isnan(analytic)] = np.nan
-    rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1e-12)
+    rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), REL_ERR_FLOOR)
     return analytic.reshape(shape), numeric.reshape(shape), rel_err.reshape(shape)
 
 
@@ -199,7 +203,7 @@ def finite_difference_check(
     Uses a five-point stencil at half steps, so exactly [p_inc - h,
     p_inc + h] must stay inside one branch; straddling the q = 0 boundary
     budget raises BranchCrossingError. Returns (analytic, numeric,
-    rel_err) with rel_err = |a - n| / max(|a|, 1e-12).
+    rel_err) with rel_err = |a - n| / max(|a|, REL_ERR_FLOOR).
     finite_difference_check_array takes arrays.
     """
     analytic, numeric, rel_err = map(float, finite_difference_check_array(c, p_inc, h))

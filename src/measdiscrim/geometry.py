@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DomainError
 
 TOL = 1e-12
+# Grid counts and ends this near whole or the stop snap to it: above rounding, below a step.
+GRID_SNAP = 1e-9
 
 
 def check_theta(theta) -> np.ndarray:

@@ -46,8 +46,8 @@ from .errors import DomainError, ValidationError
 from .geometry import TOL, MeasurementPair, check_integer
 from .strategies import StrategyPoint, q_strategy_points, upper_hull
 
-PSD_TOL = 1e-10
-SUM_TOL = 1e-10
+# Tester-block asymmetry, negative eigenvalue and sum error allowed: above rounding, below tol.
+BLOCK_TOL = 1e-10
 EYE2 = np.eye(2)
 # Largest brute_force_single resolution: 25 times the default's protocols,
 # about 5 s of scanning on one x86-64 core.
@@ -66,14 +66,14 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _check_symmetric_psd(mat: np.ndarray, name: str, tol: float = PSD_TOL) -> np.ndarray:
+def _check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise ValidationError(f"{name} must be a 2x2 matrix")
-    if abs(mat[0, 1] - mat[1, 0]) > 1e-10:
+    if abs(mat[0, 1] - mat[1, 0]) > BLOCK_TOL:
         raise ValidationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat)[0] < -tol:
-        raise ValidationError(f"{name} has eigenvalue below -{tol}")
+    if np.linalg.eigvalsh(mat)[0] < -BLOCK_TOL:
+        raise ValidationError(f"{name} has eigenvalue below -{BLOCK_TOL}")
     return mat
 
 
@@ -90,7 +90,7 @@ class PovmTriple:
         object.__setattr__(self, "h_n", _check_symmetric_psd(self.h_n, "h_n"))
         object.__setattr__(self, "h_i", _check_symmetric_psd(self.h_i, "h_i"))
         residual = np.abs(self.h_m + self.h_n + self.h_i - 0.5 * EYE2).max()
-        if residual > SUM_TOL:
+        if residual > BLOCK_TOL:
             raise ValidationError(
                 f"blocks must sum to identity/2 (residual {residual:.3e})"
             )
@@ -486,13 +486,13 @@ def _recover_tester(
 
     H_I = 𝕀/2 − H_M − H_N. None when the slacks leave the tester
     undetermined (see `_slack_tester`) or when rounding leaves H_I outside
-    the PSD tolerance of `PovmTriple`.
+    `PovmTriple`'s BLOCK_TOL.
     """
     tester = _slack_tester(_at(_cones(m0, n0), lam), *_cone(y))
     if tester is None:
         return None
     (tm, um, vm), (tn, un, vn) = tester
-    if 0.5 - tm - tn - math.hypot(um + un, vm + vn) < -PSD_TOL:
+    if 0.5 - tm - tn - math.hypot(um + un, vm + vn) < -BLOCK_TOL:
         return None
     return tuple(np.array([[t + u, v], [v, t - u]]) for t, u, v in tester)
 

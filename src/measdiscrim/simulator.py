@@ -39,6 +39,8 @@ DEFAULT_INTERMEDIATE_T_GRID = tuple(1.0 - 0.1 * k for k in range(10))
 DEFAULT_UNAMBIGUOUS_T_GRID = tuple(0.1 * k for k in range(11))
 # The largest count a multinomial draw takes (int64).
 MAX_TRIALS = 2**63 - 1
+# Bright-port float dust flushed to 0: MAX_TRIALS trials expect < 1e-5 clicks from it.
+DARK_PORT_FLOOR = 1e-24
 
 _CONFIG_KEYS = {
     "eta_D0": "eta_d0",
@@ -234,9 +236,7 @@ def _cells(theta, transmittance, imp: ImperfectionModel) -> np.ndarray:
         + cross * a_out * b_out * mean_cos
     )
     p_bright = np.clip(p_bright, 0.0, 1.0)
-    # Flush float dust so analytically dark ports stay silent.
-    p_bright = np.where(p_bright < 1e-24, 0.0, p_bright)
-    p_bright = np.where(p_bright > 1.0 - 1e-24, 1.0, p_bright)
+    p_bright = np.where(p_bright < DARK_PORT_FLOOR, 0.0, p_bright)
     p_pass = 1.0 - p_fail
     branches = np.stack(
         [p_pass * (1.0 - p_bright), p_pass * p_bright, p_fail], axis=-1

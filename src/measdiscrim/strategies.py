@@ -13,19 +13,23 @@ fixed inconclusive budget P_I admits two families of protocols:
   a q = 0 arc; probabilistically mixing the P_I = 0 protocol with the
   arc's tangent point (at tangent_PIT) is strictly better in between, and
   the resulting piecewise curve is the upper boundary of the convex hull
-  of all pure protocols: the pure curve read at the tangent budget on
-  the chord, at the row's own budget on the arc.
+  of all pure protocols: the arc read at the tangent budget on the chord,
+  at the row's own budget beyond it. That curve needs no cubic.
+
+Both budgets are (1 + c²)/2 minus a gap. As 1 + 2 sqrt(1 + 3c²) ≥ sqrt(1 + 8c²),
+boundary_PIB's gap is at least 1.25 times tangent_PIT's, and rounded subtraction
+is monotone, so boundary_PIB ≤ tangent_PIT ≤ (1 + c²)/2 holds in floats too.
 
 `hull_verify` rebuilds that hull numerically from sampled protocols;
 `advantage` measures how much the entangled family wins by.
 
 Each public closed form checks and clamps its inputs once, on entry
 (`check_theta`, `_check_budget`, `_check_overlap`), then calls private kernels
-(`_entangled`, `_p_top`, `_pib`, `_pit`, `_pure_kernel`, `_optimal_kernel`)
-that check nothing: they take clamped float arrays, flat where they index
-by branch, with c = cos 2θ computed once by the caller. The `_array`
-curves broadcast angles against budgets and return `CurveSamples`; the
-scalar ones return `StrategyPoint`s and `SingleQubitStrategy`s.
+(`_entangled`, `_p_top`, `_pib`, `_pit`, `_arc_kernel`, `_pure_kernel`,
+`_optimal_kernel`) that check nothing: they take clamped float arrays, flat
+where they index by branch, with c = cos 2θ computed once by the caller. The
+`_array` curves broadcast angles against budgets and return `CurveSamples`;
+the scalar ones return `StrategyPoint`s and `SingleQubitStrategy`s.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import _cubic
 from .errors import DomainError, ValidationError
-from .geometry import TOL, check_integer, check_theta
+from .geometry import GRID_SNAP, TOL, check_integer, check_theta
 # Below this overlap the measurements are effectively orthogonal and the
 # single-qubit formulas are replaced by their analytic limits.
 DEGENERATE_C = 1e-12
@@ -185,33 +189,30 @@ def _p_top(c):
 
 
 def _pib(c):
-    return (3.0 + np.sqrt(1.0 + 8.0 * c * c)) / 8.0
+    c2 = c * c
+    return _p_top(c) - 2.0 * c2 * c2 / (1.0 + 4.0 * c2 + np.sqrt(1.0 + 8.0 * c2))
 
 
 def _pit(c):
     c2 = c * c
-    return (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (2.0 * (1.0 + 4.0 * c2))
+    return _p_top(c) - c2 * c2 / (1.0 + 2.0 * c2 + np.sqrt(1.0 + 3.0 * c2))
 
 
 def boundary_PIB(c):
-    """Budget where the pure-curve optimum hits q = 0: (3 + sqrt(1+8c²))/8.
+    """Budget where the pure-curve optimum hits q = 0: (3 + sqrt(1+8c²))/8,
+    computed without cancellation as (1 + c²)/2 - 2c⁴/(1 + 4c² + sqrt(1 + 8c²)).
     Accepts an array of overlaps."""
     return _scalar(_pib(_check_overlap(c)))
 
 
 def tangent_PIT(c):
-    """Budget where the line from the P_I = 0 point touches the q = 0 arc;
-    accepts an array of overlaps. The tangent point lies on the arc, so it
-    is never below boundary_PIB; a violation raises ValidationError."""
+    """Budget where the line from the P_I = 0 point touches the q = 0 arc,
+    (1 + c²)/2 - c⁴/(1 + 2c² + sqrt(1 + 3c²)); accepts an array of overlaps.
+    It lies in [boundary_PIB, (1 + c²)/2] in floats (see the module docstring)."""
     c = _check_overlap(c)
     if np.any(c < DEGENERATE_C):
-        raise DomainError(
-            "tangent point undefined at c = 0 (hull degenerates to a segment)"
-        )
-    pit = _pit(c)
-    if np.any(pit < _pib(c) - TOL):
-        raise ValidationError("tangent budget lies below the q = 0 boundary budget")
-    return _scalar(pit)
+        raise DomainError("tangent point undefined at c = 0 (hull degenerates to a segment)")
+    return _scalar(_pit(c))
 
 
 def _arc_success(c, sin2theta, p_inc):
@@ -248,28 +249,27 @@ def _single_domain(theta, p_inc):
     return p_inc.shape, theta.ravel(), c.ravel(), p_inc.ravel()
 
 
-def _pure_kernel(theta, c, p_inc):
-    """P_S, x and q of the pure curve on flat, checked θ, c and P_I. Below
-    boundary_PIB the probe x is the least root of the conclusive-rate cubic,
-    in [-1, c] (see `_cubic`), one array call for every budget."""
-    # Orthogonal measurements: the curve is the straight P_S = 1 - P_I.
-    ps = 1.0 - p_inc
-    x = np.zeros(p_inc.shape)
-    q = 1.0 - 2.0 * p_inc
+def _arc_kernel(sin2theta, c, p_inc):
+    """P_S, x and q on the q = 0 arc, on flat, checked arrays; below
+    DEGENERATE_C, on the straight P_S = 1 - P_I with x = 0, q = 1 - 2 P_I."""
     live = c >= DEGENERATE_C
-    cubic = live & (p_inc < _pib(c))
+    ps = np.where(live, _arc_success(c, sin2theta, p_inc), 1.0 - p_inc)
+    x = np.clip((1.0 - 2.0 * p_inc) / np.maximum(c, DEGENERATE_C), -1.0, 1.0)
+    return ps, np.where(live, x, 0.0), np.where(live, 0.0, 1.0 - 2.0 * p_inc)
+
+
+def _pure_kernel(theta, c, p_inc):
+    """P_S, x and q of the pure curve on flat, checked θ, c and P_I: the arc,
+    but below boundary_PIB the probe x is the least root of the conclusive-rate
+    cubic, in [-1, c] (see `_cubic`), one array call for every budget."""
+    ps, x, q = _arc_kernel(np.sin(2.0 * theta), c, p_inc)
+    cubic = (c >= DEGENERATE_C) & (p_inc < _pib(c))
     if cubic.any():
         cc, pc = c[cubic], p_inc[cubic]
         xc = _cubic.least_root(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc, -1.0, cc)
         x[cubic] = xc
         q[cubic] = np.clip(1.0 - 2.0 * pc / (1.0 - xc * cc), 0.0, 1.0)
         ps[cubic] = _pure_probe_success(cc, pc, xc)
-    arc = live & ~cubic
-    if arc.any():
-        ca, pa = c[arc], p_inc[arc]
-        x[arc] = np.clip((1.0 - 2.0 * pa) / ca, -1.0, 1.0)
-        q[arc] = 0.0
-        ps[arc] = _arc_success(ca, np.sin(2.0 * theta[arc]), pa)
     return ps, x, q
 
 
@@ -298,15 +298,15 @@ def single_pure_curve(
 
 def _optimal_kernel(theta, c, p_inc):
     """P_S and tangent weight of the optimal curve on flat, checked θ, c and
-    P_I, with the x and q of the pure probe each row uses, from one pure-curve
-    call: a chord row below tangent_PIT reads the curve at the tangent budget
-    and mixes it with the P_I = 0 point; an arc row reads it at its own."""
+    P_I, with the x and q of the pure probe each row uses, all read off the
+    q = 0 arc with no cubic: a chord row below tangent_PIT reads it at the
+    tangent budget and mixes it with the P_I = 0 point, an arc row at its own."""
     pit = _pit(c)
     chord = (c >= DEGENERATE_C) & (p_inc < pit)
-    # At small c the tangent budget can round an ulp past (1 + c²)/2.
-    ps, x, q = _pure_kernel(theta, c, np.where(chord, np.minimum(pit, _p_top(c)), p_inc))
+    sin2 = np.sin(2.0 * theta)
+    ps, x, q = _arc_kernel(sin2, c, np.where(chord, pit, p_inc))
     w_t = np.where(chord, p_inc / pit, np.nan)
-    ps = np.where(chord, (1.0 - w_t) * (0.5 * (1.0 + np.sin(2.0 * theta))) + w_t * ps, ps)
+    ps = np.where(chord, (1.0 - w_t) * (0.5 * (1.0 + sin2)) + w_t * ps, ps)
     return ps, w_t, x, q
 
 
@@ -370,7 +370,7 @@ def default_pi_grid(upper: float) -> np.ndarray:
     """Budget grid over [0, upper] in steps of 0.01, with both endpoints exact."""
     if upper < 0.0:
         raise DomainError("grid upper bound must be non-negative")
-    n = int(math.floor(upper / PI_GRID_STEP + 1e-9))
+    n = int(math.floor(upper / PI_GRID_STEP + GRID_SNAP))
     values = [k * PI_GRID_STEP for k in range(n + 1)]
     if not values or values[-1] < upper - TOL:
         values.append(upper)
@@ -419,20 +419,22 @@ HULL_PREFILTER = 128
 # rounding of `np.interp` for coordinates up to about 1e3; callers pass
 # probabilities.
 HULL_MARGIN = 1e-12
+# Cross products within this of 0 count as collinear: a few ulps of 1, their rounding.
+COLLINEAR_TOL = 1e-15
 
 
 def _monotone_chain(xs: list, ys: list) -> list[int]:
     """Andrew's monotone chain over points sorted by strictly increasing x.
 
     Returns the positions of the upper-hull vertices, left to right;
-    vertices that are collinear within 1e-15 are dropped.
+    vertices that are collinear within COLLINEAR_TOL are dropped.
     """
     hull: list[int] = []
     for k, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             cross = (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a])
-            if cross >= -1e-15:
+            if cross >= -COLLINEAR_TOL:
                 hull.pop()
             else:
                 break

@@ -175,9 +175,10 @@ def two_pass_optimal(pure_kernel, theta, c, p_inc):
     """The optimal single-qubit curve assembled from two masked pure-curve calls.
 
     The arc rows (and rows below overlap 1e-12) are read at their own
-    budget, the chord rows below the tangent budget at that budget, capped
-    at (1 + c^2)/2, and mixed with the P_I = 0 point; each result is
-    scattered back into NaN-filled columns. `pure_kernel(theta, c, p_inc)`
+    budget, the chord rows below the tangent budget
+    (1 + c^2)/2 - c^4/(1 + 2c^2 + sqrt(1 + 3c^2)) at that budget and mixed
+    with the P_I = 0 point; each result is scattered back into NaN-filled
+    columns. `pure_kernel(theta, c, p_inc)`
     returns (P_S, x, q) on flat rows. The caller passes the library's, as
     this checks how the optimal curve is assembled from the pure curve,
     not the pure curve itself. Returns P_S, the tangent weight (NaN off
@@ -185,15 +186,15 @@ def two_pass_optimal(pure_kernel, theta, c, p_inc):
     """
     ps, w_t, x, q = np.full((4,) + p_inc.shape, np.nan)
     c2 = c * c
-    pit = (1.0 + 3.0 * c2 + 2.0 * c2 * np.sqrt(1.0 + 3.0 * c2)) / (2.0 * (1.0 + 4.0 * c2))
+    pit = 0.5 * (1.0 + c2) - c2 * c2 / (1.0 + 2.0 * c2 + np.sqrt(1.0 + 3.0 * c2))
     chord = (c >= 1e-12) & (p_inc < pit)
     arc = ~chord
     if arc.any():
         ps[arc], x[arc], q[arc] = pure_kernel(theta[arc], c[arc], p_inc[arc])
     if chord.any():
-        th, ct, pt = theta[chord], c[chord], pit[chord]
+        th, pt = theta[chord], pit[chord]
         w_t[chord] = w = p_inc[chord] / pt
-        ps_t, x[chord], q[chord] = pure_kernel(th, ct, np.minimum(pt, 0.5 * (1.0 + ct * ct)))
+        ps_t, x[chord], q[chord] = pure_kernel(th, c[chord], pt)
         ps[chord] = (1.0 - w) * (0.5 * (1.0 + np.sin(2.0 * th))) + w * ps_t
     return ps, w_t, x, q
 

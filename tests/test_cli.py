@@ -805,11 +805,13 @@ def test_csv_body_matches_the_cellwise_format():
         assert cli._csv_body(columns) == cellwise_body(columns).encode(), columns
 
 
-# SHA-256 of each table body (the lines after the first line), taken at
-# version 0.1.5 before the tables were written in one pass. The
-# `simulate-intermediate` and `simulate-json` digests were taken before the
-# scans became one array pass over their rows; the JSON one pins NaN as null
-# (the ideal T = 0 row has no conclusive event) and the JSON float text.
+# SHA-256 of each table body (the lines after the first line). The CSV
+# bodies other than `convexity` are unchanged since version 0.1.5;
+# `convexity` was re-pinned at 0.1.6, where boundary_PIB, which sets its
+# default budgets, moved in the last bit. A JSON body carries the version
+# and the checksum, so its digest changes with every version. The JSON one
+# pins NaN as null (the ideal T = 0 row has no conclusive event) and the
+# JSON float text.
 GOLDEN_BODIES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
@@ -820,7 +822,7 @@ GOLDEN_BODIES = {
     ),
     "convexity": (
         ["convexity"],
-        {"convexity.csv": "29ebf8bf028ad297bd2cd855c6ef97267ec970ed7895455182219ab2f423e667"},
+        {"convexity.csv": "39a8102ff30ad310b434aa95d916d12f0f1e42e7b7aa233a0f879966f189cb8a"},
     ),
     "curves": (
         ["curves", "--theta", PI6],
@@ -836,7 +838,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "75099f1f2d4da66054c08e7721d25e96ba864fe3dcad091dc0f0f0dabfc2f9d3"},
+        {"simulate.json": "7f8d4b53a3327c154c0e3623e98c7f0de991e7ca3a1750896aaff526a7a052e0"},
     ),
 }
 
@@ -851,37 +853,37 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.5 before every command's outputs were written by one
-# `cli._execute`.
+# at version 0.1.6. Their headers and manifests carry the version and the
+# parameter checksum, so these change with every version.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "75874d4683fabb5855f66a9be8f7ebaf30cbbc75da5cc13c1cbe7c50dfd781a4",
-            "hull_vertices.csv": "8d5054f6140d9d3441430318726c35fa8a299b99258a6d086a020f1ab5b6cea6",
-            "manifest.json": "c1c371244a23e4abe41da727fadd9075893a264707b0a1805da123384d400ed4",
+            "hull_report.json": "79ba2e1b08c9fcb5aa14e9ea9456cf39228302352241c5c9efc658b8bcd3bc84",
+            "hull_vertices.csv": "3afa6761703f8a00cf23894bc2cc532b4c016333745e6b718f4d97cd587871e3",
+            "manifest.json": "08abbbb42857d284d30394f52d085f9e4a8e188315ac5c5d795ed9c7b91d7387",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "fa2f7c714946e7f3200a355251b12a21614e4aa58e5103b00f9628a13c4429e3",
-            "manifest.json": "22dc0e322889c57c6cb7f29dd5dcf26eb8db970ac5a2836f8e91e7c8f899e442",
+            "oracle_report.json": "4f3c3f5d319438c47297693e10f94549dc4a67839b04dce1b8b4fab4be9a3bd3",
+            "manifest.json": "60014ab55d1e120a4ed6b6ac5e6dd9851ad234f3b1b15a623c4d5decfe562c79",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "0e33fc2a9ae664c69bfaba8dee8809b9e8ab5ae77e2f92f79629c6ca483e2eb3",
-            "manifest.json": "4f9a1f8f09183d991d0ac0cf2f0420453126ac8d94a3a7e974b423680c1f73ec",
+            "curves.csv": "c0bd3957f7d67abcedcc2e80cfb8e24a9ff47e3d677416fc1145723a94c30a64",
+            "manifest.json": "ed55dab6bea769b736e3d4f860c034450a908f262b968a529081db3b1968e6b4",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "61724557b0e7a4034be191fd8d9650be5b455890c9332bf881286f43f99cd4bf",
-            "manifest.json": "d2c673c6eccf2fe9f95d2231036c8a45237ce8a3c60585aa9e2b4d7370f0f4a0",
+            "convexity.json": "6d1b81b3713b845a1c7ef0bfbdf68ce6e4c19e6b339be7c36fcf72dba9edfeae",
+            "manifest.json": "f2e6b10badcf35803e350a5a68e103f76ed5dbe7aa39b1f9a62fd476c343eff6",
         },
     ),
 }

@@ -8,8 +8,10 @@ argument. The import guard pins what `import measdiscrim` loads and exports.
 import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +236,10 @@ def test_hull_verify_loads_no_numpy_ma():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_version_matches_pyproject():
+    # A regex, as tomllib is new in Python 3.11 and the package runs on 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    versions = re.findall(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
+    assert versions == [md.__version__]

@@ -18,7 +18,7 @@ from measdiscrim import (
 )
 from measdiscrim import oracle as oracle_module
 from measdiscrim.oracle import (
-    SUM_TOL,
+    BLOCK_TOL,
     _dual_bound,
     _kernel_coefficients,
     _penalized_objective,
@@ -403,6 +403,20 @@ def test_dual_bound_is_tight(theta, p_inc):
     assert 0.5 * np.trace(y) - lam * p_inc == pytest.approx(bound, abs=1e-15)
 
 
+@pytest.mark.parametrize("theta, p_inc", [pt for pt in CRITERION_1_POINTS if pt[1] > 0.0])
+def test_dual_bound_lambda_is_the_envelope_slope(theta, p_inc):
+    """By the envelope theorem the optimal λ is minus the slope of the
+    entangled curve, ½(1 + tan θ/sqrt(1 - P_I/cos²θ)), which is 1 at
+    P_I = cos 2θ. At P_I = 0 the dual is flat in λ, so it is left out."""
+    pair = measurement_pair(theta)
+    lam = _dual_bound(pair.m0, pair.n0, p_inc)[2]
+    if p_inc >= math.cos(2.0 * theta):
+        expected = 1.0
+    else:
+        expected = 0.5 * (1.0 + math.tan(theta) / math.sqrt(1.0 - p_inc / math.cos(theta) ** 2))
+    assert lam == pytest.approx(expected, abs=1e-7)
+
+
 @pytest.mark.parametrize("theta, p_inc", CRITERION_1_POINTS[::5] + EDGE_POINTS)
 def test_search_returns_a_checkable_certificate(theta, p_inc):
     pair = measurement_pair(theta)
@@ -427,7 +441,7 @@ def assert_recovered_tester_is_optimal(theta, p_inc):
     h_i = 0.5 * EYE2 - h_m - h_n
     for h in (h_m, h_n, h_i):
         assert np.linalg.eigvalsh(h)[0] >= -1e-12, (theta, p_inc)
-    assert np.abs(h_m + h_n + h_i - 0.5 * EYE2).max() <= SUM_TOL
+    assert np.abs(h_m + h_n + h_i - 0.5 * EYE2).max() <= BLOCK_TOL
     ps = float(np.sum(h_m * pair.m0) + np.sum(h_n * pair.n0))
     pi = float(np.sum(h_i * (pair.m0 + pair.n0)))
     assert abs(pi - p_inc) <= 1e-6, (theta, p_inc)

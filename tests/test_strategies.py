@@ -120,11 +120,43 @@ def test_branch_boundary_frozen_values():
         tangent_PIT(0.0)
 
 
-def test_tangent_point_invariant_survives_optimization(monkeypatch):
-    # The check is an explicit raise, so `python -O` keeps it.
-    monkeypatch.setattr(strategies, "_pib", lambda c: 1.0)
-    with pytest.raises(ValidationError, match="below the q = 0 boundary"):
-        tangent_PIT(0.5)
+def test_hull_budgets_are_ordered_in_floats():
+    """P_IB ≤ P_IT ≤ (1 + c²)/2 at every overlap, not just in exact arithmetic.
+
+    At small c all three budgets lie within ulps of 1/2, where rounding
+    alone would decide their order.
+    """
+    c = np.concatenate([
+        np.geomspace(1e-12, 1.0, 300_000),
+        np.random.default_rng(21).uniform(0.0, 1.0, 300_000),
+    ])
+    pib, pit, top = strategies._pib(c), strategies._pit(c), strategies._p_top(c)
+    assert np.count_nonzero(pit < pib) == 0
+    assert np.count_nonzero(pit > top) == 0
+    assert np.count_nonzero(pib > top) == 0
+
+
+def test_hull_budget_gaps_match_the_closed_forms():
+    """The gap forms that _pib and _pit subtract from (1 + c²)/2 equal the
+    direct closed forms to 40 significant digits, down to c = 1e-12, and the
+    float budgets lie within 2 ulps of those values."""
+    import mpmath as mp
+
+    c = np.concatenate([np.geomspace(1e-12, 1.0, 25), np.linspace(0.05, 0.95, 10)])
+    pib, pit = strategies._pib(c), strategies._pit(c)
+    with mp.workdps(100):
+        for k, ck in enumerate(c.tolist()):
+            x2 = mp.mpf(ck) ** 2
+            top = (1 + x2) / 2
+            exact_pib = (3 + mp.sqrt(1 + 8 * x2)) / 8
+            exact_pit = (1 + 3 * x2 + 2 * x2 * mp.sqrt(1 + 3 * x2)) / (2 * (1 + 4 * x2))
+            gap_b = 2 * x2 * x2 / (1 + 4 * x2 + mp.sqrt(1 + 8 * x2))
+            gap_t = x2 * x2 / (1 + 2 * x2 + mp.sqrt(1 + 3 * x2))
+            assert abs(top - exact_pib - gap_b) <= mp.mpf(10) ** -40 * gap_b
+            assert abs(top - exact_pit - gap_t) <= mp.mpf(10) ** -40 * gap_t
+            assert gap_b >= gap_t
+            assert abs(pib[k] - float(exact_pib)) <= 2.0 * np.spacing(pib[k])
+            assert abs(pit[k] - float(exact_pit)) <= 2.0 * np.spacing(pit[k])
 
 
 def test_tangent_point_frozen_success():
