@@ -164,9 +164,8 @@ def _parse_grid(text: str) -> list[float]:
     # n + 1 points for n = count steps; `not <=` also catches an overflow to inf.
     if not count <= MAX_GRID_POINTS - 1 + GRID_SNAP:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    n = int(round(count))
-    if abs(count - n) > GRID_SNAP:
-        n = int(math.floor(count + GRID_SNAP))
+    # A count within GRID_SNAP below a whole number rounds up to it.
+    n = int(math.floor(count + GRID_SNAP))
     grid = [start + k * step for k in range(n + 1)]
     if abs(grid[-1] - stop) <= GRID_SNAP * max(1.0, abs(step)):
         grid[-1] = stop

@@ -11,19 +11,26 @@ Chiribella, D'Ariano and Perinotti, Phys. Rev. A 80, 022339 (2009). The
 search works on that reduction alone. The full 4×4 testers and the
 symmetrization that justifies it are checked in the test suite's oracles.
 
+Every block is handled in light-cone form: a real symmetric 2×2 matrix
+t 𝕀 + p₁ σ_z + p₂ σ_x is the triple (t, p₁, p₂), its eigenvalues are
+t ± ‖p‖, and tr ab = 2 (t_a t_b + p_a·p_b). One rule decides PSD
+everywhere: a block is accepted when t − ‖p‖ ≥ −BLOCK_TOL. No eigensolver
+and no matrix product runs in this module.
+
 `optimize_povm` maximizes success at a fixed inconclusive rate over those
 blocks through the Lagrange dual of that reduction. For 2×2 blocks each
 semidefinite constraint is a light cone, and at fixed λ the least ½ tr Y
 is the 1-center of three cones. Complementary slackness puts each block on
 the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the kernel
 weights (`_slack_tester`). That tester's rate is the dual's slope in λ, so
-`_dual_bound` bisects on it, and `_recover_tester` reads the optimal tester
-off the dual point. The tester's success matches the bound at its own rate
-to rounding, which certifies it. The dual and the recovery run on Python
-floats, with no eigensolver and no scipy. Where the measurements coincide
-to within about 1e-9 every slack vanishes and the recovery gives nothing;
-the tester that ignores the measurement (`_blind_tester`) is optimal there
-and takes the same check.
+`_dual_bound` bisects on it and returns the dual point together with the
+tester at the λ it returns. The tester's success matches the bound at its
+own rate to rounding, which certifies it. `_result` applies the PSD rule
+to H_M, H_N and H_I, floors the accepted blocks onto the PSD cone in
+closed form and reads the probabilities off the cone triples. Where the
+measurements coincide to within about 1e-9 every slack vanishes and the
+dual point leaves the tester open; the tester that ignores the measurement
+(`_blind_tester`) is optimal there and takes the same check.
 
 Only when no tester passes that check does the search fall back
 to penalized gradient ascent from seeded random starts, each proved or
@@ -66,13 +73,73 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
+# --- 2×2 blocks as light cones ---
+#
+# A real symmetric 2×2 matrix is a = t 𝕀 + p₁ σ_z + p₂ σ_x with
+# t = tr a / 2 and p = ((a00 − a11)/2, a01); its eigenvalues are t ± ‖p‖, so
+# a ⪰ b holds exactly when t_a − t_b ≥ ‖p_a − p_b‖ (a light cone).
+
+
+def _cone(a: np.ndarray) -> tuple[float, float, float]:
+    """(t, p₁, p₂) of the symmetric part of a, as Python floats."""
+    a00, a11 = float(a[0, 0]), float(a[1, 1])
+    return 0.5 * (a00 + a11), 0.5 * (a00 - a11), 0.5 * (float(a[0, 1]) + float(a[1, 0]))
+
+
+def _matrix(cone) -> np.ndarray:
+    """The symmetric 2×2 matrix of (t, p₁, p₂)."""
+    t, u, v = cone
+    return np.array([[t + u, v], [v, t - u]])
+
+
+def _least(cone) -> float:
+    """The least eigenvalue t − ‖p‖."""
+    t, u, v = cone
+    return t - math.hypot(u, v)
+
+
+def _trace(a, b) -> float:
+    """tr ab = tr (t_a 𝕀 + p_a·σ)(t_b 𝕀 + p_b·σ) = 2 (t_a t_b + p_a·p_b)."""
+    return 2.0 * (a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+
+
+def _rest(h_m, h_n):
+    """H_I = 𝕀/2 − H_M − H_N."""
+    return 0.5 - h_m[0] - h_n[0], -(h_m[1] + h_n[1]), -(h_m[2] + h_n[2])
+
+
+def _floor(cone):
+    """The PSD part of a block: its negative eigenvalue set to zero."""
+    t, u, v = cone
+    r = math.hypot(u, v)
+    if t >= r:
+        return cone
+    if t <= -r:
+        return 0.0, 0.0, 0.0
+    k = 0.5 * (t + r)  # (t + r) times the projector (𝕀 + p·σ/r)/2
+    return k, k * u / r, k * v / r
+
+
+def _inside(h_m, h_n):
+    """Scale (H_M, H_N) so that H_I = 𝕀/2 − H_M − H_N is PSD.
+
+    H_I's least eigenvalue is ½ minus the largest of H_M + H_N, t + ‖p‖;
+    scaling both blocks by ½ over that keeps them PSD and keeps the sum.
+    """
+    top = h_m[0] + h_n[0] + math.hypot(h_m[1] + h_n[1], h_m[2] + h_n[2])
+    if top <= 0.5:
+        return h_m, h_n
+    s = 0.5 / top
+    return tuple(s * x for x in h_m), tuple(s * x for x in h_n)
+
+
 def _check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise ValidationError(f"{name} must be a 2x2 matrix")
     if abs(mat[0, 1] - mat[1, 0]) > BLOCK_TOL:
         raise ValidationError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat)[0] < -BLOCK_TOL:
+    if _least(_cone(mat)) < -BLOCK_TOL:
         raise ValidationError(f"{name} has eigenvalue below -{BLOCK_TOL}")
     return mat
 
@@ -86,9 +153,8 @@ class PovmTriple:
     h_i: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h_m", _check_symmetric_psd(self.h_m, "h_m"))
-        object.__setattr__(self, "h_n", _check_symmetric_psd(self.h_n, "h_n"))
-        object.__setattr__(self, "h_i", _check_symmetric_psd(self.h_i, "h_i"))
+        for name in ("h_m", "h_n", "h_i"):
+            object.__setattr__(self, name, _check_symmetric_psd(getattr(self, name), name))
         residual = np.abs(self.h_m + self.h_n + self.h_i - 0.5 * EYE2).max()
         if residual > BLOCK_TOL:
             raise ValidationError(
@@ -100,13 +166,17 @@ class PovmTriple:
         return 0.5 * EYE2
 
 
+def _probabilities(h_m, h_n, h_i, cones) -> tuple[float, float, float]:
+    """Unvalidated (P_S, P_E, P_I) of cone-form blocks; `cones` from `_cones`."""
+    cone_m, cone_n, cone_s = cones
+    ps = _trace(h_m, cone_m) + _trace(h_n, cone_n)
+    return ps, _trace(h_n, cone_m) + _trace(h_m, cone_n), _trace(h_i, cone_s)
+
+
 def reduced_probabilities(triple: PovmTriple, pair: MeasurementPair) -> StrategyPoint:
     """Probabilities from the covariant 2x2 reduction."""
-    m0, n0 = pair.m0, pair.n0
-    ps = np.trace(triple.h_m @ m0) + np.trace(triple.h_n @ n0)
-    pe = np.trace(triple.h_n @ m0) + np.trace(triple.h_m @ n0)
-    pi = np.trace(triple.h_i @ (m0 + n0))
-    return StrategyPoint(float(ps), float(pe), float(pi))
+    blocks = (_cone(triple.h_m), _cone(triple.h_n), _cone(triple.h_i))
+    return StrategyPoint(*_probabilities(*blocks, _cones(pair.m0, pair.n0)))
 
 
 @dataclass(frozen=True)
@@ -133,28 +203,21 @@ class OracleResult:
     lam: float
 
 
-def _raw_reduced(h_m: np.ndarray, h_n: np.ndarray, m0, n0) -> tuple[float, float]:
-    ps = float(np.sum(h_m * m0) + np.sum(h_n * n0))
-    pi = float(np.sum((0.5 * EYE2 - h_m - h_n) * (m0 + n0)))
-    return ps, pi
-
-
-def _mix_to_target(
-    h_m: np.ndarray, h_n: np.ndarray, target: float, m0, n0
-) -> tuple[np.ndarray, np.ndarray]:
+def _mix_to_target(h_m, h_n, target: float, cones):
     """Mix with an anchor tester so the inconclusive rate hits the target.
 
     Anchors: all-inconclusive (blocks 0, 0) when short of the target,
     always-guess-M (𝕀/2, 0) when past it. Mixing preserves PSD and the
     sum constraint exactly.
     """
-    _, pi = _raw_reduced(h_m, h_n, m0, n0)
+    pi = _probabilities(h_m, h_n, _rest(h_m, h_n), cones)[2]
     if pi < target:
         lam = (target - pi) / (1.0 - pi) if pi < 1.0 else 0.0
-        return (1.0 - lam) * h_m, (1.0 - lam) * h_n
+        return tuple((1.0 - lam) * x for x in h_m), tuple((1.0 - lam) * x for x in h_n)
     if pi > target and pi > 0.0:
         lam = 1.0 - target / pi
-        return (1.0 - lam) * h_m + lam * 0.5 * EYE2, (1.0 - lam) * h_n
+        t, u, v = ((1.0 - lam) * x for x in h_m)
+        return (t + 0.5 * lam, u, v), tuple((1.0 - lam) * x for x in h_n)
     return h_m, h_n
 
 
@@ -245,17 +308,9 @@ def _penalized_objective(
 # whose blocks lie in the kernels of their slacks makes the three subtracted
 # traces vanish and attains the bound (complementary slackness).
 #
-# A real symmetric 2×2 matrix is a = t 𝕀 + p₁ σ_z + p₂ σ_x with
-# t = tr a / 2 and p = ((a00 − a11)/2, a01); its eigenvalues are t ± ‖p‖, so
-# Y ⪰ a holds exactly when t_Y − t_a ≥ ‖p_Y − p_a‖ (a light cone). For
-# fixed λ the least ½ tr Y = t_Y is the 1-center min_p maxᵢ (tᵢ + ‖p − pᵢ‖)
-# of three cones, which sits where one, two or three cones are active.
-
-
-def _cone(a: np.ndarray) -> tuple[float, float, float]:
-    """(t, p₁, p₂) of a, as Python floats."""
-    a00, a01, a11 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
-    return 0.5 * (a00 + a11), 0.5 * (a00 - a11), a01
+# In cone form Y ⪰ a reads t_Y − t_a ≥ ‖p_Y − p_a‖. For fixed λ the least
+# ½ tr Y = t_Y is the 1-center min_p maxᵢ (tᵢ + ‖p − pᵢ‖) of three cones,
+# which sits where one, two or three cones are active.
 
 
 def _top(cones, x: float, y: float) -> float:
@@ -426,15 +481,7 @@ def _slack_tester(cones, t: float, x: float, y: float):
     return h_m, h_n
 
 
-def _slack_rate(tester, cone_s) -> float:
-    """P_I = tr H_I (m0 + n0) of a `_slack_tester` result, H_I = 𝕀/2 − H_M − H_N."""
-    (tm, um, vm), (tn, un, vn) = tester
-    ts, us, vs = cone_s
-    # tr (a 𝕀 + p·σ)(b 𝕀 + q·σ) = 2 (a b + p·q)
-    return 2.0 * ((0.5 - tm - tn) * ts - (um + un) * us - (vm + vn) * vs)
-
-
-def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float) -> tuple[float, np.ndarray, float]:
+def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float):
     """Least dual value ½ tr Y − λ P_I, with the (Y, λ) that attains it.
 
     The dual function is convex in λ. An optimum has λ ≥ 0: for λ ≤ 0 the
@@ -448,135 +495,94 @@ def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float) -> tuple[float, np
     rate is nearer p_inc is returned. Where the slacks leave the tester
     undetermined, the bisection stops at the least value it has evaluated.
     Every evaluation is dual feasible, so the result is always a bound.
+
+    Returns (value, Y, λ, tester): Y as a cone triple (t, p₁, p₂), and the
+    `_slack_tester` at that λ, (H_M, H_N) as cone triples or None.
     """
     base = _cones(m0, n0)
 
     def dual(lam: float):
+        """(value, Y, λ, tester, the tester's rate or None)."""
         cones = _at(base, lam)
         t, x, y = _one_center(cones)
         tester = _slack_tester(cones, t, x, y)
-        rate = None if tester is None else _slack_rate(tester, base[2])
-        return t - lam * p_inc, rate, t, x, y, lam
-
-    def bound(d) -> tuple[float, np.ndarray, float]:
-        value, _, t, x, y, lam = d
-        return value, np.array([[t + x, y], [y, t - x]]), lam
+        rate = None if tester is None else _trace(_rest(*tester), base[2])
+        return t - lam * p_inc, (t, x, y), lam, tester, rate
 
     lo, hi = dual(0.0), dual(1.0)
     for _ in range(_BISECTION_STEPS):
-        lam = 0.5 * (lo[5] + hi[5])
-        if lam in (lo[5], hi[5]):
+        lam = 0.5 * (lo[2] + hi[2])
+        if lam in (lo[2], hi[2]):
             break
         mid = dual(lam)
-        if mid[1] is None:
-            return bound(min(lo, mid, hi, key=lambda d: d[0]))
-        if mid[1] < p_inc:
+        if mid[4] is None:
+            return min(lo, mid, hi, key=lambda d: d[0])[:4]
+        if mid[4] < p_inc:
             lo = mid
         else:
             hi = mid
-    return bound(
-        min(lo, hi, key=lambda d: (math.inf if d[1] is None else abs(d[1] - p_inc), d[0]))
-    )
+    nearest = min(lo, hi, key=lambda d: (math.inf if d[4] is None else abs(d[4] - p_inc), d[0]))
+    return nearest[:4]
 
 
-def _recover_tester(
-    m0: np.ndarray, n0: np.ndarray, y: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(H_M, H_N) that complementary slackness assigns to the dual point (Y, λ).
-
-    H_I = 𝕀/2 − H_M − H_N. None when the slacks leave the tester
-    undetermined (see `_slack_tester`) or when rounding leaves H_I outside
-    `PovmTriple`'s BLOCK_TOL.
-    """
-    tester = _slack_tester(_at(_cones(m0, n0), lam), *_cone(y))
-    if tester is None:
-        return None
-    (tm, um, vm), (tn, un, vn) = tester
-    if 0.5 - tm - tn - math.hypot(um + un, vm + vn) < -BLOCK_TOL:
-        return None
-    return tuple(np.array([[t + u, v], [v, t - u]]) for t, u, v in tester)
-
-
-def _blind_tester(p_inc: float) -> tuple[np.ndarray, np.ndarray]:
-    """(H_M, H_N) of the tester that ignores the measurement.
+def _blind_tester(p_inc: float):
+    """(H_M, H_N), as cone triples, of the tester that ignores the measurement.
 
     H_M = H_N = (1 − P_I)/4·𝕀 and H_I = (P_I/2)·𝕀: a fair coin guess,
     withheld at rate P_I. Where the measurements coincide (θ = 0) it is
-    optimal, yet every dual slack vanishes and `_recover_tester` cannot
-    pick it.
+    optimal, yet every dual slack vanishes and `_slack_tester` cannot pick
+    it.
     """
-    h = 0.25 * (1.0 - p_inc) * EYE2
-    return h, h.copy()
+    h = (0.25 * (1.0 - p_inc), 0.0, 0.0)
+    return h, h
 
 
 def _ascent_restart(
-    m0: np.ndarray,
-    n0: np.ndarray,
-    target: float,
-    rng: np.random.Generator,
-    tol: float,
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+    m0: np.ndarray, n0: np.ndarray, target: float, rng: np.random.Generator, tol: float
+):
+    """One seeded penalized ascent; (P_S, P_I, H_M, H_N) with cone-form blocks."""
     coeffs = _kernel_coefficients(m0, n0, target)
     w = rng.dirichlet((1.0, 1.0, 1.0))
     angles = rng.uniform(0.0, math.pi, 2)
-    v = np.array(
-        [
-            math.sqrt(w[0] / 2.0) * math.cos(angles[0]),
-            math.sqrt(w[0] / 2.0) * math.sin(angles[0]),
-            0.0,
-            math.sqrt(w[1] / 2.0) * math.cos(angles[1]),
-            math.sqrt(w[1] / 2.0) * math.sin(angles[1]),
-            0.0,
-        ]
-    )
+    r_m, r_n = math.sqrt(w[0] / 2.0), math.sqrt(w[1] / 2.0)
+    v = np.array([r_m * math.cos(angles[0]), r_m * math.sin(angles[0]), 0.0,
+                  r_n * math.cos(angles[1]), r_n * math.sin(angles[1]), 0.0])
     for mu in (1e2, 1e3, 1e4, 1e6):
-        res = minimize(
-            _penalized_objective,
-            v,
-            args=(mu, 100.0 * mu, coeffs),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        v = res.x
+        v = minimize(
+            _penalized_objective, v, args=(mu, 100.0 * mu, coeffs), jac=True,
+            method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
+        ).x
 
-    lm = np.array([[v[0], 0.0], [v[1], v[2]]])
-    ln = np.array([[v[3], 0.0], [v[4], v[5]]])
-    h_m = lm @ lm.T
-    h_n = ln @ ln.T
+    # H = L Lᵀ for L = [[a, 0], [b, c]] is [[a², a b], [a b, b² + c²]].
+    a, b, c, d, e, f = v.tolist()
+    h_m = (0.5 * (a * a + b * b + c * c), 0.5 * (a * a - b * b - c * c), a * b)
+    h_n = (0.5 * (d * d + e * e + f * f), 0.5 * (d * d - e * e - f * f), d * e)
     # Feasibility polish: pull the pair inside the constraint, then, only
     # if the penalty stages left a real gap, mix exactly onto the target.
-    top = np.linalg.eigvalsh(h_m + h_n)[-1]
-    if top > 0.5:
-        h_m = h_m * (0.5 / top)
-        h_n = h_n * (0.5 / top)
-    _, pi = _raw_reduced(h_m, h_n, m0, n0)
-    if abs(pi - target) > 0.5 * tol:
-        h_m, h_n = _mix_to_target(h_m, h_n, target, m0, n0)
-    ps, pi = _raw_reduced(h_m, h_n, m0, n0)
+    cones = _cones(m0, n0)
+    h_m, h_n = _inside(h_m, h_n)
+    if abs(_probabilities(h_m, h_n, _rest(h_m, h_n), cones)[2] - target) > 0.5 * tol:
+        h_m, h_n = _mix_to_target(h_m, h_n, target, cones)
+    ps, _, pi = _probabilities(h_m, h_n, _rest(h_m, h_n), cones)
     return ps, pi, h_m, h_n
 
 
 def optimize_povm(
-    pair: MeasurementPair,
-    p_inc_target: float,
-    *,
-    tol: float = 1e-4,
-    seed: int = 0,
+    pair: MeasurementPair, p_inc_target: float, *, tol: float = 1e-4, seed: int = 0,
     restarts: int = 20,
 ) -> OracleResult:
     """Maximize success at a fixed inconclusive rate over covariant testers.
 
-    `_dual_bound` solves the Lagrange dual at the target, and
-    `_recover_tester` reads the tester off its dual point by complementary
-    slackness. The dual point bounds every tester's success at the
-    recovered tester's own rate, so the tester is returned, with
-    restart_values=() and best_restart=None, when that rate is within `tol`
-    of the target and its success within `tol` of the bound. When the
-    slacks leave the tester open (θ ≲ 1e-9), `_blind_tester` takes its
+    `_dual_bound` solves the Lagrange dual at the target and returns the
+    tester that complementary slackness assigns to its dual point. The dual
+    point bounds every tester's success at the tester's own rate, so the
+    tester is returned, with restart_values=() and best_restart=None, when
+    its blocks pass `_result`'s PSD rule, its rate is within `tol` of the
+    target and its success within `tol` of the bound. Otherwise, and when
+    the slacks leave the tester open (θ ≲ 1e-9), `_blind_tester` takes its
     place under the same check. No scipy is imported on this path.
 
-    Only when that tester fails the check does the search fall back to
+    Only when neither tester passes does the search fall back to
     penalized L-BFGS ascent from seeded random starts; `seed` and
     `restarts` govern this fallback alone. Restart r draws from the
     generator (seed, r) and passes through four penalty stages
@@ -602,14 +608,12 @@ def optimize_povm(
     p_inc_target = min(max(p_inc_target, 0.0), c)
     m0, n0 = pair.m0, pair.n0
 
-    _, y, lam = _dual_bound(m0, n0, p_inc_target)
-    blocks = _recover_tester(m0, n0, y, lam)
-    if blocks is None:
-        blocks = _blind_tester(p_inc_target)
-    if blocks is not None:
-        result = _result(pair, p_inc_target, tol, *blocks, y, lam, (), None)
-        if result.converged:
-            return result
+    _, y, lam, tester = _dual_bound(m0, n0, p_inc_target)
+    for blocks in (tester, _blind_tester(p_inc_target)):
+        if blocks is not None:
+            result = _result(pair, p_inc_target, tol, *blocks, y, lam, (), None)
+            if result is not None and result.converged:
+                return result
 
     runs = []  # (ps, pi, h_m, h_n, dual bound or None) per restart
     for r in range(restarts):
@@ -627,53 +631,47 @@ def optimize_povm(
         else:
             best = min(range(restarts), key=lambda r: abs(runs[r][1] - p_inc_target))
     _, pi, h_m, h_n, bound = runs[best]
-    _, y, lam = bound if bound is not None else _dual_bound(m0, n0, pi)
+    _, y, lam, _ = bound if bound is not None else _dual_bound(m0, n0, pi)
     restart_values = tuple(run[0] for run in runs)
+    # The ascent's blocks are PSD by construction (L Lᵀ, then `_inside` or a
+    # mixture with a PSD anchor), so the rule accepts them.
     return _result(pair, p_inc_target, tol, h_m, h_n, y, lam, restart_values, best)
 
 
 def _result(
-    pair: MeasurementPair,
-    p_inc_target: float,
-    tol: float,
-    h_m: np.ndarray,
-    h_n: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    restart_values: tuple[float, ...],
-    best_restart: int | None,
-) -> OracleResult:
-    """Validate a tester and certify it with the dual point (y, lam)."""
-    # Scrub float dust so the triple passes its own PSD validation.
-    h_m = _psd_floor(h_m)
-    h_n = _psd_floor(h_n)
-    h_i = 0.5 * EYE2 - h_m - h_n
-    triple = PovmTriple(h_m=h_m, h_n=h_n, h_i=h_i)
-    point = reduced_probabilities(triple, pair)
+    pair: MeasurementPair, p_inc_target: float, tol: float, h_m, h_n, y, lam: float,
+    restart_values: tuple[float, ...], best_restart: int | None,
+) -> OracleResult | None:
+    """Validate a tester and certify it with the dual point (Y, λ).
+
+    The blocks H_M, H_N and Y come as cone triples. One PSD rule holds for
+    H_M, H_N and H_I = 𝕀/2 − H_M − H_N: a block whose least eigenvalue is
+    below −BLOCK_TOL rejects the tester (None). Accepted blocks are floored
+    onto the PSD cone (`_floor`), and H_I's floor is absorbed by scaling
+    H_M and H_N (`_inside`), so the blocks still sum to 𝕀/2 and no
+    probability is negative beyond rounding.
+    """
+    if min(_least(h) for h in (h_m, h_n, _rest(h_m, h_n))) < -BLOCK_TOL:
+        return None
+    h_m, h_n = _inside(_floor(h_m), _floor(h_n))
+    h_i = _rest(h_m, h_n)
+    point = StrategyPoint(*_probabilities(h_m, h_n, h_i, _cones(pair.m0, pair.n0)))
     p_inc_error = abs(point.p_inconclusive - p_inc_target)
     # (Y, λ) is dual feasible, so it bounds P_S at the returned tester's rate.
-    upper_bound = 0.5 * float(y[0, 0] + y[1, 1]) - lam * point.p_inconclusive
+    upper_bound = y[0] - lam * point.p_inconclusive
     gap = upper_bound - point.p_success
     return OracleResult(
         point=point,
-        triple=triple,
+        triple=PovmTriple(*(_matrix(h) for h in (h_m, h_n, h_i))),
         converged=p_inc_error <= tol and gap <= tol,
         p_inc_error=p_inc_error,
         restart_values=restart_values,
         best_restart=best_restart,
         upper_bound=upper_bound,
         gap=gap,
-        y=y,
+        y=_matrix(y),
         lam=lam,
     )
-
-
-def _psd_floor(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals[0] >= 0.0:
-        return 0.5 * (mat + mat.T)
-    evals = np.maximum(evals, 0.0)
-    return evecs @ np.diag(evals) @ evecs.T
 
 
 def brute_force_single(

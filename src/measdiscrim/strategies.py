@@ -372,7 +372,7 @@ def default_pi_grid(upper: float) -> np.ndarray:
         raise DomainError("grid upper bound must be non-negative")
     n = int(math.floor(upper / PI_GRID_STEP + GRID_SNAP))
     values = [k * PI_GRID_STEP for k in range(n + 1)]
-    if not values or values[-1] < upper - TOL:
+    if values[-1] < upper - TOL:
         values.append(upper)
     else:
         values[-1] = upper if abs(values[-1] - upper) <= TOL else values[-1]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from measdiscrim import PovmTriple, __version__, boundary_PIB, tangent_PIT
-from measdiscrim import cli
+from measdiscrim import cli, oracle
 from measdiscrim.cli import MAX_SAMPLES, main
 
 from oracles import FROZEN
@@ -276,7 +276,9 @@ def test_oracle_report_matches_the_curve(tmp_path, monkeypatch):
     checksums_match(tmp_path)
 
     # --restarts caps the fallback ascent: it stops at the first certified start
-    monkeypatch.setattr("measdiscrim.oracle._recover_tester", lambda *args: None)
+    # drop the tester that the dual bound reads off its dual point
+    dual_bound = oracle._dual_bound
+    monkeypatch.setattr(oracle, "_dual_bound", lambda *args: (*dual_bound(*args)[:3], None))
     ascent = tmp_path / "ascent"
     code = main(
         ["oracle", "--theta", PI6, "--pi", "0.3", "--restarts", "5", "--out", str(ascent)]
@@ -303,6 +305,17 @@ def test_oracle_exits_3_when_the_search_does_not_converge(tmp_path, monkeypatch)
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     assert report["converged"] is False
     checksums_match(tmp_path)
+
+
+def test_oracle_accepts_a_tiny_angle_and_budget(tmp_path, capsys):
+    # an H_I eigenvalue of -8.6e-11 here once gave P_I = -1.7e-10 and exit 2
+    code = main(
+        ["oracle", "--theta", "6.436445874855116e-07", "--pi", "6.116474029169209e-10",
+         "--out", str(tmp_path)]
+    )
+    assert code in (0, 3), capsys.readouterr().err
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert report["p_inc"] >= 0.0
 
 
 def test_oracle_snaps_the_angle_endpoint(tmp_path):
@@ -574,6 +587,25 @@ def test_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert blocker.read_text() == "keep"
 
 
+def test_grid_counts_within_the_snap_of_a_whole_number_snap_to_it():
+    # n + δ steps: |δ| ≤ GRID_SNAP gives n + 1 points, and otherwise the
+    # whole steps that fit, floor(n + δ) + 1
+    rng = np.random.default_rng(11)
+    snap = cli.GRID_SNAP
+    cases = [(0.0, True), (1e-12, True), (-1e-12, True), (0.5 * snap, True),
+             (-0.5 * snap, True), (2.0 * snap, False), (-2.0 * snap, False),
+             (1e-3, False), (-1e-3, False), (0.5, False), (-0.5, False)]
+    for _ in range(40):
+        n = int(10.0 ** rng.uniform(0.0, math.log10(cli.MAX_GRID_POINTS - 2)))
+        start = float(rng.choice([0.0, 0.25, -3.5]))
+        step = float(rng.choice([0.01, 0.1, 1.0, 7.0]))
+        for delta, snaps in cases:
+            stop = start + (n + delta) * step
+            grid = cli._parse_grid(f"{start!r}:{stop!r}:{step!r}")
+            expected = n + 1 if snaps else math.floor(n + delta) + 1
+            assert len(grid) == expected, (start, stop, step, delta)
+
+
 # --- seeded fuzzing of every subcommand ---
 
 
@@ -838,7 +870,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "7f8d4b53a3327c154c0e3623e98c7f0de991e7ca3a1750896aaff526a7a052e0"},
+        {"simulate.json": "bb24d624834c8003c1dca83ea3d570ca11febe387c2681755d4668c2b628b3e8"},
     ),
 }
 
@@ -853,37 +885,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.6. Their headers and manifests carry the version and the
-# parameter checksum, so these change with every version.
+# at version 0.1.7. Their headers and manifests carry the version and the
+# parameter checksum, so these change with every version. At 0.1.7 the
+# oracle report's floats also moved, by at most 1.5e-15, when the tester
+# came to be read off the dual point in light-cone form.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "79ba2e1b08c9fcb5aa14e9ea9456cf39228302352241c5c9efc658b8bcd3bc84",
-            "hull_vertices.csv": "3afa6761703f8a00cf23894bc2cc532b4c016333745e6b718f4d97cd587871e3",
-            "manifest.json": "08abbbb42857d284d30394f52d085f9e4a8e188315ac5c5d795ed9c7b91d7387",
+            "hull_report.json": "ec47f8cafb6512e5a3075010eac7b088b35427488169f54758c7cf3fb5295c83",
+            "hull_vertices.csv": "547768c953a864dea28f1262164a45b8bf165ef2fe17237c32ff98e625308d45",
+            "manifest.json": "e513e4036efc8b9c0bb5491b7750a754b7f1b6fd16802e1217a3a400601e278e",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "4f3c3f5d319438c47297693e10f94549dc4a67839b04dce1b8b4fab4be9a3bd3",
-            "manifest.json": "60014ab55d1e120a4ed6b6ac5e6dd9851ad234f3b1b15a623c4d5decfe562c79",
+            "oracle_report.json": "926d1e509bee98cb2cf275dd41495bdb38408a65d4a1741e950a663c5aac65f3",
+            "manifest.json": "e883428015964e07ce21bb74bb577c2f739995395b86a510822fa4ad27415f80",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "c0bd3957f7d67abcedcc2e80cfb8e24a9ff47e3d677416fc1145723a94c30a64",
-            "manifest.json": "ed55dab6bea769b736e3d4f860c034450a908f262b968a529081db3b1968e6b4",
+            "curves.csv": "2edf092a8241508131a840b979d3878c606d86e3f95a2b4296d1865624872174",
+            "manifest.json": "ff55ecb284dc7f7bae9354fdc127f257b448e8fde64d376a1041c7b25bce9ef5",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "6d1b81b3713b845a1c7ef0bfbdf68ce6e4c19e6b339be7c36fcf72dba9edfeae",
-            "manifest.json": "f2e6b10badcf35803e350a5a68e103f76ed5dbe7aa39b1f9a62fd476c343eff6",
+            "convexity.json": "50db09b7d42f06174abeb86a1fd1839c2361261559975c0ea0c037b2ad2754e1",
+            "manifest.json": "0330e8c2edb3b97e6a6e14d75dfa3045949b91f3bbbfcafcede459b804971dab",
         },
     ),
 }

@@ -22,13 +22,18 @@ from measdiscrim.oracle import (
     _dual_bound,
     _kernel_coefficients,
     _penalized_objective,
-    _recover_tester,
 )
 
 import oracles
 from oracles import FROZEN, SIGMA_Y
 
 EYE2 = np.eye(2)
+
+
+def cone_matrix(cone):
+    """The symmetric 2×2 matrix t 𝕀 + p₁ σ_z + p₂ σ_x of a cone triple."""
+    t, u, v = cone
+    return np.array([[t + u, v], [v, t - u]])
 
 
 def protocol_point(theta: float, f: float):
@@ -160,12 +165,19 @@ def test_povm_triple_validation():
 # --- the numeric POVM search ---
 
 
+def force_ascent(monkeypatch):
+    """Drop the tester that `_dual_bound` reads off the dual point and the
+    measurement-blind tester, so the fallback ascent runs."""
+    dual_bound = oracle_module._dual_bound
+    monkeypatch.setattr(
+        oracle_module, "_dual_bound", lambda *args: (*dual_bound(*args)[:3], None)
+    )
+    monkeypatch.setattr(oracle_module, "_blind_tester", lambda *args: None)
+
+
 @pytest.fixture
 def ascent_only(monkeypatch):
-    """Make the recovery from the dual point and the measurement-blind tester
-    fail, so the fallback ascent runs."""
-    monkeypatch.setattr(oracle_module, "_recover_tester", lambda *args: None)
-    monkeypatch.setattr(oracle_module, "_blind_tester", lambda *args: None)
+    force_ascent(monkeypatch)
 
 
 @pytest.mark.parametrize("p_inc", [0.0, 0.3, 0.5])
@@ -190,8 +202,7 @@ def test_search_falls_back_where_the_dual_point_leaves_the_tester_open():
     # at θ = 0 the measurements coincide and every slack of the dual point
     # vanishes; the measurement-blind tester is optimal there
     pair = measurement_pair(0.0)
-    _, y, lam = _dual_bound(pair.m0, pair.n0, 0.3)
-    assert _recover_tester(pair.m0, pair.n0, y, lam) is None
+    assert _dual_bound(pair.m0, pair.n0, 0.3)[3] is None
     result = md.optimize_povm(pair, 0.3, restarts=4)
     assert result.converged
     assert result.restart_values == ()
@@ -388,8 +399,8 @@ def test_dual_bound_holds_for_random_testers():
         pair = measurement_pair(float(rng.uniform(0.0, math.pi / 4.0)))
         blocks, _ = oracles.random_tester(rng)
         ps, _, pi = oracles.tester_probabilities(blocks, pair)
-        bound, y, lam = _dual_bound(pair.m0, pair.n0, pi)
-        assert_dual_feasible(pair, y, lam)
+        bound, y, lam, _ = _dual_bound(pair.m0, pair.n0, pi)
+        assert_dual_feasible(pair, cone_matrix(y), lam)
         worst = max(worst, ps - bound)
     assert worst <= 1e-12
 
@@ -397,8 +408,9 @@ def test_dual_bound_holds_for_random_testers():
 @pytest.mark.parametrize("theta, p_inc", CRITERION_1_POINTS + EDGE_POINTS)
 def test_dual_bound_is_tight(theta, p_inc):
     pair = measurement_pair(theta)
-    bound, y, lam = _dual_bound(pair.m0, pair.n0, p_inc)
+    bound, y, lam, _ = _dual_bound(pair.m0, pair.n0, p_inc)
     assert bound == pytest.approx(entangled_success(theta, p_inc).p_success, abs=1e-9)
+    y = cone_matrix(y)
     assert_dual_feasible(pair, y, lam)
     assert 0.5 * np.trace(y) - lam * p_inc == pytest.approx(bound, abs=1e-15)
 
@@ -429,15 +441,63 @@ def test_search_returns_a_checkable_certificate(theta, p_inc):
     assert result.gap == pytest.approx(result.upper_bound - result.point.p_success, abs=1e-15)
 
 
+def test_search_runs_no_eigensolver_or_matrix_product(monkeypatch):
+    # every 2×2 block is a light-cone triple, so its eigenvalues are t ± ‖p‖
+    # and a trace of a product is 2 (t_a t_b + p_a·p_b)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search called an eigensolver or a matrix product")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np, "matmul", refuse)
+    for theta, p_inc in CRITERION_1_POINTS + [(0.0, 0.3)]:  # θ = 0: the blind tester
+        result = md.optimize_povm(measurement_pair(theta), p_inc)
+        assert result.converged and result.restart_values == (), (theta, p_inc)
+    force_ascent(monkeypatch)
+    result = md.optimize_povm(measurement_pair(math.pi / 6.0), 0.3, restarts=6)
+    assert result.converged and len(result.restart_values) >= 1
+
+
+def test_small_angle_searches_converge():
+    # nearly coinciding measurements and tiny budgets, where an H_I eigenvalue
+    # of about -1e-10 once passed BLOCK_TOL, gave P_I below -TOL and raised
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        theta = 10.0 ** rng.uniform(-7.0, -4.0)
+        p_inc = math.cos(2.0 * theta) * 10.0 ** rng.uniform(-12.0, -6.0)
+        result = md.optimize_povm(measurement_pair(theta), p_inc)
+        assert result.converged, (theta, p_inc)
+        assert min(np.linalg.eigvalsh(h)[0] for h in vars(result.triple).values()) >= -1e-15
+
+
+# At each of these points the bisection's λ leaves `_slack_tester` a weight
+# below -_ACTIVE; the search must converge whichever route certifies it.
+ASCENT_RESCUES = [
+    (0.12131344938203924, 2.472817527932488e-08),
+    (0.5038892389695054, 3.1385519610677e-09),
+    (0.27034242568048966, 3.1918132222420705e-08),
+    (0.7331058763978167, 4.440284088372718e-09),
+    (0.10741423490033748, 2.297572407586757e-08),
+    (0.40489055750581565, 1.8802122134125313e-09),
+]
+
+
+@pytest.mark.parametrize("theta, p_inc", ASCENT_RESCUES)
+def test_tiny_budgets_that_the_dual_point_leaves_open_converge(theta, p_inc):
+    result = md.optimize_povm(measurement_pair(theta), p_inc)
+    assert result.converged
+    closed = entangled_success(theta, p_inc).p_success
+    assert abs(result.point.p_success - closed) <= 1e-4
+
+
 # --- the tester from the dual point ---
 
 
 def assert_recovered_tester_is_optimal(theta, p_inc):
     pair = measurement_pair(theta)
-    bound, y, lam = _dual_bound(pair.m0, pair.n0, p_inc)
-    blocks = _recover_tester(pair.m0, pair.n0, y, lam)
+    _, y, lam, blocks = _dual_bound(pair.m0, pair.n0, p_inc)
     assert blocks is not None, (theta, p_inc)
-    h_m, h_n = blocks
+    y, h_m, h_n = (cone_matrix(a) for a in (y, *blocks))
     h_i = 0.5 * EYE2 - h_m - h_n
     for h in (h_m, h_n, h_i):
         assert np.linalg.eigvalsh(h)[0] >= -1e-12, (theta, p_inc)
