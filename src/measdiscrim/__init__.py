@@ -6,7 +6,7 @@ Monte Carlo model of the bench experiment. The `*_array` curve functions
 take numpy arrays of angles and budgets.
 """
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"
 
 from .errors import (
     BranchCrossingError,
@@ -49,7 +49,6 @@ from .convexity import (
 from .oracle import (
     OracleResult,
     PovmTriple,
-    brute_force_single,
     optimize_povm,
     reduced_probabilities,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "y_root",
     "OracleResult",
     "PovmTriple",
-    "brute_force_single",
     "optimize_povm",
     "reduced_probabilities",
     "CoincidenceCounts",

@@ -221,8 +221,7 @@ def _run_curves(parameters: dict, seed: int) -> tuple[dict, int]:
 
 
 def _hull_parameters(args) -> dict:
-    # hull writes CSV only; "format" stays recorded so old manifests replay.
-    return {"c": args.c, "samples": args.samples, "format": "csv"}
+    return {"c": args.c, "samples": args.samples}
 
 
 def _run_hull(parameters: dict, seed: int) -> tuple[dict, int]:

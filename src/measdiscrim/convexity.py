@@ -1,8 +1,8 @@
 """Analytic curvature of the single-qubit pure curve, with FD validation.
 
-Substituting y = c*x turns the conclusive-rate cubic into
-y^3 - 2y^2 + (1 - P_I)y + P_I c^2 = 0, whose least root, in [-c, c^2]
-(proved in `_cubic`), gives the pure-curve success as
+The conclusive-rate cubic in y = c*x, y^3 - 2y^2 + (1 - P_I)y + P_I c^2 = 0,
+is the one cubic `_cubic.least_root` solves; its least root, in [-c, c^2]
+(proved there), gives the pure-curve success as
 
     P_S = (1 - P_I)/2 + (sqrt(1-c^2)/2c) * sqrt(c^2-y^2) * [1 - P_I/(1-y)].
 
@@ -15,7 +15,8 @@ numerically.
 
 `finite_difference_check_array` takes arrays: one array call of
 `_cubic.least_root` gives the analytic curvature of every row, and one
-call of the pure-curve kernel evaluates every five-point stencil. Each
+call of the pure-curve kernel, at the row's own c, evaluates every
+five-point stencil. Each
 public function runs one domain check on entry, the budget's before any
 stencil is formed; the private helpers and the `strategies` kernels they
 call (`_p_top`, `_pib`, `_pure_kernel`) assume checked, flat float arrays.
@@ -76,11 +77,6 @@ def check_step(h):
     return h
 
 
-def _y_roots(c: np.ndarray, p_inc: np.ndarray) -> np.ndarray:
-    """y_root on 1-D arrays inside the convex domain."""
-    return _cubic.least_root(1.0, -2.0, 1.0 - p_inc, p_inc * c * c, -c, c * c)
-
-
 def y_root(c: float, p_inc: float) -> float:
     """The maximizing root y = c*x of the substituted cubic.
 
@@ -88,13 +84,13 @@ def y_root(c: float, p_inc: float) -> float:
     x = y/c is the probe of the pure curve.
     """
     _check_convex_domain(c, p_inc)
-    return float(_y_roots(np.array([c]), np.array([p_inc]))[0])
+    return float(_cubic.least_root(np.array([c]), np.array([p_inc]))[0])
 
 
 def _derivatives(c: np.ndarray, p_inc: np.ndarray) -> tuple[np.ndarray, ...]:
     """y, y', y'', alpha, beta, gamma, the curvature and the implicit
     denominator on 1-D arrays inside the convex domain."""
-    y = _y_roots(c, p_inc)
+    y = _cubic.least_root(c, p_inc)
     denom = 3.0 * y * y - 4.0 * y + 1.0 - p_inc
     with np.errstate(divide="ignore", invalid="ignore"):
         y_prime = (y - c * c) / denom
@@ -184,11 +180,8 @@ def finite_difference_check_array(
         analytic[convex] = np.where(np.abs(denom) <= DENOM_FLOOR, np.nan, d2)
     s = 0.5 * h
     stencil = p_inc + np.array([-h, -s, np.zeros_like(h), s, h])
-    # The curve is read at θ = arccos(c)/2 and that angle's own cos 2θ, which
-    # can differ from c in the last bit; the convexity tables depend on it.
     theta = 0.5 * np.arccos(c)
-    c_probe = np.cos(2.0 * theta)
-    f = _pure_kernel(np.tile(theta, 5), np.tile(c_probe, 5), stencil.ravel())[0].reshape(5, -1)
+    f = _pure_kernel(np.tile(theta, 5), np.tile(c, 5), stencil.ravel())[0].reshape(5, -1)
     numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
     numeric[np.isnan(analytic)] = np.nan
     rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), REL_ERR_FLOOR)

@@ -37,9 +37,8 @@ to penalized gradient ascent from seeded random starts, each proved or
 rejected by the same dual bound. Its objective and gradient
 (`_penalized_objective`) are a scalar kernel on Python floats, and
 scipy.optimize is imported on the first fallback (`minimize`), not with
-the package. `brute_force_single` is the analogous exhaustive scan over
-single-qubit protocols. Both searches exist to check the closed forms in
-`strategies`, never to replace them.
+the package. The search exists to check the closed forms in `strategies`,
+never to replace them.
 """
 
 from __future__ import annotations
@@ -51,14 +50,11 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .geometry import TOL, MeasurementPair, check_integer
-from .strategies import StrategyPoint, q_strategy_points, upper_hull
+from .strategies import StrategyPoint
 
 # Tester-block asymmetry, negative eigenvalue and sum error allowed: above rounding, below tol.
 BLOCK_TOL = 1e-10
 EYE2 = np.eye(2)
-# Largest brute_force_single resolution: 25 times the default's protocols,
-# about 5 s of scanning on one x86-64 core.
-MAX_RESOLUTION = 10_000
 
 
 def minimize(*args, **kwargs):
@@ -672,53 +668,3 @@ def _result(
         y=_matrix(y),
         lam=lam,
     )
-
-
-def brute_force_single(
-    pair: MeasurementPair, p_inc_target: float, resolution: int = 2000
-) -> StrategyPoint:
-    """Exhaustive single-qubit scan: probe angles x guess rates, plus mixtures.
-
-    Scans (resolution+1)^2 canonical protocols, keeps the best success in
-    each of 4*resolution inconclusive-rate bins, and evaluates the upper
-    hull of the survivors at the target rate (chords between scanned
-    protocols are two-point mixtures, hence achievable). Raises DomainError
-    for a target outside [0, (1 + cos 2θ)/2], the rates the scan reaches,
-    and for a resolution that is not an integer in [100, MAX_RESOLUTION].
-    """
-    resolution = check_integer(resolution, "resolution", 100, MAX_RESOLUTION)
-    theta = pair.theta
-    angles = np.linspace(0.0, math.pi / 2.0, resolution + 1)
-    qs = np.linspace(0.0, 1.0, resolution + 1)
-    n_bins = 4 * resolution
-    c = math.cos(2.0 * theta)
-    pi_max = 0.5 * (1.0 + c)
-    if not -TOL <= p_inc_target <= pi_max + TOL:
-        raise DomainError("inconclusive target outside [0, (1 + cos(2*theta))/2]")
-    scale = (n_bins - 1) / pi_max if pi_max > 0 else 0.0
-
-    best_ps = np.full(n_bins, -np.inf)
-    chunk = max(1, 40000 // (resolution + 1))
-
-    def chunks():
-        for start in range(0, len(qs), chunk):
-            q = qs[start : start + chunk, None]
-            pi, ps = q_strategy_points(theta, angles[None, :], q)
-            yield pi.ravel(), ps.ravel()
-
-    for pi, ps in chunks():
-        bins = np.clip((pi * scale).astype(int), 0, n_bins - 1)
-        np.maximum.at(best_ps, bins, ps)
-    best_pi = np.zeros(n_bins)
-    for pi, ps in chunks():
-        bins = np.clip((pi * scale).astype(int), 0, n_bins - 1)
-        hit = ps >= best_ps[bins]
-        best_pi[bins[hit]] = pi[hit]
-
-    valid = best_ps > -np.inf
-    pts = np.column_stack([best_pi[valid], best_ps[valid]])
-    hull = pts[upper_hull(pts)]
-
-    target = min(max(p_inc_target, float(hull[0, 0])), float(hull[-1, 0]))
-    ps_at = float(np.interp(target, hull[:, 0], hull[:, 1]))
-    return StrategyPoint(ps_at, 1.0 - ps_at - target, target)

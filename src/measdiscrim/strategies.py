@@ -8,13 +8,14 @@ fixed inconclusive budget P_I admits two families of protocols:
   P_I = 0 to unambiguous discrimination at the endpoint;
 * single-qubit probe at angle ϑ with post-processing probability q of
   guessing on the unfavorable outcome. The best pure protocol at fixed
-  P_I follows the least root of a cubic in x = cos(2ϑ), which `_cubic`
-  proves optimal and computes alone, up to the budget boundary_PIB, then
-  a q = 0 arc; probabilistically mixing the P_I = 0 protocol with the
-  arc's tangent point (at tangent_PIT) is strictly better in between, and
-  the resulting piecewise curve is the upper boundary of the convex hull
-  of all pure protocols: the arc read at the tangent budget on the chord,
-  at the row's own budget beyond it. That curve needs no cubic.
+  P_I has the probe x = cos(2ϑ) = y/c, where y is the least root of a
+  cubic that `_cubic` proves optimal and computes alone, up to the budget
+  boundary_PIB, then a q = 0 arc; probabilistically mixing the P_I = 0
+  protocol with the arc's tangent point (at tangent_PIT) is strictly
+  better in between, and the resulting piecewise curve is the upper
+  boundary of the convex hull of all pure protocols: the arc read at the
+  tangent budget on the chord, at the row's own budget beyond it. That
+  curve needs no cubic.
 
 Both budgets are (1 + c²)/2 minus a gap. As 1 + 2 sqrt(1 + 3c²) ≥ sqrt(1 + 8c²),
 boundary_PIB's gap is at least 1.25 times tangent_PIT's, and rounded subtraction
@@ -260,13 +261,13 @@ def _arc_kernel(sin2theta, c, p_inc):
 
 def _pure_kernel(theta, c, p_inc):
     """P_S, x and q of the pure curve on flat, checked θ, c and P_I: the arc,
-    but below boundary_PIB the probe x is the least root of the conclusive-rate
-    cubic, in [-1, c] (see `_cubic`), one array call for every budget."""
+    but below boundary_PIB the probe is x = y/c, with y the least root of the
+    conclusive-rate cubic (see `_cubic`), one array call for every budget."""
     ps, x, q = _arc_kernel(np.sin(2.0 * theta), c, p_inc)
     cubic = (c >= DEGENERATE_C) & (p_inc < _pib(c))
     if cubic.any():
         cc, pc = c[cubic], p_inc[cubic]
-        xc = _cubic.least_root(cc * cc, -2.0 * cc, 1.0 - pc, pc * cc, -1.0, cc)
+        xc = _cubic.least_root(cc, pc) / cc
         x[cubic] = xc
         q[cubic] = np.clip(1.0 - 2.0 * pc / (1.0 - xc * cc), 0.0, 1.0)
         ps[cubic] = _pure_probe_success(cc, pc, xc)
@@ -285,8 +286,8 @@ def single_pure_curve(
 ) -> tuple[StrategyPoint, SingleQubitStrategy]:
     """Best unmixed single-qubit protocol at inconclusive budget p_inc.
 
-    Below boundary_PIB the optimal x solves
-    c²x³ - 2cx² + (1 - P_I)x + P_I c = 0 with q = 1 - 2 P_I/(1 - xc);
+    Below boundary_PIB the optimal x = y/c, where y is the least root of
+    y³ - 2y² + (1 - P_I)y + P_I c² = 0, with q = 1 - 2 P_I/(1 - xc);
     above it the optimum sits on the q = 0 boundary.
     single_pure_curve_array takes arrays.
     """

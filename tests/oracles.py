@@ -2,8 +2,9 @@
 
 Every helper here recomputes something the library derives in closed form,
 but by a different route: generic polynomial root finders, the cubic's
-trigonometric root with b2**3 raised on every row, scipy's convex hull and
-a plain monotone chain, high-precision differencing with mpmath, a
+trigonometric root with b2**3 raised on every row, an exhaustive scan of
+single-qubit protocols, scipy's convex hull and a plain monotone chain,
+high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
 trial-by-trial sampler of that bench, and the process-tester formalism.
 Tests compare the two routes; nothing in this module imports the package
@@ -144,8 +145,9 @@ def conclusive_cubic_roots(c: float, p_inc: float) -> list[float]:
 def trig_least_root(a3, a2, a1, a0, lo, hi) -> np.ndarray:
     """The least root of a3 x^3 + a2 x^2 + a1 x + a0 per row, in [lo, hi].
 
-    The row algebra of `_cubic.least_root`, written out with b2**3 raised on
-    every row: normalize each row by its largest coefficient, take the
+    The general six-coefficient solver that `_cubic.least_root` specializes
+    to its one monic cubic, written out with b2**3 raised on every row:
+    normalize each row by its largest coefficient, take the
     trigonometric root m cos(phi - 4 pi/3) - b2/3 of the depressed cubic,
     clip it to the bracket, take three Newton steps (none where the
     derivative vanishes) and clip again. The cube is numpy's array power
@@ -244,6 +246,60 @@ def relabeling_candidates(theta: float, probe_angle: float, q: float) -> list:
     return candidates
 
 
+# Largest brute_force_single resolution: 25 times the default's protocols.
+MAX_RESOLUTION = 10_000
+
+
+def brute_force_single(pair, p_inc_target: float, resolution: int = 2000) -> float:
+    """Best single-qubit success at an inconclusive rate, by exhaustive scan.
+
+    Scans (resolution+1)^2 probe angles x guess rates under each of the four
+    guess assignments of `relabeling_candidates`, keeps the best success in
+    each of 4*resolution inconclusive-rate bins, and reads the upper hull of
+    the survivors (`upper_hull_chain`) at the target rate: chords between
+    scanned protocols are two-point mixtures, hence achievable. Raises
+    ValueError for a resolution that is not an integer in
+    [100, MAX_RESOLUTION] and for a target outside [0, (1 + cos 2θ)/2].
+    """
+    if not (isinstance(resolution, int) and 100 <= resolution <= MAX_RESOLUTION):
+        raise ValueError(f"resolution must be an integer in [100, {MAX_RESOLUTION}]")
+    theta = pair.theta
+    pi_max = 0.5 * (1.0 + math.cos(2.0 * theta))
+    if not -1e-12 <= p_inc_target <= pi_max + 1e-12:
+        raise ValueError("inconclusive target outside [0, (1 + cos(2*theta))/2]")
+    angles = np.linspace(0.0, math.pi / 2.0, resolution + 1)
+    qs = np.linspace(0.0, 1.0, resolution + 1)
+    pm = (np.cos(theta - angles) ** 2, np.sin(theta - angles) ** 2)
+    pn = (np.cos(theta + angles) ** 2, np.sin(theta + angles) ** 2)
+    n_bins = 4 * resolution
+    scale = (n_bins - 1) / pi_max
+    step = max(1, 40000 // (resolution + 1))
+
+    def chunks():
+        for start in range(0, len(qs), step):
+            q = qs[start : start + step, None]
+            for firm in (0, 1):
+                other = 1 - firm
+                pi = (0.5 * (1.0 - q) * (pm[other] + pn[other])).ravel()
+                bins = np.clip((pi * scale).astype(int), 0, n_bins - 1)
+                for sure, hedge in ((pm, pn), (pn, pm)):
+                    yield pi, bins, (0.5 * (sure[firm] + q * hedge[other])).ravel()
+
+    best_ps = np.full(n_bins, -np.inf)
+    for _, bins, ps in chunks():
+        np.maximum.at(best_ps, bins, ps)
+    best_pi = np.zeros(n_bins)
+    for pi, bins, ps in chunks():
+        hit = ps >= best_ps[bins]
+        best_pi[bins[hit]] = pi[hit]
+
+    valid = best_ps > -np.inf
+    pts = np.column_stack([best_pi[valid], best_ps[valid]])
+    hull = pts[upper_hull_chain(pts)]
+    target = min(max(p_inc_target, hull[0, 0]), hull[-1, 0])
+    return float(np.interp(target, hull[:, 0], hull[:, 1]))
+
+
 def upper_hull_interp(p_inc, p_success, query):
     """Upper-envelope heights at the query abscissas via scipy's hull."""
     from scipy.spatial import ConvexHull
@@ -317,6 +373,16 @@ def mp_pure_success(c, p_inc, dps: int = 60):
             if best is None or ps > best:
                 best = ps
         return best
+
+
+def mp_least_root(c, p_inc, dps: int = 40):
+    """Least root y of y^3 - 2y^2 + (1 - P_I) y + P_I c^2 (mpmath root finder)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        cc, pp = mp.mpf(c), mp.mpf(p_inc)
+        roots = mp.polyroots([1, -2, 1 - pp, pp * cc * cc], maxsteps=400, extraprec=400)
+        return min(mp.re(r) for r in roots)
 
 
 def mp_second_derivative(c, p_inc, concave: bool = False, dps: int = 60) -> float:

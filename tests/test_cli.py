@@ -840,7 +840,10 @@ def test_csv_body_matches_the_cellwise_format():
 # SHA-256 of each table body (the lines after the first line). The CSV
 # bodies other than `convexity` are unchanged since version 0.1.5;
 # `convexity` was re-pinned at 0.1.6, where boundary_PIB, which sets its
-# default budgets, moved in the last bit. A JSON body carries the version
+# default budgets, moved in the last bit, and at 0.1.8, where the
+# five-point stencil came to read the pure curve at c itself and the probe
+# x = y/c, moving 104 of its 760 rows in `d2_numeric` and `rel_err` at 12
+# digits. A JSON body carries the version
 # and the checksum, so its digest changes with every version. The JSON one
 # pins NaN as null (the ideal T = 0 row has no conclusive event) and the
 # JSON float text.
@@ -854,7 +857,7 @@ GOLDEN_BODIES = {
     ),
     "convexity": (
         ["convexity"],
-        {"convexity.csv": "39a8102ff30ad310b434aa95d916d12f0f1e42e7b7aa233a0f879966f189cb8a"},
+        {"convexity.csv": "a49f85da6a24fc4fa396a0a91b37604a6196c549595655ae69d275b8220f5eeb"},
     ),
     "curves": (
         ["curves", "--theta", PI6],
@@ -870,7 +873,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "bb24d624834c8003c1dca83ea3d570ca11febe387c2681755d4668c2b628b3e8"},
+        {"simulate.json": "331b699931334b1c0b28e412bd4ec297188a4dd26496ff9741d87be03691082c"},
     ),
 }
 
@@ -885,39 +888,41 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.7. Their headers and manifests carry the version and the
+# at version 0.1.8. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
-# came to be read off the dual point in light-cone form.
+# came to be read off the dual point in light-cone form. At 0.1.8 the hull
+# manifest lost its constant "format" parameter, and 10 curvature cells of
+# the convexity JSON moved with its stencil.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "ec47f8cafb6512e5a3075010eac7b088b35427488169f54758c7cf3fb5295c83",
-            "hull_vertices.csv": "547768c953a864dea28f1262164a45b8bf165ef2fe17237c32ff98e625308d45",
-            "manifest.json": "e513e4036efc8b9c0bb5491b7750a754b7f1b6fd16802e1217a3a400601e278e",
+            "hull_report.json": "7d60f8ed15b1b6ad2c022e3fb884bd260413faafbc0b22e432dc0181058dca73",
+            "hull_vertices.csv": "198412bd1fff980b5aad9d012b512a18f593c31e049efff4999104ea6d089a6c",
+            "manifest.json": "02503bae8a52a3ad923330386cfed5021619a8ee3b9fd00d3f41da531bf725ca",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "926d1e509bee98cb2cf275dd41495bdb38408a65d4a1741e950a663c5aac65f3",
-            "manifest.json": "e883428015964e07ce21bb74bb577c2f739995395b86a510822fa4ad27415f80",
+            "oracle_report.json": "f4edbe1d04834c4d8b7de03f13d7e013cef3590a462c46a3dec2a2de30bc4db1",
+            "manifest.json": "262ce34c67eb0ad341b8a9a4ade57f2f7d6e90ff7b3fc4959ef5e9a2537235a1",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "2edf092a8241508131a840b979d3878c606d86e3f95a2b4296d1865624872174",
-            "manifest.json": "ff55ecb284dc7f7bae9354fdc127f257b448e8fde64d376a1041c7b25bce9ef5",
+            "curves.csv": "d00b2acf957c2b4356855aa9abb38c59a7fd7ece65b57ed7faecf2e449844188",
+            "manifest.json": "cf24059cf43df451cbe30aae0edd9dbdea8a7f712ac2cfd59bf434d534dc056a",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "50db09b7d42f06174abeb86a1fd1839c2361261559975c0ea0c037b2ad2754e1",
-            "manifest.json": "0330e8c2edb3b97e6a6e14d75dfa3045949b91f3bbbfcafcede459b804971dab",
+            "convexity.json": "787bbb2e07c895c58059217edb9b8376218e9278a16edae584389a983a1c2f93",
+            "manifest.json": "b7e8e310659b06b435df7d6803d63239374d27e9e78aa31274c13de74a5cb2e4",
         },
     ),
 }

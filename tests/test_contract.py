@@ -52,9 +52,6 @@ SCALAR_CALLS = {
     # The tol check has its own test; a tiny valid tol only sends the
     # search into its scipy fallback, which costs a second to import.
     "optimize_povm": (lambda p: md.optimize_povm(PAIR, p), (0.2,), (BUDGET,)),
-    "brute_force_single": (
-        lambda p: md.brute_force_single(PAIR, p, resolution=100), (0.2,), (BUDGET,)
-    ),
 }
 
 ARRAY_CALLS = {
@@ -142,9 +139,6 @@ INTEGER_CALLS = {
     ),
     "hull_verify": (
         lambda n, seed: md.hull_verify(0.5, n, seed), (100, 0), (("samples",), ("seed",))
-    ),
-    "brute_force_single": (
-        lambda r: md.brute_force_single(PAIR, 0.2, resolution=r), (100,), (("resolution",),)
     ),
     "optimize_povm": (
         lambda r: md.optimize_povm(PAIR, 0.2, restarts=r), (1,), (("restarts",),)

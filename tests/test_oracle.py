@@ -562,12 +562,12 @@ def test_search_stops_at_the_first_certified_restart(ascent_only):
 
 def test_brute_force_matches_the_hull():
     pair = measurement_pair(math.pi / 6.0)
-    point = md.brute_force_single(pair, 0.3, resolution=800)
-    assert point.p_success == pytest.approx(FROZEN["ps_opt_c05_p03"], abs=1e-3)
-    assert point.p_success <= FROZEN["ps_opt_c05_p03"] + 1e-9
+    got = oracles.brute_force_single(pair, 0.3, resolution=800)
+    assert got == pytest.approx(FROZEN["ps_opt_c05_p03"], abs=1e-3)
+    assert got <= FROZEN["ps_opt_c05_p03"] + 1e-9
     theta = math.pi / 6.0
     for target in (0.1, 0.45, 0.55):
-        got = md.brute_force_single(pair, target, resolution=400).p_success
+        got = oracles.brute_force_single(pair, target, resolution=400)
         closed = single_optimal(theta, target)[0].p_success
         assert abs(got - closed) <= 1e-3
         assert got <= closed + 1e-9
@@ -575,11 +575,9 @@ def test_brute_force_matches_the_hull():
 
 def test_brute_force_endpoints():
     pair = measurement_pair(math.pi / 6.0)
-    at_zero = md.brute_force_single(pair, 0.0, resolution=400)
-    assert at_zero.p_success == pytest.approx(
-        helstrom_point(math.pi / 6.0).p_success, abs=1e-6
-    )
-    at_end = md.brute_force_single(pair, 0.625, resolution=400)
-    assert at_end.p_success == pytest.approx(0.375, abs=1e-3)
-    with pytest.raises(DomainError, match="resolution"):
-        md.brute_force_single(pair, 0.3, resolution=50)
+    at_zero = oracles.brute_force_single(pair, 0.0, resolution=400)
+    assert at_zero == pytest.approx(helstrom_point(math.pi / 6.0).p_success, abs=1e-6)
+    at_end = oracles.brute_force_single(pair, 0.625, resolution=400)
+    assert at_end == pytest.approx(0.375, abs=1e-3)
+    with pytest.raises(ValueError, match="resolution"):
+        oracles.brute_force_single(pair, 0.3, resolution=50)

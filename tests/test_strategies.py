@@ -632,8 +632,8 @@ def test_least_root_is_the_best_pure_probe():
     edge_p[3::4] = pib[3::4] * (1.0 - 1e-12)
     c, p = np.append(c, edge_c), np.append(p, edge_p)
 
-    y = _cubic.least_root(1.0, -2.0, 1.0 - p, p * c * c, -c, c * c)
-    x = _cubic.least_root(c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c)
+    y = _cubic.least_root(c, p)
+    x = y / c
     assert np.all((-c <= y) & (y <= c * c) & (-1.0 <= x) & (x <= c))
     assert np.all(x[p == 0.0] == 0.0) and np.all(y[p == 0.0] == 0.0)
     theta = 0.5 * np.arccos(c)
@@ -651,19 +651,41 @@ def test_least_root_is_the_best_pure_probe():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 127, 5000])
 def test_least_root_keeps_its_bits(n):
-    # cubing each distinct b2 once must give the bits of cubing every row
+    # The monic y-form gives the bits of the normalized six-coefficient
+    # solver, so y_root and the analytic curvature keep theirs.
     rng = np.random.default_rng(70 + n)
     for pool in (1, 3, n):  # one, a few and all-distinct overlaps
         c = rng.uniform(0.0, 1.0, max(pool, 1))[rng.integers(0, max(pool, 1), n)]
         p = rng.uniform(0.0, 1.0, n) * boundary_PIB(c)
         p[: n // 10] = 0.0
-        for coefs in (
-            (c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c),  # x-form
-            (1.0, -2.0, 1.0 - p, p * c * c, -c, c * c),  # y-form
-        ):
-            root = _cubic.least_root(*coefs)
-            assert root.shape == (n,)
-            assert root.tobytes() == oracles.trig_least_root(*coefs).tobytes(), pool
+        root = _cubic.least_root(c, p)
+        assert root.shape == (n,)
+        reference = oracles.trig_least_root(1.0, -2.0, 1.0 - p, p * c * c, -c, c * c)
+        assert root.tobytes() == reference.tobytes(), pool
+
+
+def test_least_root_matches_40_digits():
+    # y and the probe x = y/c against mpmath, on seeded rows and on rows
+    # with c near 0 and 1, at P_I = 0, a tiny P_I and just below boundary_PIB.
+    import mpmath as mp
+
+    rng = np.random.default_rng(24)
+    c = rng.uniform(0.0, 1.0, 200)
+    p = rng.uniform(0.0, 1.0, 200) * boundary_PIB(c)
+    edge_c = np.repeat([1e-12, 1e-8, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-8, 1.0 - 1e-12], 4)
+    pib = boundary_PIB(edge_c)
+    edge_p = np.tile([0.0, 1e-300, 0.0, 0.0], len(edge_c) // 4)
+    edge_p[2::4] = np.nextafter(pib[2::4], 0.0)
+    edge_p[3::4] = pib[3::4] * (1.0 - 1e-12)
+    c, p = np.append(c, edge_c), np.append(p, edge_p)
+    y = _cubic.least_root(c, p)
+    x = y / c
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for k in range(len(c)):
+            exact = oracles.mp_least_root(float(c[k]), float(p[k]))
+            assert abs(y[k] - exact) <= eps * c[k], (c[k], p[k])
+            assert abs(x[k] - exact / mp.mpf(float(c[k]))) <= eps, (c[k], p[k])
 
 
 def optimal_bit_cases() -> tuple[np.ndarray, np.ndarray]:
@@ -795,7 +817,7 @@ def test_best_root_rejects_inadmissible_roots_and_breaks_ties_upward():
     assert low == pytest.approx(x_opt, abs=1e-14)
     assert abs(mid) > 1.0 and 1.0 - 2.0 * p / (1.0 - mid * c) < 0.0
     assert abs(high) > 1.0
-    least = _cubic.least_root(c * c, -2.0 * c, 1.0 - p, p * c, -1.0, c)
+    least = _cubic.least_root(np.array([c]), np.array([p])) / c
     assert least[0] == pytest.approx(x_opt, abs=1e-14)
 
     point, strat = single_pure_curve(theta_for_overlap(c), p)
