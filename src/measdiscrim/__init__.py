@@ -6,7 +6,7 @@ Monte Carlo model of the bench experiment. The `*_array` curve functions
 take numpy arrays of angles and budgets.
 """
 
-__version__ = "0.1.8"
+__version__ = "0.1.9"
 
 from .errors import (
     BranchCrossingError,

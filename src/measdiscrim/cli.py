@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -88,11 +87,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _sha256(data: bytes) -> str:
+    """Hex SHA-256 of data. hashlib loads OpenSSL, so it is imported here,
+    by the runs that write outputs, not with the package."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _params_checksum(command: str, parameters: dict, seed: int) -> str:
     run = {"artifact_version": __version__, "command": command,
            "parameters": parameters, "seed": seed}
     canonical = json.dumps(run, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8"))
 
 
 def _csv_body(columns) -> bytes:
@@ -317,7 +324,6 @@ def _oracle_parameters(args) -> dict:
         "theta": _resolve_theta(args.theta, args.degrees),
         "p_inc_target": args.pi,
         "tol": args.tol,
-        "restarts": args.restarts,
     }
 
 
@@ -325,16 +331,12 @@ def _run_oracle(parameters: dict, seed: int) -> tuple[dict, int]:
     theta = parameters["theta"]
     target = parameters["p_inc_target"]
     pair = measurement_pair(theta)
-    result = optimize_povm(
-        pair, target, tol=parameters["tol"], seed=seed, restarts=parameters["restarts"]
-    )
+    result = optimize_povm(pair, target, tol=parameters["tol"])
     closed = entangled_success(theta, min(max(target, 0.0), overlap(pair)))
     report = {
         "theta": theta,
         "p_inc_target": target,
         "tol": parameters["tol"],
-        "seed": seed,
-        "restarts": parameters["restarts"],
         "converged": result.converged,
         "p_success": result.point.p_success,
         "p_error": result.point.p_error,
@@ -350,8 +352,6 @@ def _run_oracle(parameters: dict, seed: int) -> tuple[dict, int]:
             "h_n": result.triple.h_n.tolist(),
             "h_i": result.triple.h_i.tolist(),
         },
-        "restart_values": list(result.restart_values),
-        "best_restart": result.best_restart,
     }
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
     return {"oracle_report.json": report}, code
@@ -415,7 +415,7 @@ def _execute(command: str, parameters: dict, seed: int, out_dir: Path) -> tuple[
     results, code = _COMMANDS[command][1](parameters, seed)
     checksum = _params_checksum(command, parameters, seed)
     files = {name: _output_bytes(name, result, checksum) for name, result in results.items()}
-    outputs = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    outputs = {name: _sha256(data) for name, data in files.items()}
     files["manifest.json"] = _json_bytes(
         {
             "command": command,
@@ -494,13 +494,13 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_flags(sub, *flags: str, seed_help: str | None = None) -> None:
+def _add_flags(sub, *flags: str) -> None:
     """Add --out and those of --format, --seed and --degrees that `sub` reads."""
     sub.add_argument("--out", default=".", help="output directory")
     if "--format" in flags:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if "--seed" in flags:
-        sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
+        sub.add_argument("--seed", type=_seed, default=0)
     if "--degrees" in flags:
         sub.add_argument(
             "--degrees", action="store_true", help="interpret angle arguments as degrees"
@@ -540,14 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--pi", type=float, required=True, help="inconclusive-rate target")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument(
-        "--restarts",
-        type=int,
-        default=20,
-        help="most fallback ascent starts, used only if the tester read off the "
-        "dual certificate fails its check",
-    )
-    _add_flags(p, "--seed", "--degrees", seed_help="seed of the fallback ascent starts")
+    _add_flags(p, "--degrees")
 
     p = sub.add_parser("simulate", help="Monte Carlo bench scans")
     p.add_argument("--mode", choices=("intermediate", "unambiguous"), required=True)
@@ -569,7 +562,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             return _replay(args)
-        # curves and convexity draw nothing and record seed 0.
+        # curves, convexity and oracle draw nothing and record seed 0.
         seed = getattr(args, "seed", 0)
         parameters = _COMMANDS[args.command][0](args)
         return _execute(args.command, parameters, seed, Path(args.out))[1]

@@ -23,22 +23,17 @@ semidefinite constraint is a light cone, and at fixed λ the least ½ tr Y
 is the 1-center of three cones. Complementary slackness puts each block on
 the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the kernel
 weights (`_slack_tester`). That tester's rate is the dual's slope in λ, so
-`_dual_bound` bisects on it and returns the dual point together with the
-tester at the λ it returns. The tester's success matches the bound at its
-own rate to rounding, which certifies it. `_result` applies the PSD rule
-to H_M, H_N and H_I, floors the accepted blocks onto the PSD cone in
-closed form and reads the probabilities off the cone triples. Where the
-measurements coincide to within about 1e-9 every slack vanishes and the
-dual point leaves the tester open; the tester that ignores the measurement
-(`_blind_tester`) is optimal there and takes the same check.
-
-Only when no tester passes that check does the search fall back
-to penalized gradient ascent from seeded random starts, each proved or
-rejected by the same dual bound. Its objective and gradient
-(`_penalized_objective`) are a scalar kernel on Python floats, and
-scipy.optimize is imported on the first fallback (`minimize`), not with
-the package. The search exists to check the closed forms in `strategies`,
-never to replace them.
+`_dual_bound` bisects on it. The bracket's two testers are each optimal at
+their own rate, and the blocks are linear, so their mixture weighted onto
+the target rate is a tester too (`_mix`); it is returned with the least
+dual value evaluated. `_result` applies the PSD rule to H_M, H_N and H_I,
+floors the accepted blocks onto the PSD cone in closed form, reads the
+probabilities off the cone triples and certifies the tester when its
+success meets the bound at its own rate. Where the measurements coincide
+to within about 1e-9 every slack vanishes and the dual point leaves the
+tester open; the tester that ignores the measurement (`_blind_tester`) is
+optimal there and takes the same check. The search exists to check the
+closed forms in `strategies`, never to replace them.
 """
 
 from __future__ import annotations
@@ -49,24 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .geometry import TOL, MeasurementPair, check_integer
+from .geometry import TOL, MeasurementPair
 from .strategies import StrategyPoint
 
 # Tester-block asymmetry, negative eigenvalue and sum error allowed: above rounding, below tol.
 BLOCK_TOL = 1e-10
 EYE2 = np.eye(2)
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use.
-
-    Importing scipy.optimize costs about half a second, and only the tester
-    search's fallback ascent needs it, so the package import, the other
-    subcommands and a certified search skip it.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 # --- 2×2 blocks as light cones ---
@@ -177,122 +160,26 @@ def reduced_probabilities(triple: PovmTriple, pair: MeasurementPair) -> Strategy
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best tester found, its dual certificate, and the fallback's bookkeeping.
+    """The tester found and its dual certificate.
 
     (y, lam) is a feasible point of the Lagrange dual: y ⪰ m0, y ⪰ n0 and
     y ⪰ lam·(m0 + n0). It proves P_S ≤ upper_bound = ½ tr y − lam·P_I for
     every tester at the returned inconclusive rate; gap = upper_bound − P_S.
-    When the tester comes from the dual point itself, restart_values is ()
-    and best_restart is None; otherwise they hold the success of each
-    fallback ascent restart and the index of the returned one.
     """
 
     point: StrategyPoint
     triple: PovmTriple
     converged: bool
     p_inc_error: float
-    restart_values: tuple[float, ...]
-    best_restart: int | None
     upper_bound: float
     gap: float
     y: np.ndarray
     lam: float
 
-
-def _mix_to_target(h_m, h_n, target: float, cones):
-    """Mix with an anchor tester so the inconclusive rate hits the target.
-
-    Anchors: all-inconclusive (blocks 0, 0) when short of the target,
-    always-guess-M (𝕀/2, 0) when past it. Mixing preserves PSD and the
-    sum constraint exactly.
-    """
-    pi = _probabilities(h_m, h_n, _rest(h_m, h_n), cones)[2]
-    if pi < target:
-        lam = (target - pi) / (1.0 - pi) if pi < 1.0 else 0.0
-        return tuple((1.0 - lam) * x for x in h_m), tuple((1.0 - lam) * x for x in h_n)
-    if pi > target and pi > 0.0:
-        lam = 1.0 - target / pi
-        t, u, v = ((1.0 - lam) * x for x in h_m)
-        return (t + 0.5 * lam, u, v), tuple((1.0 - lam) * x for x in h_n)
-    return h_m, h_n
-
-
-def _kernel_coefficients(m0: np.ndarray, n0: np.ndarray, target: float) -> tuple:
-    """The entries `_penalized_objective` reads, as Python floats.
-
-    Order: (m00, m01, m11, n00, n01, n11, s00, s01, s11, target) with
-    s = m0 + n0; the projectors are real symmetric, so m01 stands for m10.
-    """
-    s0 = m0 + n0
-    return (
-        float(m0[0, 0]), float(m0[0, 1]), float(m0[1, 1]),
-        float(n0[0, 0]), float(n0[0, 1]), float(n0[1, 1]),
-        float(s0[0, 0]), float(s0[0, 1]), float(s0[1, 1]),
-        float(target),
-    )
-
-
-def _penalized_objective(
-    v: np.ndarray, mu: float, nu: float, coeffs: tuple
-) -> tuple[float, np.ndarray]:
-    """Negated penalized success and its gradient, in closed form.
-
-    v holds the Cholesky-like factors L_M = [[v0, 0], [v1, v2]] and
-    L_N = [[v3, 0], [v4, v5]], so H_M = L_M L_Mᵀ and H_N = L_N L_Nᵀ are PSD
-    and H_I = 𝕀/2 − H_M − H_N. The objective is
-
-        P_S − mu (P_I − target)² − nu ‖(H_I)₋‖²_F,
-
-    where (H_I)₋ = z is the negative part of H_I. Its 2×2 eigenvalues are
-    lo, hi = mean ± r; with lo < 0 < hi, z = lo (H_I − hi 𝕀) / (lo − hi) is
-    lo times the projector onto the lower eigenvector, and with hi ≤ 0,
-    z = H_I.
-    `coeffs` comes from `_kernel_coefficients`.
-    """
-    a, b, c, d, e, f = v.tolist()
-    m00, m01, m11, n00, n01, n11, s00, s01, s11, target = coeffs
-    hm00, hm01, hm11 = a * a, a * b, b * b + c * c
-    hn00, hn01, hn11 = d * d, d * e, e * e + f * f
-    i00 = 0.5 - hm00 - hn00
-    i01 = -hm01 - hn01
-    i11 = 0.5 - hm11 - hn11
-    ps = (hm00 * m00 + 2.0 * hm01 * m01 + hm11 * m11
-          + hn00 * n00 + 2.0 * hn01 * n01 + hn11 * n11)
-    slack = i00 * s00 + 2.0 * i01 * s01 + i11 * s11 - target
-
-    mean = 0.5 * (i00 + i11)
-    half = 0.5 * (i00 - i11)
-    r = math.sqrt(half * half + i01 * i01)
-    lo, hi = mean - r, mean + r
-    if lo >= 0.0:
-        pen = 0.0
-        z00 = z01 = z11 = 0.0
-    elif hi > 0.0:
-        pen = lo * lo
-        k = lo / (lo - hi)
-        z00, z01, z11 = k * (i00 - hi), k * i01, k * (i11 - hi)
-    else:
-        pen = lo * lo + hi * hi
-        z00, z01, z11 = i00, i01, i11
-    obj = ps - mu * slack * slack - nu * pen
-
-    # dObj/dH_M = m0 + 2 mu slack s + 2 nu z (likewise for N); the chain
-    # rule through H = L Lᵀ gives 2 D L, of which we keep the free entries.
-    ws, wz = 2.0 * mu * slack, 2.0 * nu
-    c00, c01, c11 = ws * s00 + wz * z00, ws * s01 + wz * z01, ws * s11 + wz * z11
-    dm00, dm01, dm11 = m00 + c00, m01 + c01, m11 + c11
-    dn00, dn01, dn11 = n00 + c00, n01 + c01, n11 + c11
-    grad = np.array(
-        [
-            -2.0 * (dm00 * a + dm01 * b),
-            -2.0 * (dm01 * a + dm11 * b),
-            -2.0 * dm11 * c,
-            -2.0 * (dn00 * d + dn01 * e),
-            -2.0 * (dn01 * d + dn11 * e),
-            -2.0 * dn11 * f,
-        ]
-    )
-    return -obj, grad
+    @property
+    def restart_values(self) -> tuple[float, ...]:
+        """Always (): no search restarts. Kept while the benchmark reads it."""
+        return ()
 
 
 # --- the Lagrange dual: a certified upper bound on P_S at a given P_I ---
@@ -487,13 +374,13 @@ def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float):
     Its slope at λ is P_I(λ) − p_inc, where P_I(λ) is the rate of the tester
     that complementary slackness assigns to the 1-center at λ
     (`_slack_tester`), so a bisection on the sign of the slope finds the
-    optimal λ to rounding. Of the final bracket's two ends, the one whose
-    rate is nearer p_inc is returned. Where the slacks leave the tester
-    undetermined, the bisection stops at the least value it has evaluated.
-    Every evaluation is dual feasible, so the result is always a bound.
+    optimal λ to rounding. It stops early where a midpoint's slacks leave
+    the tester undetermined. Every evaluation is dual feasible, so the least
+    value evaluated is always a bound.
 
     Returns (value, Y, λ, tester): Y as a cone triple (t, p₁, p₂), and the
-    `_slack_tester` at that λ, (H_M, H_N) as cone triples or None.
+    final bracket's two testers mixed onto p_inc (`_mix`), (H_M, H_N) as
+    cone triples or None.
     """
     base = _cones(m0, n0)
 
@@ -506,19 +393,36 @@ def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float):
         return t - lam * p_inc, (t, x, y), lam, tester, rate
 
     lo, hi = dual(0.0), dual(1.0)
+    open_mid = ()
     for _ in range(_BISECTION_STEPS):
         lam = 0.5 * (lo[2] + hi[2])
         if lam in (lo[2], hi[2]):
             break
         mid = dual(lam)
         if mid[4] is None:
-            return min(lo, mid, hi, key=lambda d: d[0])[:4]
+            open_mid = (mid,)
+            break
         if mid[4] < p_inc:
             lo = mid
         else:
             hi = mid
-    nearest = min(lo, hi, key=lambda d: (math.inf if d[4] is None else abs(d[4] - p_inc), d[0]))
-    return nearest[:4]
+    least = min(lo, hi, *open_mid, key=lambda d: d[0])
+    return (*least[:3], _mix(lo[3:], hi[3:], p_inc))
+
+
+def _mix(lo, hi, p_inc: float):
+    """The chord between two (tester, rate) pairs at rate p_inc.
+
+    H_M and H_N are linear in a mixture, and so is the rate, so the weight
+    w = (p_inc − r_lo)/(r_hi − r_lo) of the upper tester hits p_inc; it is
+    clipped to [0, 1] to keep the mixture convex. A missing tester leaves
+    the chord open (None).
+    """
+    (a, r_lo), (b, r_hi) = lo, hi
+    if a is None or b is None:
+        return None
+    w = min(max((p_inc - r_lo) / (r_hi - r_lo), 0.0), 1.0) if r_hi != r_lo else 0.0
+    return tuple(tuple((1.0 - w) * x + w * z for x, z in zip(ha, hb)) for ha, hb in zip(a, b))
 
 
 def _blind_tester(p_inc: float):
@@ -533,36 +437,6 @@ def _blind_tester(p_inc: float):
     return h, h
 
 
-def _ascent_restart(
-    m0: np.ndarray, n0: np.ndarray, target: float, rng: np.random.Generator, tol: float
-):
-    """One seeded penalized ascent; (P_S, P_I, H_M, H_N) with cone-form blocks."""
-    coeffs = _kernel_coefficients(m0, n0, target)
-    w = rng.dirichlet((1.0, 1.0, 1.0))
-    angles = rng.uniform(0.0, math.pi, 2)
-    r_m, r_n = math.sqrt(w[0] / 2.0), math.sqrt(w[1] / 2.0)
-    v = np.array([r_m * math.cos(angles[0]), r_m * math.sin(angles[0]), 0.0,
-                  r_n * math.cos(angles[1]), r_n * math.sin(angles[1]), 0.0])
-    for mu in (1e2, 1e3, 1e4, 1e6):
-        v = minimize(
-            _penalized_objective, v, args=(mu, 100.0 * mu, coeffs), jac=True,
-            method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
-        ).x
-
-    # H = L Lᵀ for L = [[a, 0], [b, c]] is [[a², a b], [a b, b² + c²]].
-    a, b, c, d, e, f = v.tolist()
-    h_m = (0.5 * (a * a + b * b + c * c), 0.5 * (a * a - b * b - c * c), a * b)
-    h_n = (0.5 * (d * d + e * e + f * f), 0.5 * (d * d - e * e - f * f), d * e)
-    # Feasibility polish: pull the pair inside the constraint, then, only
-    # if the penalty stages left a real gap, mix exactly onto the target.
-    cones = _cones(m0, n0)
-    h_m, h_n = _inside(h_m, h_n)
-    if abs(_probabilities(h_m, h_n, _rest(h_m, h_n), cones)[2] - target) > 0.5 * tol:
-        h_m, h_n = _mix_to_target(h_m, h_n, target, cones)
-    ps, _, pi = _probabilities(h_m, h_n, _rest(h_m, h_n), cones)
-    return ps, pi, h_m, h_n
-
-
 def optimize_povm(
     pair: MeasurementPair, p_inc_target: float, *, tol: float = 1e-4, seed: int = 0,
     restarts: int = 20,
@@ -570,73 +444,40 @@ def optimize_povm(
     """Maximize success at a fixed inconclusive rate over covariant testers.
 
     `_dual_bound` solves the Lagrange dual at the target and returns the
-    tester that complementary slackness assigns to its dual point. The dual
-    point bounds every tester's success at the tester's own rate, so the
-    tester is returned, with restart_values=() and best_restart=None, when
-    its blocks pass `_result`'s PSD rule, its rate is within `tol` of the
-    target and its success within `tol` of the bound. Otherwise, and when
-    the slacks leave the tester open (θ ≲ 1e-9), `_blind_tester` takes its
-    place under the same check. No scipy is imported on this path.
+    tester its bisection brackets, mixed onto the target rate. The dual
+    point bounds every tester's success at the tester's own rate, so that
+    tester is returned when its blocks pass `_result`'s PSD rule, its rate
+    is within `tol` of the target and its success within `tol` of the
+    bound. Otherwise, and where the slacks leave the tester open
+    (θ ≲ 1e-9), `_blind_tester` takes its place under the same check. If
+    neither passes, the first of the two that the PSD rule accepts is
+    returned with converged=False; the blind tester always is.
 
-    Only when neither tester passes does the search fall back to
-    penalized L-BFGS ascent from seeded random starts; `seed` and
-    `restarts` govern this fallback alone. Restart r draws from the
-    generator (seed, r) and passes through four penalty stages
-    mu = 1e2, 1e3, 1e4, 1e6 with a PSD penalty nu = 100 mu, each minimizing
-    the closed-form 2×2 kernel `_penalized_objective`; a final polish scales
-    the blocks inside the constraint and, if needed, mixes them onto the
-    target rate. The fallback returns the first restart that passes the
-    same check against its own dual bound, so `restarts` caps the number of
-    starts rather than fixing it. If none passes within the cap, the best
-    feasible restart (ties to the lowest index), or failing that the one
-    nearest the target rate, is returned with converged=False.
-
-    `converged` means |P_I − target| ≤ tol and gap ≤ tol.
-    Raises DomainError for a target outside [0, cos 2θ], `restarts` that
-    is not an integer ≥ 1, or a `tol` that is not finite and positive.
+    `converged` means |P_I − target| ≤ tol and gap ≤ tol. `seed` and
+    `restarts` are accepted and ignored; they go once the benchmark stops
+    passing them (ROADMAP.md, item 1).
+    Raises DomainError for a target outside [0, cos 2θ] or a `tol` that is
+    not finite and positive.
     """
-    restarts = check_integer(restarts, "restarts", 1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     c = math.cos(2.0 * pair.theta)
     if not -TOL <= p_inc_target <= c + TOL:
         raise DomainError("inconclusive target outside [0, cos(2*theta)]")
     p_inc_target = min(max(p_inc_target, 0.0), c)
-    m0, n0 = pair.m0, pair.n0
 
-    _, y, lam, tester = _dual_bound(m0, n0, p_inc_target)
+    _, y, lam, tester = _dual_bound(pair.m0, pair.n0, p_inc_target)
+    fallback = None
     for blocks in (tester, _blind_tester(p_inc_target)):
-        if blocks is not None:
-            result = _result(pair, p_inc_target, tol, *blocks, y, lam, (), None)
-            if result is not None and result.converged:
-                return result
-
-    runs = []  # (ps, pi, h_m, h_n, dual bound or None) per restart
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        ps, pi, h_m, h_n = _ascent_restart(m0, n0, p_inc_target, rng, tol)
-        bound = _dual_bound(m0, n0, pi) if abs(pi - p_inc_target) <= tol else None
-        runs.append((ps, pi, h_m, h_n, bound))
-        if bound is not None and bound[0] - ps <= tol:
-            best = r
-            break
-    else:
-        feasible = [r for r, run in enumerate(runs) if run[4] is not None]
-        if feasible:
-            best = max(feasible, key=lambda r: runs[r][0])
-        else:
-            best = min(range(restarts), key=lambda r: abs(runs[r][1] - p_inc_target))
-    _, pi, h_m, h_n, bound = runs[best]
-    _, y, lam, _ = bound if bound is not None else _dual_bound(m0, n0, pi)
-    restart_values = tuple(run[0] for run in runs)
-    # The ascent's blocks are PSD by construction (L Lᵀ, then `_inside` or a
-    # mixture with a PSD anchor), so the rule accepts them.
-    return _result(pair, p_inc_target, tol, h_m, h_n, y, lam, restart_values, best)
+        result = None if blocks is None else _result(pair, p_inc_target, tol, *blocks, y, lam)
+        if result is not None and result.converged:
+            return result
+        fallback = fallback or result
+    return fallback
 
 
 def _result(
-    pair: MeasurementPair, p_inc_target: float, tol: float, h_m, h_n, y, lam: float,
-    restart_values: tuple[float, ...], best_restart: int | None,
+    pair: MeasurementPair, p_inc_target: float, tol: float, h_m, h_n, y, lam: float
 ) -> OracleResult | None:
     """Validate a tester and certify it with the dual point (Y, λ).
 
@@ -661,8 +502,6 @@ def _result(
         triple=PovmTriple(*(_matrix(h) for h in (h_m, h_n, h_i))),
         converged=p_inc_error <= tol and gap <= tol,
         p_inc_error=p_inc_error,
-        restart_values=restart_values,
-        best_restart=best_restart,
         upper_bound=upper_bound,
         gap=gap,
         y=_matrix(y),

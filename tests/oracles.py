@@ -6,7 +6,9 @@ trigonometric root with b2**3 raised on every row, an exhaustive scan of
 single-qubit protocols, scipy's convex hull and a plain monotone chain,
 high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
-trial-by-trial sampler of that bench, and the process-tester formalism.
+trial-by-trial sampler of that bench, the Lagrange dual over every
+single-qubit protocol, and the process-tester formalism. `stress_sweep`
+lists the seeded inputs on which the tester search is stress-tested.
 Tests compare the two routes; nothing in this module imports the package
 under test. `two_pass_optimal` takes the library's pure-curve kernel as an
 argument and checks only how the optimal curve is put together from it.
@@ -582,33 +584,73 @@ def random_tester(rng: np.random.Generator):
     return blocks, rho
 
 
-def penalized_objective(v, m0, n0, target: float, mu: float, nu: float):
-    """The tester search's penalized objective by dense 2x2 linear algebra.
+def stress_sweep() -> list[tuple[float, float]]:
+    """The seed-7 (θ, P_I) sweep of the tester search, 45 010 points.
 
-    The blocks are H_M = L_M L_M^T and H_N = L_N L_N^T with lower-triangular
-    factors L_M = [[v0, 0], [v1, v2]] and L_N = [[v3, 0], [v4, v5]], and
-    H_I = I/2 - H_M - H_N. The objective is
-    P_S - mu (P_I - target)^2 - nu |negative part of H_I|_F^2, with the
-    negative part taken from a full eigendecomposition. Returns the negated
-    objective and its gradient in v, as the minimizer sees them.
+    θ: 6 000 from U[0, π/4], 1 500 from 10^U(−16, −1), 1 500 from
+    π/4 − 10^U(−16, −1), then 0 and π/4. At each θ, with c = cos 2θ, P_I
+    takes 0, c, U(0, c), c·U(0.999999, 1) and c·10^U(−12, −1), the last
+    three drawn in that order, θ by θ, after all the angles.
     """
-    eye = np.eye(2)
-    msum = m0 + n0
-    lm = np.array([[v[0], 0.0], [v[1], v[2]]])
-    ln = np.array([[v[3], 0.0], [v[4], v[5]]])
-    h_m = lm @ lm.T
-    h_n = ln @ ln.T
-    h_i = 0.5 * eye - h_m - h_n
-    ps = np.sum(h_m * m0) + np.sum(h_n * n0)
-    pi = np.sum(h_i * msum)
-    evals, evecs = np.linalg.eigh(h_i)
-    neg = np.minimum(evals, 0.0)
-    pen = float(np.sum(neg * neg))
-    z = evecs @ np.diag(neg) @ evecs.T
-    obj = ps - mu * (pi - target) ** 2 - nu * pen
-    d_m = m0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
-    d_n = n0 + 2.0 * mu * (pi - target) * msum + 2.0 * nu * z
-    gm = 2.0 * d_m @ lm
-    gn = 2.0 * d_n @ ln
-    grad = np.array([gm[0, 0], gm[1, 0], gm[1, 1], gn[0, 0], gn[1, 0], gn[1, 1]])
-    return -obj, -grad
+    rng = np.random.default_rng(7)
+    quarter = math.pi / 4.0
+    thetas = np.concatenate([
+        rng.uniform(0.0, quarter, 6000),
+        10.0 ** rng.uniform(-16.0, -1.0, 1500),
+        quarter - 10.0 ** rng.uniform(-16.0, -1.0, 1500),
+        [0.0, quarter],
+    ]).tolist()
+    points = []
+    for theta in thetas:
+        c = math.cos(2.0 * theta)
+        inner = rng.uniform(0.0, c)
+        near = c * rng.uniform(0.999999, 1.0)
+        tiny = c * 10.0 ** rng.uniform(-12.0, -1.0)
+        points += [(theta, p) for p in (0.0, c, inner, near, tiny)]
+    return points
+
+
+def single_qubit_dual(theta, lam):
+    """h(λ) = max over deterministic rules of max over probes of P_S + λ P_I.
+
+    A single-qubit protocol sends a probe with Bloch vector r, ‖r‖ ≤ 1,
+    through M or N (outcome-0 Bloch axes a = (sin 2θ, cos 2θ) and
+    b = (−sin 2θ, cos 2θ) in the x–z plane) and maps outcome k ∈ {0, 1}
+    to an answer M, N or inconclusive. With P(k) = (1 ± axis·r)/2, a
+    deterministic rule gives P_S + λ P_I = α + β·r, whose maximum over the
+    ball is α + ‖β‖; randomized rules and mixed protocols are mixtures, so
+    h(λ) − λ P_I bounds P_S at every P_I (weak duality). Arrays broadcast.
+    """
+    theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
+    s, c = np.sin(2.0 * theta), np.cos(2.0 * theta)
+    # answer: (weight in α, Bloch vector in β) for M, N and inconclusive
+    answers = ((1.0, (s, c)), (1.0, (-s, c)), (2.0 * lam, (0.0 * s, 2.0 * lam * c)))
+    best = np.full(theta.shape, -np.inf)
+    for w0, (x0, z0) in answers:
+        for w1, (x1, z1) in answers:
+            # outcome 0 adds +axis·r, outcome 1 adds −axis·r
+            norm = np.hypot(x0 - x1, z0 - z1)
+            best = np.maximum(best, 0.25 * (w0 + w1 + norm))
+    return best
+
+
+def single_qubit_bound(theta, p_inc, pit, ps_pit):
+    """h(λ) − λ P_I at λ = −dP_S/dP_I of the optimal single-qubit curve.
+
+    Any λ gives a bound; at the curve's own slope it is tight. The caller
+    supplies the tangent budget P_IT and the success there, NaN where the
+    hull degenerates (c ≈ 0) to the line P_S = 1 − P_I of slope −1. Below
+    P_IT the curve is the chord from (0, ½(1 + sin 2θ)); from P_IT on it is
+    the arc ½(1 − P_I) + ¼ sin 2θ √(1 − R²) with R = (1 − 2P_I)/cos 2θ.
+    """
+    theta, p_inc = np.broadcast_arrays(np.asarray(theta, float), np.asarray(p_inc, float))
+    s, c = np.sin(2.0 * theta), np.cos(2.0 * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = (0.5 * (1.0 + s) - ps_pit) / pit
+        r = (1.0 - 2.0 * p_inc) / c
+        # at c = 1 the arc is the line ½(1 − P_I): its 0/0 term is 0
+        arc = 0.5 - np.nan_to_num(s * r / (2.0 * c * np.sqrt(1.0 - r * r)))
+    # −dP_S/dP_I lies in [0, 1]; the clip absorbs the rounding of 1 − 2P_I
+    # relative to c² at the arc's far end
+    lam = np.clip(np.where(np.isnan(pit), 1.0, np.where(p_inc <= pit, chord, arc)), 0.0, 1.0)
+    return single_qubit_dual(theta, lam) - lam * p_inc

@@ -49,8 +49,7 @@ SCALAR_CALLS = {
     "finite_difference_check": (
         md.finite_difference_check, (0.5, 0.2, 1e-4), (OVERLAP, BUDGET, ("step",))
     ),
-    # The tol check has its own test; a tiny valid tol only sends the
-    # search into its scipy fallback, which costs a second to import.
+    # The tol check has its own test (test_oracle.py).
     "optimize_povm": (lambda p: md.optimize_povm(PAIR, p), (0.2,), (BUDGET,)),
 }
 
@@ -139,9 +138,6 @@ INTEGER_CALLS = {
     ),
     "hull_verify": (
         lambda n, seed: md.hull_verify(0.5, n, seed), (100, 0), (("samples",), ("seed",))
-    ),
-    "optimize_povm": (
-        lambda r: md.optimize_povm(PAIR, 0.2, restarts=r), (1,), (("restarts",),)
     ),
 }
 

@@ -17,12 +17,7 @@ from measdiscrim import (
     single_optimal,
 )
 from measdiscrim import oracle as oracle_module
-from measdiscrim.oracle import (
-    BLOCK_TOL,
-    _dual_bound,
-    _kernel_coefficients,
-    _penalized_objective,
-)
+from measdiscrim.oracle import BLOCK_TOL, _dual_bound
 
 import oracles
 from oracles import FROZEN, SIGMA_Y
@@ -165,21 +160,6 @@ def test_povm_triple_validation():
 # --- the numeric POVM search ---
 
 
-def force_ascent(monkeypatch):
-    """Drop the tester that `_dual_bound` reads off the dual point and the
-    measurement-blind tester, so the fallback ascent runs."""
-    dual_bound = oracle_module._dual_bound
-    monkeypatch.setattr(
-        oracle_module, "_dual_bound", lambda *args: (*dual_bound(*args)[:3], None)
-    )
-    monkeypatch.setattr(oracle_module, "_blind_tester", lambda *args: None)
-
-
-@pytest.fixture
-def ascent_only(monkeypatch):
-    force_ascent(monkeypatch)
-
-
 @pytest.mark.parametrize("p_inc", [0.0, 0.3, 0.5])
 def test_search_returns_the_recovered_tester_without_restarts(p_inc):
     theta = math.pi / 6.0
@@ -187,12 +167,11 @@ def test_search_returns_the_recovered_tester_without_restarts(p_inc):
     result = md.optimize_povm(pair, p_inc)
     assert result.converged
     assert result.restart_values == ()
-    assert result.best_restart is None
     assert result.p_inc_error <= 1e-6
     assert abs(result.gap) <= 1e-12
     closed = entangled_success(theta, p_inc).p_success
     assert result.point.p_success == pytest.approx(closed, abs=1e-6)
-    # seed and restarts only govern the fallback
+    # seed and restarts are accepted and change nothing
     again = md.optimize_povm(pair, p_inc, seed=99, restarts=1)
     np.testing.assert_array_equal(again.triple.h_m, result.triple.h_m)
     np.testing.assert_array_equal(again.triple.h_n, result.triple.h_n)
@@ -203,10 +182,9 @@ def test_search_falls_back_where_the_dual_point_leaves_the_tester_open():
     # vanishes; the measurement-blind tester is optimal there
     pair = measurement_pair(0.0)
     assert _dual_bound(pair.m0, pair.n0, 0.3)[3] is None
-    result = md.optimize_povm(pair, 0.3, restarts=4)
+    result = md.optimize_povm(pair, 0.3)
     assert result.converged
     assert result.restart_values == ()
-    assert result.best_restart is None
     np.testing.assert_allclose(result.triple.h_i, 0.15 * EYE2, atol=1e-15)
     closed = entangled_success(0.0, 0.3).p_success
     assert result.point.p_success == pytest.approx(closed, abs=1e-12)
@@ -222,30 +200,31 @@ def test_blind_tester_is_certified_where_the_measurements_coincide(theta):
         assert result.p_inc_error <= 1e-12
 
 
-def test_ascent_still_runs_where_the_measurements_coincide(ascent_only):
-    pair = measurement_pair(0.0)
-    result = md.optimize_povm(pair, 0.3, restarts=4)
-    assert result.converged
-    assert 1 <= len(result.restart_values) <= 4
-    closed = entangled_success(0.0, 0.3).p_success
-    assert result.point.p_success == pytest.approx(closed, abs=1e-4)
-
-
-def test_search_recovers_minimum_error(ascent_only):
+def test_search_recovers_minimum_error():
     pair = measurement_pair(math.pi / 6.0)
-    result = md.optimize_povm(pair, 0.0, restarts=6)
+    result = md.optimize_povm(pair, 0.0)
     assert result.converged
-    assert result.point.p_success == pytest.approx(FROZEN["helstrom_pi6"], abs=1e-4)
-    assert result.p_inc_error <= 1e-4
-    # restarts is a cap: the search stops at the first certified start
-    assert 1 <= len(result.restart_values) <= 6
-    assert result.best_restart == len(result.restart_values) - 1
-    assert result.gap <= 1e-4
+    assert result.point.p_success == pytest.approx(FROZEN["helstrom_pi6"], abs=1e-12)
+    assert result.p_inc_error <= 1e-12
+    assert abs(result.gap) <= 1e-12
+
+
+def test_search_without_a_dual_tester_returns_the_blind_one_unconverged(monkeypatch):
+    # the blind tester is valid at every rate, so an uncertified search still
+    # returns a tester, with its true gap to the bound
+    dual_bound = oracle_module._dual_bound
+    monkeypatch.setattr(oracle_module, "_dual_bound", lambda *a: (*dual_bound(*a)[:3], None))
+    result = md.optimize_povm(measurement_pair(math.pi / 6.0), 0.3)
+    assert not result.converged
+    assert math.isfinite(result.gap) and result.gap > 1e-4
+    assert result.p_inc_error <= 1e-15
+    np.testing.assert_allclose(result.triple.h_i, 0.15 * EYE2, atol=1e-15)
+    assert result.upper_bound == pytest.approx(FROZEN["ps_entangled_pi6_p03"], abs=1e-9)
 
 
 def test_search_recovers_the_frozen_curve_point():
     pair = measurement_pair(math.pi / 6.0)
-    result = md.optimize_povm(pair, 0.3, restarts=6)
+    result = md.optimize_povm(pair, 0.3)
     assert result.converged
     assert abs(result.point.p_success - FROZEN["ps_entangled_pi6_p03"]) <= 1e-4
     # the report's triple reproduces the reported probabilities
@@ -255,7 +234,7 @@ def test_search_recovers_the_frozen_curve_point():
 
 def test_search_recovers_the_unambiguous_endpoint():
     pair = measurement_pair(math.pi / 6.0)
-    result = md.optimize_povm(pair, 0.5, restarts=6)
+    result = md.optimize_povm(pair, 0.5)
     assert result.converged
     assert result.point.p_success == pytest.approx(0.5, abs=1e-4)
     assert result.point.p_error <= 1e-4
@@ -263,7 +242,7 @@ def test_search_recovers_the_unambiguous_endpoint():
 
 def test_search_handles_identical_measurement_bases():
     pair = measurement_pair(math.pi / 4.0)
-    result = md.optimize_povm(pair, 0.0, restarts=4)
+    result = md.optimize_povm(pair, 0.0)
     assert result.point.p_success == pytest.approx(1.0, abs=1e-6)
 
 
@@ -271,9 +250,6 @@ def test_search_target_domain():
     pair = measurement_pair(math.pi / 6.0)
     with pytest.raises(DomainError, match="inconclusive target"):
         md.optimize_povm(pair, 0.6)
-    for restarts in (0, -3):
-        with pytest.raises(DomainError, match="restarts"):
-            md.optimize_povm(pair, 0.1, restarts=restarts)
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(DomainError, match="tol"):
             md.optimize_povm(pair, 0.1, tol=tol)
@@ -300,75 +276,6 @@ def test_coinciding_measurements_leave_scipy_optimize_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_scipy_optimize_loads_on_the_first_search():
-    code = (
-        "import sys, measdiscrim, measdiscrim.cli\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "from measdiscrim.oracle import minimize\n"
-        "result = minimize(lambda x: float((x[0] - 1.0) ** 2), [0.0])\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-        "assert result.nit >= 1 and abs(result.x[0] - 1.0) < 1e-4\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-# --- the closed-form objective kernel ---
-
-
-def kernel_sample(rng: np.random.Generator):
-    """A random search point, scaled so H_I has 0, 1 or 2 negative eigenvalues."""
-    theta = rng.uniform(0.01, math.pi / 4.0)
-    pair = measurement_pair(theta)
-    target = rng.uniform(0.0, math.cos(2.0 * theta))
-    mu = float(rng.choice([1e2, 1e3, 1e4, 1e6]))
-    v = rng.normal(size=6) * rng.choice([0.2, 0.4, 0.6, 1.0])
-    lm = np.array([[v[0], 0.0], [v[1], v[2]]])
-    ln = np.array([[v[3], 0.0], [v[4], v[5]]])
-    h_i = 0.5 * EYE2 - lm @ lm.T - ln @ ln.T
-    negatives = int(np.sum(np.linalg.eigvalsh(h_i) < 0.0))
-    return pair, target, mu, v, negatives
-
-
-def test_kernel_matches_the_dense_objective():
-    rng = np.random.default_rng(20031)
-    hits = [0, 0, 0]
-    for _ in range(3000):
-        pair, target, mu, v, negatives = kernel_sample(rng)
-        hits[negatives] += 1
-        ref_val, ref_grad = oracles.penalized_objective(
-            v, pair.m0, pair.n0, target, mu, 100.0 * mu
-        )
-        coeffs = _kernel_coefficients(pair.m0, pair.n0, target)
-        val, grad = _penalized_objective(v, mu, 100.0 * mu, coeffs)
-        assert grad.shape == (6,)
-        assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
-        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
-    # every branch of the negative-part formula was exercised
-    assert min(hits) >= 100, hits
-
-
-def test_kernel_gradient_matches_central_differences():
-    rng = np.random.default_rng(67012)
-    hits = [0, 0, 0]
-    step = 1e-6
-    for _ in range(300):
-        pair, target, _, v, negatives = kernel_sample(rng)
-        hits[negatives] += 1
-        mu = 1e2
-        coeffs = _kernel_coefficients(pair.m0, pair.n0, target)
-        _, grad = _penalized_objective(v, mu, 100.0 * mu, coeffs)
-        numeric = np.empty(6)
-        for k in range(6):
-            dv = np.zeros(6)
-            dv[k] = step
-            up, _ = _penalized_objective(v + dv, mu, 100.0 * mu, coeffs)
-            down, _ = _penalized_objective(v - dv, mu, 100.0 * mu, coeffs)
-            numeric[k] = (up - down) / (2.0 * step)
-        assert np.linalg.norm(numeric - grad) <= 1e-6 * max(np.linalg.norm(grad), 1.0)
-    assert min(hits) >= 10, hits
 
 
 # --- the dual certificate ---
@@ -432,7 +339,7 @@ def test_dual_bound_lambda_is_the_envelope_slope(theta, p_inc):
 @pytest.mark.parametrize("theta, p_inc", CRITERION_1_POINTS[::5] + EDGE_POINTS)
 def test_search_returns_a_checkable_certificate(theta, p_inc):
     pair = measurement_pair(theta)
-    result = md.optimize_povm(pair, p_inc, tol=1e-4, seed=0, restarts=20)
+    result = md.optimize_povm(pair, p_inc, tol=1e-4)
     assert result.converged
     assert result.gap <= 1e-4
     assert_dual_feasible(pair, result.y, result.lam)
@@ -452,10 +359,7 @@ def test_search_runs_no_eigensolver_or_matrix_product(monkeypatch):
     monkeypatch.setattr(np, "matmul", refuse)
     for theta, p_inc in CRITERION_1_POINTS + [(0.0, 0.3)]:  # θ = 0: the blind tester
         result = md.optimize_povm(measurement_pair(theta), p_inc)
-        assert result.converged and result.restart_values == (), (theta, p_inc)
-    force_ascent(monkeypatch)
-    result = md.optimize_povm(measurement_pair(math.pi / 6.0), 0.3, restarts=6)
-    assert result.converged and len(result.restart_values) >= 1
+        assert result.converged, (theta, p_inc)
 
 
 def test_small_angle_searches_converge():
@@ -470,8 +374,9 @@ def test_small_angle_searches_converge():
         assert min(np.linalg.eigvalsh(h)[0] for h in vars(result.triple).values()) >= -1e-15
 
 
-# At each of these points the bisection's λ leaves `_slack_tester` a weight
-# below -_ACTIVE; the search must converge whichever route certifies it.
+# At each of these points a bisection midpoint leaves `_slack_tester` a
+# weight below -_ACTIVE, so the bracket's testers are mixed before the
+# bisection ends; the search must still converge.
 ASCENT_RESCUES = [
     (0.12131344938203924, 2.472817527932488e-08),
     (0.5038892389695054, 3.1385519610677e-09),
@@ -488,6 +393,45 @@ def test_tiny_budgets_that_the_dual_point_leaves_open_converge(theta, p_inc):
     assert result.converged
     closed = entangled_success(theta, p_inc).p_success
     assert abs(result.point.p_success - closed) <= 1e-4
+
+
+def test_searches_and_the_cli_load_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "import measdiscrim as md\n"
+        "from measdiscrim.cli import main\n"
+        f"for theta, p_inc in {ASCENT_RESCUES!r}:\n"
+        "    assert md.optimize_povm(md.measurement_pair(theta), p_inc).converged\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['curves', '--theta', '0.3', '--pi-grid', '0:0.2:0.1'],\n"
+        "             ['hull', '--c', '0.5', '--samples', '200'],\n"
+        "             ['convexity', '--c-grid', '0.5', '--pi-grid', '0.1'],\n"
+        "             ['oracle', '--theta', '0.3', '--pi', '0.2'],\n"
+        "             ['simulate', '--mode', 'unambiguous', '--t-grid', '0.5',\n"
+        "              '--trials', '100']):\n"
+        "    assert main([*argv, '--out', out + '/' + argv[0]]) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stress_sweep_converges():
+    # about every 50th point of the seed-7 sweep: tiny angles, angles near
+    # π/4, budgets near 0 and near cos 2θ. The stride 51 is prime to the five
+    # budgets of each angle, so it samples every kind; the last ten points
+    # are θ = 0 and θ = π/4.
+    points = oracles.stress_sweep()
+    assert len(points) == 45_010
+    tol = 1e-4
+    for theta, p_inc in points[::51] + points[-10:]:
+        result = md.optimize_povm(measurement_pair(theta), p_inc, tol=tol)
+        assert result.converged, (theta, p_inc)
+        assert result.gap <= tol and result.p_inc_error <= tol, (theta, p_inc)
+        rate = min(result.point.p_inconclusive, math.cos(2.0 * theta))
+        closed = entangled_success(theta, max(rate, 0.0)).p_success
+        assert abs(result.point.p_success - closed) <= tol, (theta, p_inc)
 
 
 # --- the tester from the dual point ---
@@ -534,27 +478,6 @@ def test_recovered_tester_is_optimal_at_random_points():
         c = math.cos(2.0 * theta)
         p_inc = (0.0, c, float(rng.uniform(0.0, c)))[rng.integers(3)]
         assert_recovered_tester_is_optimal(theta, p_inc)
-
-
-def test_search_stops_at_the_first_certified_restart(ascent_only):
-    # restart 0 at this point ends in a local optimum that the bound rejects
-    theta = math.pi / 10.0
-    pair = measurement_pair(theta)
-    target = 0.4 * math.cos(2.0 * theta)
-    result = md.optimize_povm(pair, target, tol=1e-4, seed=0, restarts=20)
-    assert result.converged
-    assert result.best_restart == 1
-    assert len(result.restart_values) == 2
-    first, second = result.restart_values
-    assert first < second - 1e-4
-    closed = entangled_success(theta, target).p_success
-    assert abs(result.point.p_success - closed) <= 1e-4
-    # capped at one restart, the search keeps that start but cannot certify it
-    capped = md.optimize_povm(pair, target, tol=1e-4, seed=0, restarts=1)
-    assert not capped.converged
-    assert capped.restart_values == (first,)
-    assert capped.gap > 1e-4
-    assert_dual_feasible(pair, capped.y, capped.lam)
 
 
 # --- the single-qubit brute force ---

@@ -300,6 +300,60 @@ def test_unambiguous_points_frozen():
     assert end.p_error == pytest.approx(0.0, abs=1e-12)
 
 
+# --- a dual certificate for the single-qubit optimum ---
+
+
+def single_dual_bound(theta, p_inc):
+    """oracles.single_qubit_bound at the optimal curve's own slope."""
+    theta, p_inc = np.broadcast_arrays(np.asarray(theta, float), np.asarray(p_inc, float))
+    c = np.cos(2.0 * theta)
+    live = c >= strategies.DEGENERATE_C
+    pit = np.where(live, tangent_PIT(np.maximum(c, strategies.DEGENERATE_C)), np.nan)
+    ps_pit = single_optimal_array(theta, np.where(live, pit, 0.0)).p_success
+    return oracles.single_qubit_bound(theta, p_inc, pit, ps_pit)
+
+
+def single_dual_rows():
+    """A seeded pool of (θ, P_I) rows, and edge rows: c below DEGENERATE_C,
+    and P_I = 0, P_IT and (1 + c²)/2 over overlaps from 1e-12 to 1 (half of
+    (1 + c²)/2 in place of P_IT, which is undefined below DEGENERATE_C)."""
+    rng = np.random.default_rng(4)
+    quarter = math.pi / 4.0
+    theta = np.concatenate([
+        rng.uniform(0.0, quarter, 200_000),
+        10.0 ** rng.uniform(-8.0, -1.0, 50_000),
+        quarter - 10.0 ** rng.uniform(-8.0, -1.0, 50_000),
+    ])
+    pool = (theta, rng.uniform(0.0, 1.0, theta.size) * 0.5 * (1.0 + np.cos(2.0 * theta) ** 2))
+    c = np.concatenate([[0.0, 2e-13, 9e-13], 10.0 ** rng.uniform(-12.0, 0.0, 3000)])
+    edge_theta = 0.5 * np.arccos(c)
+    c = np.cos(2.0 * edge_theta)
+    live = c >= strategies.DEGENERATE_C
+    top = 0.5 * (1.0 + c * c)
+    pit = np.where(live, tangent_PIT(np.maximum(c, strategies.DEGENERATE_C)), 0.5 * top)
+    edges = (np.tile(edge_theta, 3), np.concatenate([np.zeros_like(c), pit, top]))
+    return pool, edges
+
+
+def test_single_qubit_dual_meets_the_optimal_curve():
+    # weak duality makes h(λ) − λP_I a bound at every λ; at the curve's own
+    # slope it meets the closed form, which nothing in h knows
+    pool, edges = single_dual_rows()
+    assert np.any(np.cos(2.0 * edges[0]) < strategies.DEGENERATE_C)
+    for (theta, p_inc), above in ((pool, 1e-15), (edges, 1e-12)):
+        excess = single_dual_bound(theta, p_inc) - single_optimal_array(theta, p_inc).p_success
+        assert excess.min() >= -4.5e-16
+        assert excess.max() <= above
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.5, 0.7, 0.9, 1.0])
+def test_no_sampled_protocol_beats_the_single_qubit_dual(c):
+    report = hull_verify(c, 10_000, seed=5)
+    p_inc, p_success = report.points.T
+    theta = 0.5 * math.acos(c)
+    assert np.all(p_success <= single_dual_bound(theta, p_inc) + 1e-15)
+
+
 # --- entangled advantage ---
 
 
