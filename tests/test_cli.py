@@ -328,14 +328,19 @@ def test_oracle_rejects_unreachable_targets(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--tol", "nan"), ("--tol", "-1")],
+    [("--restarts", "0"), ("--restarts", "-3"), ("--tol", "nan"), ("--tol", "-1")],
 )
 def test_oracle_rejects_bad_search_settings(tmp_path, capsys, flag, value):
-    code = main(
-        ["oracle", "--theta", PI6, "--pi", "0.3", flag, value, "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert flag.lstrip("-") in capsys.readouterr().err
+    argv = ["oracle", "--theta", PI6, "--pi", "0.3", flag, value, "--out", str(tmp_path)]
+    if flag == "--restarts":
+        # --restarts went with the ascent it capped: the parser refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --restarts" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
 
 
