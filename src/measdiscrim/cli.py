@@ -10,8 +10,8 @@ flags resolve to, its runner). A runner `_run_<cmd>(parameters, seed)`
 writes nothing: it returns {file name: (column names, 1-D array columns)
 or report dict} and an exit code. `_execute`, the one run path of fresh
 runs and `replay`, writes those files under one version/checksum header
-(CSV bodies in one bytes `%` pass, with `_fmt` as the cell rule) and then
-the manifest.
+and then the manifest. `_csv_body` formats a CSV body as bytes in one numpy
+pass per block of rows, with `_fmt` as the cell rule.
 
 Exit statuses: 0 success, 2 domain or validation error, 3 numerical
 non-convergence, 4 acceptance-threshold breach or replay mismatch.
@@ -102,25 +102,126 @@ def _params_checksum(command: str, parameters: dict, seed: int) -> str:
     return _sha256(canonical.encode("utf-8"))
 
 
-def _csv_body(columns) -> bytes:
-    """The CSV lines of the rows of 1-D array columns, formatted as bytes
-    with one `%` operation.
+# Rows of a table formatted per pass of `_csv_body`; bounds its working memory.
+CSV_BLOCK_ROWS = 4096
 
-    A column of finite floats goes through `%.12g`, which gives the same
-    text as `_fmt`; every other column becomes an object array of its
-    `_fmt` cells, encoded, and is placed with `%s`, so `_fmt` stays the one
-    rule for a cell.
+
+def _digit_words() -> np.ndarray:
+    """Each 4-digit group 0000..9999 as the little-endian word of its ASCII
+    digits, with its trailing zeros as NUL bytes (1200 -> b"12\\0\\0")."""
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T
+    kept = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    return np.ascontiguousarray(np.where(kept, digits + ord("0"), 0)).view("<u4").ravel()
+
+
+# The tables below take literals and few numpy calls: each ufunc loop run at
+# import pages in code, which every process importing the CLI keeps resident,
+# the tester search's included.
+_DIGIT_WORDS = _digit_words()
+# OR-ed onto the words of the first two groups, by how many of them a
+# nonzero later group follows: NUL bytes inside the 12 digits become "0".
+_ZERO_FILLS = np.array([0, 0x30303030, 0x30303030_30303030], "<u8")
+# `_CELL_EDGES.searchsorted(x, side="right")` is the cell class of x: 0 for
+# x < -1; 1..4 for -1 <= x < -1e-4 by decade of |x|; 5 for -1e-4 <= x < 1e-4;
+# 6..9 for 1e-4 <= x < 1 by decade; 10 for x >= 1 and NaN. A negative power
+# of ten lands one class up, where its product is out of range.
+_CELL_EDGES = np.array([-1.0, -0.1, -0.01, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+# x * scale = |x| * 10**(11 - decade): the 12 significant digits. Classes 0,
+# 5 and 10 take a scale that keeps the product finite and out of range.
+_CELL_SCALES = np.array([-1e-300, -1e12, -1e13, -1e14, -1e15, 0.0, 1e15, 1e14, 1e13, 1e12, 1e-300])
+
+
+def _cell_prefixes() -> np.ndarray:
+    """Word 0 of a packed cell by class: the sign, "0." and the zeros between
+    the point and the first digit. Classes 0, 5 and 10 are never packed."""
+    prefix = np.zeros((11, 8), np.uint8)
+    prefix[1:5, 0] = ord("-")
+    prefix[1:10, 1:3] = np.frombuffer(b"0.", np.uint8)
+    zeros = np.array([0, 0, 1, 2, 3, 0, 3, 2, 1, 0, 0])
+    prefix[:, 3:6] = np.where(np.arange(3) < zeros[:, None], ord("0"), 0)
+    return prefix.view("<u8").ravel()
+
+
+_CELL_PREFIXES = _cell_prefixes()
+# The range of 12-digit integers, widened to the rounding ties around it so
+# that a product clamped into it reads as a tie.
+_PACK_LO, _PACK_HI = 1e11 - 0.5, 1e12 - 0.5
+# A product nearer than 2.5e-4 to a rounding tie goes to `%`: below 2**40 it
+# carries at most 2**-14 of rounding error, so every other one rounds as x does.
+_TIE_BAND = 0.5 - 2.5e-4
+_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
+
+
+def _pack_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write the `%.12g` text of each of `values` into its row of `cells`.
+
+    A row of `cells` is three or more little-endian words. The text goes in
+    bytes 0..22, NUL where it is shorter; bytes 20..22 and any words after
+    the third must be zero beforehand, and byte 23 is left alone. A value with
+    1e-4 <= |x| < 1 is packed from m = rint(|x| * 10**(11 - decade)), one
+    exact power of ten and one rounding: the sign, "0." and leading zeros
+    from `_CELL_PREFIXES`, then the three 4-digit groups of m from
+    `_DIGIT_WORDS`. The rest (0, ±inf, |x| < 1e-4, |x| >= 1, a negative
+    power of ten, a product near a tie and a carry into the next decade) go
+    through one `%-23.12g` pass, and NaN becomes an empty cell.
     """
-    specs, cells = [], []
-    for column in columns:
-        if column.dtype.kind == "f" and np.isfinite(column).all():
-            specs.append(b"%.12g")
-            cells.append(column)
-        else:
-            specs.append(b"%s")
-            cells.append(np.array([_fmt(v).encode() for v in column.tolist()], dtype=object))
-    rows = np.column_stack(cells)
-    return (b",".join(specs) + b"\n") * len(rows) % tuple(rows.ravel().tolist())
+    cls = _CELL_EDGES.searchsorted(values, side="right")
+    scaled = np.fmin(np.fmax(values * _CELL_SCALES.take(cls), _PACK_LO), _PACK_HI)
+    m = np.rint(scaled)
+    slow = (np.abs(scaled - m) > _TIE_BAND).nonzero()[0]
+    m = m.astype(np.int64)
+    high = m // 10_000
+    a = high // 10_000
+    b = high - a * 10_000
+    c = m - high * 10_000
+    cells[:, 0] = _CELL_PREFIXES.take(cls)
+    digits = cells.view("<u4")
+    # Clamped products reach 10**12, whose group a = 10 000 wraps; `%`
+    # overwrites those cells.
+    for k, group in enumerate((a, b, c)):
+        digits[:, 2 + k] = _DIGIT_WORDS.take(group, mode="wrap")
+    cells[:, 1] |= _ZERO_FILLS.take(np.sign(b | c) + np.sign(c))
+    if slow.size:
+        vals = values[slow].tolist()
+        text = (b"%-23.12g" * len(vals) % tuple(vals)).replace(b"nan", b"   ")
+        cells.view(np.uint8)[slow, :23] = np.frombuffer(
+            text.replace(b" ", b"\0"), np.uint8
+        ).reshape(-1, 23)
+
+
+def _csv_body(columns) -> bytes:
+    """The CSV lines of the rows of 1-D array columns, as bytes.
+
+    The rows go in blocks of `CSV_BLOCK_ROWS`. A block is one array of
+    fixed-width cells, NUL-padded text followed by its separator, and one
+    `bytes.translate` deletes the padding. All float cells of a block are
+    packed by one `_pack_cells` call, whose text equals `_fmt`'s; every
+    other column is its `_fmt` cells as an `S` array, so `_fmt` stays the
+    one rule for a cell.
+    """
+    out = []
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
+        rows, last = len(block[0]), len(block) - 1
+        texts = {
+            j: [(_fmt(v) + ("\n" if j == last else ",")).encode() for v in column.tolist()]
+            for j, column in enumerate(block)
+            if column.dtype.kind != "f"
+        }
+        width = max([3] + [-(-max(map(len, t)) // 8) for t in texts.values()])
+        # Column-major cells: word -1 of each ends with its separator.
+        cells = np.zeros((len(block), rows, width), "<u8")
+        cells[..., -1] = _COMMA
+        cells[-1, :, -1] = _NEWLINE
+        # A text column packs a placeholder, which its texts then overwrite.
+        values = np.concatenate(
+            [np.full(rows, 0.5) if j in texts else column for j, column in enumerate(block)]
+        )
+        _pack_cells(values, cells.reshape(-1, width))
+        for j, text in texts.items():
+            cells[j] = np.array(text, dtype=f"S{8 * width}").view("<u8").reshape(rows, width)
+        out.append(cells.transpose(1, 0, 2).tobytes().translate(None, b"\0"))
+    return b"".join(out)
 
 
 def _json_bytes(payload: dict) -> bytes:

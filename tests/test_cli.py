@@ -801,13 +801,40 @@ def cellwise_body(columns) -> str:
     return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in zip(*values))
 
 
-def random_column(rng, n):
-    kind = rng.integers(4)
-    if kind == 0:  # finite floats, as an array
+# Twelve-digit rounding ties a/10**d with 1e-4 <= a/10**d < 1: 13 digits ending in 5.
+def _ties(rng, n):
+    return (rng.integers(10**11, 10**12, n) * 10 + 5) / 10.0 ** rng.integers(13, 17, n)
+
+
+def float_column(rng, n, kind):
+    """Floats of one kind; kinds 2..5 aim at the packed range 1e-4 <= |x| < 1 and its edges."""
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == 0:  # forty decades
         return rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
-    if kind == 1:  # an array with NaN, ±inf and signed zeros
-        return rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-300], n)
-    if kind == 2:  # integers, as an array
+    if kind == 1:  # NaN, ±inf, signed zeros and the range edges
+        return rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-300,
+                           1e-4, -1e-4, 1.0, -1.0], n)
+    if kind == 2:  # uniform, and the lowest packed decade
+        return sign * np.where(rng.random(n) < 0.5, rng.random(n), rng.uniform(1e-4, 1e-3, n))
+    if kind == 3:  # short decimals with trailing zeros, and decimals on a 12-digit tie
+        short = rng.integers(1, 10**4, n) / 10.0 ** rng.integers(1, 9, n)
+        return sign * np.where(rng.random(n) < 0.5, short, _ties(rng, n))
+    if kind == 4:  # neighbours of the decade edges and of 12-digit ties
+        edges = rng.choice([1e-4, 1e-3, 1e-2, 0.1, 1.0], n)
+        points = np.where(rng.random(n) < 0.5, edges, _ties(rng, n))
+        return sign * np.nextafter(points, rng.choice([0.0, np.inf], n))
+    # just below a power of ten, so that the 12 digits carry into the next decade
+    return sign * 10.0 ** rng.integers(-4, 1, n) * (1.0 - rng.uniform(0.0, 1e-12, n))
+
+
+FLOAT_KINDS = 6
+
+
+def random_column(rng, n):
+    kind = rng.integers(FLOAT_KINDS + 2)
+    if kind < FLOAT_KINDS:
+        return float_column(rng, n, kind)
+    if kind == FLOAT_KINDS:  # integers, as an array
         return rng.integers(-(10**15), 10**15, n)
     # strings, as an array
     return np.array(["convex", "concave", "boundary"])[rng.integers(3, size=n)]
@@ -831,6 +858,34 @@ def test_csv_body_matches_the_cellwise_format():
     ]
     for columns in fixed:
         assert cli._csv_body(columns) == cellwise_body(columns).encode(), columns
+
+
+def test_csv_body_matches_the_cellwise_format_on_a_million_floats():
+    rng = np.random.default_rng(27)
+    rows = 200_000
+    # Every kind in every column, shuffled: 1 000 000 cells in many blocks.
+    columns = [
+        rng.permutation(np.concatenate([
+            float_column(rng, rows // FLOAT_KINDS + (k < rows % FLOAT_KINDS), k)
+            for k in range(FLOAT_KINDS)
+        ]))
+        for _ in range(5)
+    ]
+    assert cli._csv_body(columns) == cellwise_body(columns).encode()
+
+
+def test_csv_body_blocks_join_seamlessly():
+    rng = np.random.default_rng(5)
+    rows = 2 * cli.CSV_BLOCK_ROWS + 3
+    words = np.array(["convex", "a cell longer than the 24 bytes of a float"])
+    columns = [
+        float_column(rng, rows, 2),
+        words[(np.arange(rows) >= cli.CSV_BLOCK_ROWS).astype(int)],  # widens block 2 only
+        rng.integers(-5, 5, rows),
+        float_column(rng, rows, 1),
+    ]
+    assert cli._csv_body(columns) == cellwise_body(columns).encode()
+    assert cli._csv_body(columns[:1]) == cellwise_body(columns[:1]).encode()
 
 
 # SHA-256 of each table body (the lines after the first line). The CSV
