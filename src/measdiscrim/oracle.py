@@ -20,20 +20,23 @@ and no matrix product runs in this module.
 `optimize_povm` maximizes success at a fixed inconclusive rate over those
 blocks through the Lagrange dual of that reduction. For 2×2 blocks each
 semidefinite constraint is a light cone, and at fixed λ the least ½ tr Y
-is the 1-center of three cones. Complementary slackness puts each block on
-the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the kernel
-weights (`_slack_tester`). That tester's rate is the dual's slope in λ, so
-`_dual_bound` bisects on it. The bracket's two testers are each optimal at
-their own rate, and the blocks are linear, so their mixture weighted onto
-the target rate is a tester too (`_mix`); it is returned with the least
-dual value evaluated. `_result` applies the PSD rule to H_M, H_N and H_I,
-floors the accepted blocks onto the PSD cone in closed form, reads the
-probabilities off the cone triples and certifies the tester when its
-success meets the bound at its own rate. Where the measurements coincide
-to within about 1e-9 every slack vanishes and the dual point leaves the
-tester open; the tester that ignores the measurement (`_blind_tester`) is
-optimal there and takes the same check. The search exists to check the
-closed forms in `strategies`, never to replace them.
+is the 1-center of three cones (`_one_center`). m0 and n0 are mirror
+images in the axis p₂ = 0, so where all three cones are active the
+1-center lies on that axis, in closed form (`_axis_point`); the apexes and
+the two-cone points cover the rest. Complementary slackness puts each
+block on the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the
+kernel weights (`_slack_tester`). That tester's rate is the dual's slope
+in λ, so `_dual_bound` bisects on it. The bracket's two testers are each
+optimal at their own rate, and the blocks are linear, so their mixture
+weighted onto the target rate is a tester too (`_mix`); it is returned
+with the least dual value evaluated. `_result` applies the PSD rule to
+H_M, H_N and H_I, floors the accepted blocks onto the PSD cone in closed
+form, reads the probabilities off the cone triples and certifies the
+tester when its success meets the bound at its own rate. Where the
+measurements coincide to within about 1e-9 every slack vanishes and the
+dual point leaves the tester open; the tester that ignores the measurement
+(`_blind_tester`) is optimal there and takes the same check. The search
+exists to check the closed forms in `strategies`, never to replace them.
 """
 
 from __future__ import annotations
@@ -206,37 +209,34 @@ def _top(cones, x: float, y: float) -> float:
     )
 
 
-def _polish(cones, x: float, y: float) -> tuple[float, float]:
-    """Newton steps on t₁ + r₁ = t₂ + r₂ = t₃ + r₃ from a three-cone point.
+def _axis_point(cones):
+    """(p₁, 0), where the M cone meets the scaled cone on the axis p₂ = 0.
 
-    The algebraic solve in `_one_center` loses digits when the apexes form
-    a thin triangle (θ near π/4); these equations stay well conditioned.
+    With the M cone (t₁, a, h) (that is (½, c/2, s/2)), the scaled cone
+    (t₃, u₃, 0) = (λ, λc, 0), d = u₃ − a and e = t₃ − t₁ + |d|, the point
+    (a + z, 0) between a and u₃ solves t₁ + √(z² + h²) = t₃ + |z − d|
+    where √(z² + h²) = e − sign(d) z, that is z = sign(d)(e − h)(e + h)/(2e).
+    Returns None when e ≤ 0.
     """
-    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
-    for _ in range(3):
-        r1 = math.hypot(x - u1, y - v1)
-        r2 = math.hypot(x - u2, y - v2)
-        r3 = math.hypot(x - u3, y - v3)
-        if r1 == 0.0 or r2 == 0.0 or r3 == 0.0:
-            break
-        f2, f3 = t1 + r1 - t2 - r2, t1 + r1 - t3 - r3
-        a = (x - u1) / r1 - (x - u2) / r2
-        b = (y - v1) / r1 - (y - v2) / r2
-        c = (x - u1) / r1 - (x - u3) / r3
-        d = (y - v1) / r1 - (y - v3) / r3
-        det = a * d - b * c
-        if det == 0.0:
-            break
-        x -= (f2 * d - f3 * b) / det
-        y -= (a * f3 - c * f2) / det
-    return x, y
+    (t1, a, h), _, (t3, u3, _) = cones
+    d = u3 - a
+    e = t3 - t1 + abs(d)
+    if e <= 0.0:
+        return None
+    return a + math.copysign((e - h) * (e + h) / (2.0 * e), d), 0.0
 
 
 def _one_center(cones) -> tuple[float, float, float]:
     """min over p of maxᵢ (tᵢ + ‖p − pᵢ‖), as (value, p₁, p₂).
 
-    Candidates: each apex; on each segment between two apexes, the point
-    where those two cones meet; and the points where all three meet. The
+    The cones are those of `_at`: m0 and n0 are mirror images in the axis
+    p₂ = 0 and the scaled m0 + n0 cone lies on it. The objective is convex
+    and unchanged by that reflection, so the mirror image of an optimum is
+    an optimum too, and by convexity so is their midpoint, which lies on
+    the axis. Where all three cones are active the optimum is therefore
+    the axis point where the M (and so the N) cone meets the scaled one
+    (`_axis_point`). Candidates: each apex; on each segment between two
+    apexes, the point where those two cones meet; and that axis point. The
     value at each candidate is recomputed by `_top`, so every candidate is
     a feasible Y and rounding can only loosen the bound, never break it.
     """
@@ -248,31 +248,9 @@ def _one_center(cones) -> tuple[float, float, float]:
         if d > 0.0:
             w = min(max(0.5 * (tj - ti + d), 0.0), d) / d
             candidates.append((ui + w * (uj - ui), vi + w * (vj - vi)))
-    # All three active: with q = p − p₁ and R = t − t₁, ‖q‖ = R and
-    # ‖q − dⱼ‖ = R − τⱼ turn into the linear q·dⱼ = aⱼ + R τⱼ (j = 2, 3),
-    # so q = u + R v, and ‖u + R v‖ = R is a quadratic in R.
-    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
-    d2x, d2y, d3x, d3y = u2 - u1, v2 - v1, u3 - u1, v3 - v1
-    det = d2x * d3y - d2y * d3x
-    if det != 0.0:
-        tau2, tau3 = t2 - t1, t3 - t1
-        a2 = 0.5 * (d2x * d2x + d2y * d2y - tau2 * tau2)
-        a3 = 0.5 * (d3x * d3x + d3y * d3y - tau3 * tau3)
-        ux, uy = (a2 * d3y - a3 * d2y) / det, (d2x * a3 - d3x * a2) / det
-        vx, vy = (tau2 * d3y - tau3 * d2y) / det, (d2x * tau3 - d3x * tau2) / det
-        qa, qb, qc = vx * vx + vy * vy - 1.0, ux * vx + uy * vy, ux * ux + uy * uy
-        roots = []
-        if qa == 0.0:
-            if qb != 0.0:
-                roots.append(-0.5 * qc / qb)
-        elif qb * qb - qa * qc >= 0.0:
-            s = -(qb + math.copysign(math.sqrt(qb * qb - qa * qc), qb))
-            roots.extend((s / qa, qc / s) if s != 0.0 else (0.0,))
-        for r in roots:
-            if r >= 0.0:
-                x, y = u1 + ux + r * vx, v1 + uy + r * vy
-                candidates.append((x, y))
-                candidates.append(_polish(cones, x, y))
+    axis = _axis_point(cones)
+    if axis is not None:
+        candidates.append(axis)
     return min((_top(cones, x, y), x, y) for x, y in candidates)
 
 

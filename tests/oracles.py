@@ -7,7 +7,8 @@ single-qubit protocols, scipy's convex hull and a plain monotone chain,
 high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
 trial-by-trial sampler of that bench, the Lagrange dual over every
-single-qubit protocol, and the process-tester formalism. `stress_sweep`
+single-qubit protocol, the general three-cone 1-center, and the
+process-tester formalism. `stress_sweep`
 lists the seeded inputs on which the tester search is stress-tested.
 Tests compare the two routes; nothing in this module imports the package
 under test. `two_pass_optimal` takes the library's pure-curve kernel as an
@@ -582,6 +583,82 @@ def random_tester(rng: np.random.Generator):
             element = g_isqrt @ raw[k] @ g_isqrt
             blocks[(label, i)] = s @ element @ s
     return blocks, rho
+
+
+def cone_top(cones, x, y):
+    """max over the cones (t, p1, p2) of t + ||(x, y) - p||."""
+    return max(t + math.hypot(x - u, y - v) for t, u, v in cones)
+
+
+def _polish_center(cones, x, y):
+    """Newton steps on t1 + r1 = t2 + r2 = t3 + r3 from a three-cone point.
+
+    The quadratic in `one_center_reference` loses digits when the apexes
+    form a thin triangle (theta near pi/4); these equations stay well
+    conditioned.
+    """
+    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
+    for _ in range(3):
+        r1 = math.hypot(x - u1, y - v1)
+        r2 = math.hypot(x - u2, y - v2)
+        r3 = math.hypot(x - u3, y - v3)
+        if r1 == 0.0 or r2 == 0.0 or r3 == 0.0:
+            break
+        f2, f3 = t1 + r1 - t2 - r2, t1 + r1 - t3 - r3
+        a = (x - u1) / r1 - (x - u2) / r2
+        b = (y - v1) / r1 - (y - v2) / r2
+        c = (x - u1) / r1 - (x - u3) / r3
+        d = (y - v1) / r1 - (y - v3) / r3
+        det = a * d - b * c
+        if det == 0.0:
+            break
+        x -= (f2 * d - f3 * b) / det
+        y -= (a * f3 - c * f2) / det
+    return x, y
+
+
+def one_center_reference(cones):
+    """min over p of max_i (t_i + ||p - p_i||) for any three cones (t, p1, p2).
+
+    A general route that uses no symmetry of the cones: each apex; on each
+    segment between two apexes, the point where those two cones meet; and
+    the points where all three meet, from a quadratic, each also after
+    `_polish_center`. Returns (value, p1, p2), the value by `cone_top`.
+    """
+    candidates = [(u, v) for _, u, v in cones]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ti, ui, vi = cones[i]
+        tj, uj, vj = cones[j]
+        d = math.hypot(uj - ui, vj - vi)
+        if d > 0.0:
+            w = min(max(0.5 * (tj - ti + d), 0.0), d) / d
+            candidates.append((ui + w * (uj - ui), vi + w * (vj - vi)))
+    # All three active: with q = p - p1 and R = t - t1, ||q|| = R and
+    # ||q - d_j|| = R - tau_j turn into the linear q.d_j = a_j + R tau_j
+    # (j = 2, 3), so q = u + R v, and ||u + R v|| = R is a quadratic in R.
+    (t1, u1, v1), (t2, u2, v2), (t3, u3, v3) = cones
+    d2x, d2y, d3x, d3y = u2 - u1, v2 - v1, u3 - u1, v3 - v1
+    det = d2x * d3y - d2y * d3x
+    if det != 0.0:
+        tau2, tau3 = t2 - t1, t3 - t1
+        a2 = 0.5 * (d2x * d2x + d2y * d2y - tau2 * tau2)
+        a3 = 0.5 * (d3x * d3x + d3y * d3y - tau3 * tau3)
+        ux, uy = (a2 * d3y - a3 * d2y) / det, (d2x * a3 - d3x * a2) / det
+        vx, vy = (tau2 * d3y - tau3 * d2y) / det, (d2x * tau3 - d3x * tau2) / det
+        qa, qb, qc = vx * vx + vy * vy - 1.0, ux * vx + uy * vy, ux * ux + uy * uy
+        roots = []
+        if qa == 0.0:
+            if qb != 0.0:
+                roots.append(-0.5 * qc / qb)
+        elif qb * qb - qa * qc >= 0.0:
+            s = -(qb + math.copysign(math.sqrt(qb * qb - qa * qc), qb))
+            roots.extend((s / qa, qc / s) if s != 0.0 else (0.0,))
+        for r in roots:
+            if r >= 0.0:
+                x, y = u1 + ux + r * vx, v1 + uy + r * vy
+                candidates.append((x, y))
+                candidates.append(_polish_center(cones, x, y))
+    return min((cone_top(cones, x, y), x, y) for x, y in candidates)
 
 
 def stress_sweep() -> list[tuple[float, float]]:

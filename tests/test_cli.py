@@ -924,7 +924,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "907160248c7085b8ae1fca2c8b5d2a8f5b09e4e05fcfbde0f3e1675e50435e9e"},
+        {"simulate.json": "a914619ad0e91f6123f923b00b61d86c56fb2482e835fb606b9fa73dd08a2fc3"},
     ),
 }
 
@@ -939,7 +939,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.9. Their headers and manifests carry the version and the
+# at version 0.1.10. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -948,36 +948,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # lost its "seed", "restarts", "restart_values" and "best_restart" fields
 # and the oracle manifest its "restarts" parameter, and the report's floats
 # moved by about 1e-16 when the tester became the mixture of the bisection's
-# two bracket testers.
+# two bracket testers. At 0.1.10 the three-cone 1-center came to lie on the
+# mirror axis p₂ = 0: at (π/6, 0.3) the report's p_inc moved from
+# 0.29999999999999993 to 0.3, Y's off-diagonal from -2.8e-17 to 0.0 and gap
+# from 1.1e-16 to -1.1e-16. No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "bb71d650f83ca3d1b4b96593af96dac1cf81906a71ce53e0b6e4512ed7b39a72",
-            "hull_vertices.csv": "893de0e59d3ed0ca86f8a841bbda03660349dd1daf5335e1bac534c8fb7cb2d9",
-            "manifest.json": "ac5c258a27ad0a9a8826a09e2a3241ae8f2d6d3b87035b3f0b661b4480d99df4",
+            "hull_report.json": "3d160190ca35706e3b0917a75a0933c7229dc6d491a8ffa6c9fdce3741fd8e76",
+            "hull_vertices.csv": "135d2f2e6b9d7de5589b648076875b68d30f1912f9ec885adaa5e67de5bcee66",
+            "manifest.json": "e431a421eca8eacf61eb028a21e3b49b3179cccd6ad16d7733feb62093e55c6e",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "874426f420329e8bad9a18f6c6241b3357cdf747617f358ffa98e65d384d91dd",
-            "manifest.json": "3117ac5c3f00294f7894f41472da5c5e43d311bdccc7a7fdd2b065705b8b3939",
+            "oracle_report.json": "70be15fbc76228f7588333ae486c354655fe2d53006ef1db0da9418664f96031",
+            "manifest.json": "864400620df0b0161f8dec222c00dd54e03668fea9bfbc635dae88c3d69d40cd",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "4c0fcc32ebedd08c833f8691fba7378a45bbef92d784a4af62442bc2d19c7ca7",
-            "manifest.json": "0d03ebbf2befa40bdcb8ee6ad8920fdf97485c14553f20741c259ffb7bebe050",
+            "curves.csv": "038c3acc5af4d541d2b399b9796a451a8d028a678c2b5dc620441410e58db3a6",
+            "manifest.json": "8ddeaa865136df1ba84b5ad27518d1b08cde3b05f013dab290ca4a5cdef796ed",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "361b4aed8cf6b27c4c32e2c9ae23975e1ec65e5cd66d88253cfaeca445f3a101",
-            "manifest.json": "273ab16329a3c14af352674e05039a5eb29dd1f0df7a75ed5fb49f880644fa57",
+            "convexity.json": "ecc92a8ff4debb51f068f765e54da0d96d6fcf6cdf62c37b73d7680f44e08288",
+            "manifest.json": "fbd7e095834c70c7ee2005743fd53dfe885ae86c69b68feed9391313706c10fa",
         },
     ),
 }

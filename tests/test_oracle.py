@@ -17,6 +17,7 @@ from measdiscrim import (
     single_optimal,
 )
 from measdiscrim import oracle as oracle_module
+from measdiscrim.cli import main
 from measdiscrim.oracle import BLOCK_TOL, _dual_bound
 
 import oracles
@@ -432,6 +433,71 @@ def test_stress_sweep_converges():
         rate = min(result.point.p_inconclusive, math.cos(2.0 * theta))
         closed = entangled_success(theta, max(rate, 0.0)).p_success
         assert abs(result.point.p_success - closed) <= tol, (theta, p_inc)
+
+
+# --- the three-cone 1-center ---
+
+
+def center_rows():
+    """20 008 seeded (θ, λ): four λ at each of 5 002 angles.
+
+    θ: 3 000 from U[0, π/4], 1 000 from 10^U(−16, −1) and 1 000 from
+    π/4 − 10^U(−16, −1), then 0 and π/4; λ: 0, 1, U[0, 1] and
+    1 − 10^U(−16, −3).
+    """
+    rng = np.random.default_rng(30)
+    quarter = math.pi / 4.0
+    thetas = np.concatenate([
+        rng.uniform(0.0, quarter, 3000),
+        10.0 ** rng.uniform(-16.0, -1.0, 1000),
+        quarter - 10.0 ** rng.uniform(-16.0, -1.0, 1000),
+        [0.0, quarter],
+    ]).tolist()
+    return [
+        (theta, lam)
+        for theta in thetas
+        for lam in (0.0, 1.0, float(rng.uniform()), 1.0 - 10.0 ** rng.uniform(-16.0, -3.0))
+    ]
+
+
+def test_one_center_is_no_worse_than_the_general_three_cone_solve():
+    # the axis point against the general route: apexes, pair points and the
+    # quadratic's three-cone roots, each also Newton-polished
+    rows = center_rows()
+    assert len(rows) >= 20_000
+    worst = -math.inf
+    for theta, lam in rows:
+        pair = measurement_pair(theta)
+        cones = oracle_module._at(oracle_module._cones(pair.m0, pair.n0), lam)
+        value, x, y = oracle_module._one_center(cones)
+        assert value == oracle_module._top(cones, x, y), (theta, lam)
+        worst = max(worst, value - oracles.one_center_reference(cones)[0])
+    assert worst <= 1e-15
+
+
+def test_a_wrong_axis_point_loosens_the_certificate_but_never_breaks_it(
+    tmp_path, monkeypatch
+):
+    # the axis point is one candidate of the 1-center; moved off by 1e-3 it
+    # can only raise the dual value, so the bound still holds and a search
+    # that claims convergence still lands on the curve
+    axis_point = oracle_module._axis_point
+
+    def off(cones):
+        point = axis_point(cones)
+        return None if point is None else (point[0] + 1e-3, point[1])
+
+    monkeypatch.setattr(oracle_module, "_axis_point", off)
+    tol = 1e-4
+    for k, (theta, p_inc) in enumerate(CRITERION_1_POINTS):
+        result = md.optimize_povm(measurement_pair(theta), p_inc, tol=tol)
+        rate = min(max(result.point.p_inconclusive, 0.0), math.cos(2.0 * theta))
+        closed = entangled_success(theta, rate).p_success
+        assert result.upper_bound >= closed - 1e-12, (theta, p_inc)
+        if result.converged:
+            assert abs(result.point.p_success - closed) <= tol, (theta, p_inc)
+        argv = ["oracle", "--theta", repr(theta), "--pi", repr(p_inc)]
+        assert main([*argv, "--out", str(tmp_path / str(k))]) in (0, 3), (theta, p_inc)
 
 
 # --- the tester from the dual point ---
