@@ -21,22 +21,23 @@ and no matrix product runs in this module.
 blocks through the Lagrange dual of that reduction. For 2×2 blocks each
 semidefinite constraint is a light cone, and at fixed λ the least ½ tr Y
 is the 1-center of three cones (`_one_center`). m0 and n0 are mirror
-images in the axis p₂ = 0, so where all three cones are active the
-1-center lies on that axis, in closed form (`_axis_point`); the apexes and
-the two-cone points cover the rest. Complementary slackness puts each
-block on the kernel of its dual slack, and H_M + H_N + H_I = 𝕀/2 fixes the
-kernel weights (`_slack_tester`). That tester's rate is the dual's slope
-in λ, so `_dual_bound` bisects on it. The bracket's two testers are each
-optimal at their own rate, and the blocks are linear, so their mixture
-weighted onto the target rate is a tester too (`_mix`); it is returned
-with the least dual value evaluated. `_result` applies the PSD rule to
-H_M, H_N and H_I, floors the accepted blocks onto the PSD cone in closed
-form, reads the probabilities off the cone triples and certifies the
-tester when its success meets the bound at its own rate. Where the
-measurements coincide to within about 1e-9 every slack vanishes and the
-dual point leaves the tester open; the tester that ignores the measurement
-(`_blind_tester`) is optimal there and takes the same check. The search
-exists to check the closed forms in `strategies`, never to replace them.
+images in the axis p₂ = 0 and the scaled m0 + n0 cone lies on it, so the
+1-center lies on that axis too, in a three-case closed form: below the M
+apex, at the scaled apex, or where those two cones meet. Complementary
+slackness puts each block on the kernel of its dual slack, and
+H_M + H_N + H_I = 𝕀/2 fixes the kernel weights (`_slack_tester`). That
+tester's rate is the dual's slope in λ, so `_dual_bound` bisects on it.
+The bracket's two testers are each optimal at their own rate, and the
+blocks are linear, so their mixture weighted onto the target rate is a
+tester too (`_mix`); it is returned with the least dual value evaluated.
+`_result` applies the PSD rule to H_M, H_N and H_I, floors the accepted
+blocks onto the PSD cone in closed form, reads the probabilities off the
+cone triples and certifies the tester when its success meets the bound at
+its own rate. Where the measurements coincide to within about 1e-9 every
+slack vanishes and the dual point leaves the tester open; the tester that
+ignores the measurement (`_blind_tester`) is optimal there and takes the
+same check. The search exists to check the closed forms in `strategies`,
+never to replace them.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _trace(a, b) -> float:
 
 def _rest(h_m, h_n):
     """H_I = 𝕀/2 − H_M − H_N."""
-    return 0.5 - h_m[0] - h_n[0], -(h_m[1] + h_n[1]), -(h_m[2] + h_n[2])
+    return 0.5 - h_m[0] - h_n[0], -h_m[1] - h_n[1], -h_m[2] - h_n[2]
 
 
 def _floor(cone):
@@ -195,8 +196,7 @@ class OracleResult:
 # traces vanish and attains the bound (complementary slackness).
 #
 # In cone form Y ⪰ a reads t_Y − t_a ≥ ‖p_Y − p_a‖. For fixed λ the least
-# ½ tr Y = t_Y is the 1-center min_p maxᵢ (tᵢ + ‖p − pᵢ‖) of three cones,
-# which sits where one, two or three cones are active.
+# ½ tr Y = t_Y is the 1-center min_p maxᵢ (tᵢ + ‖p − pᵢ‖) of three cones.
 
 
 def _top(cones, x: float, y: float) -> float:
@@ -209,49 +209,36 @@ def _top(cones, x: float, y: float) -> float:
     )
 
 
-def _axis_point(cones):
-    """(p₁, 0), where the M cone meets the scaled cone on the axis p₂ = 0.
-
-    With the M cone (t₁, a, h) (that is (½, c/2, s/2)), the scaled cone
-    (t₃, u₃, 0) = (λ, λc, 0), d = u₃ − a and e = t₃ − t₁ + |d|, the point
-    (a + z, 0) between a and u₃ solves t₁ + √(z² + h²) = t₃ + |z − d|
-    where √(z² + h²) = e − sign(d) z, that is z = sign(d)(e − h)(e + h)/(2e).
-    Returns None when e ≤ 0.
-    """
-    (t1, a, h), _, (t3, u3, _) = cones
-    d = u3 - a
-    e = t3 - t1 + abs(d)
-    if e <= 0.0:
-        return None
-    return a + math.copysign((e - h) * (e + h) / (2.0 * e), d), 0.0
-
-
 def _one_center(cones) -> tuple[float, float, float]:
     """min over p of maxᵢ (tᵢ + ‖p − pᵢ‖), as (value, p₁, p₂).
 
-    The cones are those of `_at`: m0 and n0 are mirror images in the axis
-    p₂ = 0 and the scaled m0 + n0 cone lies on it. The objective is convex
-    and unchanged by that reflection, so the mirror image of an optimum is
-    an optimum too, and by convexity so is their midpoint, which lies on
-    the axis. Where all three cones are active the optimum is therefore
-    the axis point where the M (and so the N) cone meets the scaled one
-    (`_axis_point`). Candidates: each apex; on each segment between two
-    apexes, the point where those two cones meet; and that axis point. The
-    value at each candidate is recomputed by `_top`, so every candidate is
-    a feasible Y and rounding can only loosen the bound, never break it.
+    The cones are those of `_at`: M = (t₁, a, h) and N, its mirror image in
+    the axis p₂ = 0, and the scaled m0 + n0 cone (t₃, u₃, 0) on that axis.
+    The objective is convex and unchanged by the reflection, so the mirror
+    image of an optimum is an optimum too, and by convexity so is their
+    midpoint, which lies on the axis. There the M and N cones agree, and
+    with d = u₃ − a the optimum p₁ = x is
+    - a, where the M cone's apex value t₁ + h already covers the scaled
+      cone there (t₃ + |d| ≤ t₁ + h);
+    - u₃, where the scaled cone's apex value covers the M cone there
+      (t₁ + √(d² + h²) ≤ t₃);
+    - otherwise a + z between a and u₃, where the two cones meet:
+      t₁ + √(z² + h²) = t₃ + |d| − sign(d) z, that is
+      z = sign(d)(e − h)(e + h)/(2e) with e = t₃ − t₁ + |d| > h.
+    The value at (x, 0) is recomputed from all three cones by `_top`, so
+    the point is a feasible Y and rounding can only loosen the bound, never
+    break it.
     """
-    candidates = [(u, v) for _, u, v in cones]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        ti, ui, vi = cones[i]
-        tj, uj, vj = cones[j]
-        d = math.hypot(uj - ui, vj - vi)
-        if d > 0.0:
-            w = min(max(0.5 * (tj - ti + d), 0.0), d) / d
-            candidates.append((ui + w * (uj - ui), vi + w * (vj - vi)))
-    axis = _axis_point(cones)
-    if axis is not None:
-        candidates.append(axis)
-    return min((_top(cones, x, y), x, y) for x, y in candidates)
+    (t1, a, h), _, (t3, u3, _) = cones
+    d = u3 - a
+    if t3 + abs(d) <= t1 + h:
+        x = a
+    elif t1 + math.hypot(d, h) <= t3:
+        x = u3
+    else:
+        e = t3 - t1 + abs(d)
+        x = a + math.copysign((e - h) * (e + h) / (2.0 * e), d)
+    return _top(cones, x, 0.0), x, 0.0
 
 
 # A slack whose least eigenvalue is within _ACTIVE of zero is active; an

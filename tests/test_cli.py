@@ -924,7 +924,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "a914619ad0e91f6123f923b00b61d86c56fb2482e835fb606b9fa73dd08a2fc3"},
+        {"simulate.json": "1e5a2d2ff7d8b34f591fd29f87232693cb6228a5cc69a153dd040caac441cd85"},
     ),
 }
 
@@ -939,7 +939,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.10. Their headers and manifests carry the version and the
+# at version 0.1.11. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -951,36 +951,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # two bracket testers. At 0.1.10 the three-cone 1-center came to lie on the
 # mirror axis p₂ = 0: at (π/6, 0.3) the report's p_inc moved from
 # 0.29999999999999993 to 0.3, Y's off-diagonal from -2.8e-17 to 0.0 and gap
-# from 1.1e-16 to -1.1e-16. No other output moved beyond its header.
+# from 1.1e-16 to -1.1e-16. At 0.1.11 H_I's two off-diagonal cells in the
+# oracle report changed from -0.0 to 0.0, when H_I stopped negating a sum
+# that cancels to +0.0; the closed-form axis 1-center of the same version
+# moved no byte of that report. No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "3d160190ca35706e3b0917a75a0933c7229dc6d491a8ffa6c9fdce3741fd8e76",
-            "hull_vertices.csv": "135d2f2e6b9d7de5589b648076875b68d30f1912f9ec885adaa5e67de5bcee66",
-            "manifest.json": "e431a421eca8eacf61eb028a21e3b49b3179cccd6ad16d7733feb62093e55c6e",
+            "hull_report.json": "353446828db54ab687eb548dc653e8a9b0ff9573ead1128f847ccbfa41cfcef5",
+            "hull_vertices.csv": "cec2a37b1d69ea67e0c90d84a0d4258a96203a5ce11ab723eb5a7854967ad950",
+            "manifest.json": "044d33246bcf7a7c26a710b602dde01798ceffd31ea3f88fd9ea826459b367a4",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "70be15fbc76228f7588333ae486c354655fe2d53006ef1db0da9418664f96031",
-            "manifest.json": "864400620df0b0161f8dec222c00dd54e03668fea9bfbc635dae88c3d69d40cd",
+            "oracle_report.json": "eeaf3feb16c382e818b81bcbf872b75c190657e5a5d8452b796c9780d8c56f86",
+            "manifest.json": "49bbc891f4f01a3d769912484894ece9a4d4870eb4d414e97908225fff2e3635",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "038c3acc5af4d541d2b399b9796a451a8d028a678c2b5dc620441410e58db3a6",
-            "manifest.json": "8ddeaa865136df1ba84b5ad27518d1b08cde3b05f013dab290ca4a5cdef796ed",
+            "curves.csv": "10be16ef3874137a47fc516430fcc2ebbdbcdade4abdf4d004cbc3ef2e2228e7",
+            "manifest.json": "ddd5734cb34482f77c7e2e8bb2c80eb6da2051fa7b7a43eb3f3e797c1070b3db",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "ecc92a8ff4debb51f068f765e54da0d96d6fcf6cdf62c37b73d7680f44e08288",
-            "manifest.json": "fbd7e095834c70c7ee2005743fd53dfe885ae86c69b68feed9391313706c10fa",
+            "convexity.json": "22b805f9c9998e900769292d901386f5ebf3d216a2afb3aea5f7b9f47254b41b",
+            "manifest.json": "10d67aa831734fadf149665112bc78aa9265ba147b89df6f87356be1c26a49b5",
         },
     ),
 }

@@ -349,6 +349,14 @@ def test_search_returns_a_checkable_certificate(theta, p_inc):
     assert result.gap == pytest.approx(result.upper_bound - result.point.p_success, abs=1e-15)
 
 
+def test_criterion_1_testers_carry_no_negative_zeros():
+    # H_I's off-diagonal is the sum of two mirrored ones that cancel; a
+    # negated +0.0 there would print as -0.0 in the oracle report
+    for theta, p_inc in CRITERION_1_POINTS:
+        h_i = md.optimize_povm(measurement_pair(theta), p_inc).triple.h_i
+        assert not np.signbit(h_i[h_i == 0.0]).any(), (theta, p_inc, h_i)
+
+
 def test_search_runs_no_eigensolver_or_matrix_product(monkeypatch):
     # every 2×2 block is a light-cone triple, so its eigenvalues are t ± ‖p‖
     # and a trace of a product is 2 (t_a t_b + p_a·p_b)
@@ -375,9 +383,10 @@ def test_small_angle_searches_converge():
         assert min(np.linalg.eigvalsh(h)[0] for h in vars(result.triple).values()) >= -1e-15
 
 
-# At each of these points a bisection midpoint leaves `_slack_tester` a
-# weight below -_ACTIVE, so the bracket's testers are mixed before the
-# bisection ends; the search must still converge.
+# Tiny budgets that once needed a scipy ascent, because the dual point left
+# the tester open there. No bisection midpoint leaves `_slack_tester` open at
+# them now (every one of their 330 dual evaluations returns a tester); the
+# search must still converge.
 ASCENT_RESCUES = [
     (0.12131344938203924, 2.472817527932488e-08),
     (0.5038892389695054, 3.1385519610677e-09),
@@ -416,6 +425,16 @@ def test_searches_and_the_cli_load_no_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_small_angle_sweep_points_converge_at_a_tight_tol():
+    # the seed-7 sweep's angles in [1e-5, 1e-4], where a bisection midpoint
+    # once left the tester open and the bracket's chord missed tol 1e-8
+    points = [pt for pt in oracles.stress_sweep() if 1e-5 <= pt[0] <= 1e-4]
+    assert len(points) == 500
+    for theta, p_inc in points:
+        result = md.optimize_povm(measurement_pair(theta), p_inc, tol=1e-8)
+        assert result.converged, (theta, p_inc, result.gap, result.p_inc_error)
 
 
 def test_stress_sweep_converges():
@@ -461,8 +480,8 @@ def center_rows():
 
 
 def test_one_center_is_no_worse_than_the_general_three_cone_solve():
-    # the axis point against the general route: apexes, pair points and the
-    # quadratic's three-cone roots, each also Newton-polished
+    # the axis closed form against the general route: apexes, pair points
+    # and the quadratic's three-cone roots, each also Newton-polished
     rows = center_rows()
     assert len(rows) >= 20_000
     worst = -math.inf
@@ -475,19 +494,42 @@ def test_one_center_is_no_worse_than_the_general_three_cone_solve():
     assert worst <= 1e-15
 
 
+def test_one_center_lies_on_the_axis_in_each_of_its_three_cases():
+    # x = a below the M apex, x = u₃ at the scaled apex, or between them
+    # (to rounding) where the M cone meets the scaled one
+    hits = {"m_apex": 0, "scaled_apex": 0, "meet": 0}
+    worst = 0.0
+    for theta, lam in center_rows():
+        pair = measurement_pair(theta)
+        cones = oracle_module._at(oracle_module._cones(pair.m0, pair.n0), lam)
+        (t1, a, h), _, (t3, u3, _) = cones
+        _, x, y = oracle_module._one_center(cones)
+        assert y == 0.0, (theta, lam)
+        if x == a:
+            hits["m_apex"] += 1
+        elif x == u3:
+            hits["scaled_apex"] += 1
+        else:
+            assert min(a, u3) - 1e-15 <= x <= max(a, u3) + 1e-15, (theta, lam)
+            hits["meet"] += 1
+            worst = max(worst, abs(t1 + math.hypot(x - a, h) - t3 - abs(x - u3)))
+    assert min(hits.values()) > 0, hits
+    assert worst <= 1e-15, worst
+
+
 def test_a_wrong_axis_point_loosens_the_certificate_but_never_breaks_it(
     tmp_path, monkeypatch
 ):
-    # the axis point is one candidate of the 1-center; moved off by 1e-3 it
-    # can only raise the dual value, so the bound still holds and a search
-    # that claims convergence still lands on the curve
-    axis_point = oracle_module._axis_point
+    # the axis point moved off by 1e-3, with its value recomputed from the
+    # three cones, can only raise the dual value, so the bound still holds
+    # and a search that claims convergence still lands on the curve
+    one_center = oracle_module._one_center
 
     def off(cones):
-        point = axis_point(cones)
-        return None if point is None else (point[0] + 1e-3, point[1])
+        _, x, y = one_center(cones)
+        return oracle_module._top(cones, x + 1e-3, y), x + 1e-3, y
 
-    monkeypatch.setattr(oracle_module, "_axis_point", off)
+    monkeypatch.setattr(oracle_module, "_one_center", off)
     tol = 1e-4
     for k, (theta, p_inc) in enumerate(CRITERION_1_POINTS):
         result = md.optimize_povm(measurement_pair(theta), p_inc, tol=tol)
