@@ -25,8 +25,13 @@ images in the axis p₂ = 0 and the scaled m0 + n0 cone lies on it, so the
 1-center lies on that axis too, in a three-case closed form: below the M
 apex, at the scaled apex, or where those two cones meet. Complementary
 slackness puts each block on the kernel of its dual slack, and
-H_M + H_N + H_I = 𝕀/2 fixes the kernel weights (`_slack_tester`). That
-tester's rate is the dual's slope in λ, so `_dual_bound` bisects on it.
+H_M + H_N + H_I = 𝕀/2 fixes the kernel weights (`_slack_tester`). The
+reflection gives H_M and H_N one weight w, in closed form from the
+M slack's axis and the sign of the I slack's: ½ where the I slack is
+positive definite, the largest w that keeps H_I PSD where it vanishes,
+and the one that balances the three kernel axes where all three slacks
+have rank one. That tester's rate is the dual's slope in λ, so
+`_dual_bound` bisects on it.
 The bracket's two testers are each optimal at their own rate, and the
 blocks are linear, so their mixture weighted onto the target rate is a
 tester too (`_mix`); it is returned with the least dual value evaluated.
@@ -117,13 +122,16 @@ def _inside(h_m, h_n):
 
 
 def _check_symmetric_psd(mat: np.ndarray, name: str) -> np.ndarray:
+    # NaN compares false against every bound, so each check here and in
+    # PovmTriple is written to fail on it; an inf cell makes the asymmetry,
+    # the least eigenvalue or the sum's residual NaN or inf.
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise ValidationError(f"{name} must be a 2x2 matrix")
-    if abs(mat[0, 1] - mat[1, 0]) > BLOCK_TOL:
-        raise ValidationError(f"{name} must be symmetric")
-    if _least(_cone(mat)) < -BLOCK_TOL:
-        raise ValidationError(f"{name} has eigenvalue below -{BLOCK_TOL}")
+    if not abs(float(mat[0, 1]) - float(mat[1, 0])) <= BLOCK_TOL:
+        raise ValidationError(f"{name} must be finite and symmetric")
+    if not _least(_cone(mat)) >= -BLOCK_TOL:
+        raise ValidationError(f"{name} must be finite, with no eigenvalue below -{BLOCK_TOL}")
     return mat
 
 
@@ -139,7 +147,7 @@ class PovmTriple:
         for name in ("h_m", "h_n", "h_i"):
             object.__setattr__(self, name, _check_symmetric_psd(getattr(self, name), name))
         residual = np.abs(self.h_m + self.h_n + self.h_i - 0.5 * EYE2).max()
-        if residual > BLOCK_TOL:
+        if not residual <= BLOCK_TOL:
             raise ValidationError(
                 f"blocks must sum to identity/2 (residual {residual:.3e})"
             )
@@ -260,73 +268,43 @@ def _at(cones, lam: float):
     return cone_m, cone_n, (lam * t, lam * u, lam * v)
 
 
-def _kernel_axis(cone, t: float, x: float, y: float):
-    """Kernel of the slack Y − A, for Y = (t, x, y) and A = `cone`.
-
-    Y − A = (t − t_A) 𝕀 + (p_Y − p_A)·σ has eigenvalues t − t_A ± r with
-    r = ‖p_Y − p_A‖, and its lower eigenvector does not need an eigensolver:
-    the kernel projector is (𝕀 − n·σ)/2 with n = (p_Y − p_A)/r. Returns n,
-    () when the slack is zero (the kernel is the whole plane), or None when
-    the slack is positive definite.
-    """
-    ta, ua, va = cone
-    du, dv = x - ua, y - va
-    r = math.hypot(du, dv)
-    if t - ta - r > _ACTIVE:
-        return None
-    if r <= _ACTIVE:
-        return ()
-    return du / r, dv / r
-
-
-def _slack_tester(cones, t: float, x: float, y: float):
-    """The tester that complementary slackness assigns to the dual point.
+def _slack_tester(cones, t: float, x: float):
+    """The tester that complementary slackness assigns to the 1-center (t, x, 0).
 
     tr H_M (Y − m0) = 0 with both factors PSD puts H_M = w_M K_M on the
-    kernel projector K_M of its slack, likewise H_N and H_I, and
-    H_M + H_N + H_I = 𝕀/2 fixes the weights: Σ w = 1 and Σ w n = 0.
-    - Y − λ(m0 + n0) positive definite (as at P_I = 0): H_I = 0, and
-      w_M = w_N = ½ on opposite kernels.
-    - All three slacks of rank one: a 3×3 system, solved by Cramer's rule.
-    - Y − λ(m0 + n0) = 0 (λ = 1, the unambiguous end): any H_I is slack
-      free. The most success on K_M and K_N has w_M = w_N = w (by the
-      m0 ↔ n0 reflection) and the largest w that keeps
-      H_I = 𝕀/2 − w (K_M + K_N) PSD, w = 1/(2 + ‖n_M + n_N‖).
-    Returns (H_M, H_N) as (t, p₁, p₂) triples, or None when the slacks leave
-    the tester undetermined (m0 and n0 within about 1e-9 of each other).
+    kernel projector K_M = (𝕀 − n_M·σ)/2 of its slack, likewise H_N and H_I,
+    and H_M + H_N + H_I = 𝕀/2 fixes the weights: Σ w = 1 and Σ w n = 0.
+    With the M cone (t₁, a, h), r = hypot(x − a, h) and α = (x − a)/r, the
+    M slack's axis is n_M = (α, −h/r) and the N slack's is its mirror image,
+    so the reflection gives w_M = w_N = w, H_M = (w/2, −wα/2, wh/(2r)) and
+    H_N its mirror image. The I slack Y − (t₃, u₃, 0) has axis (σ, 0) with
+    σ = sign(x − u₃), and w is
+    - ½ where the I slack is positive definite (as at P_I = 0): H_I = 0,
+      and Y lies between the M and N apexes, so x = a and α = 0;
+    - 1/(2 + 2|α|) where the I slack vanishes (|x − u₃| ≤ `_ACTIVE`, as at
+      λ = 1): any H_I is slack free, and this is the largest w that keeps
+      H_I = 𝕀/2 − H_M − H_N PSD. It is decided from the slack itself: at
+      λ = 1 the 1-center is often the scaled apex, x = u₃ exactly, where
+      σ = sign(0) fits neither of the other cases;
+    - σ/(2(σ − α)) otherwise, from 2w + w_I = 1 and 2wα + w_I σ = 0.
+    Returns (H_M, H_N) as (t, p₁, p₂) triples, or None where the M slack is
+    positive definite or zero, which leaves the tester undetermined (m0 and
+    n0 within about 1e-9 of each other).
     """
-    km, kn, ki = (_kernel_axis(cone, t, x, y) for cone in cones)
-    if not km or not kn:
+    (t1, a, h), _, (t3, u3, _) = cones
+    r = math.hypot(x - a, h)
+    if t - t1 - r > _ACTIVE or r <= _ACTIVE:
         return None
-    (a1, a2), (b1, b2) = km, kn
-    if ki == ():
-        wm = wn = 1.0 / (2.0 + math.hypot(a1 + b1, a2 + b2))
-        wi = 0.0  # H_I ⪰ 0 by the choice of w
-    elif ki is None:
-        # Y lies on the segment between the M and N apexes, so the kernels
-        # are opposite and w_M = w_N = ½. Their axis comes from the apexes,
-        # which carry no rounding from Y.
-        (_, um, vm), (_, un, vn) = cones[0], cones[1]
-        d = math.hypot(un - um, vn - vm)
-        if d == 0.0:
-            return None
-        a1, a2 = (un - um) / d, (vn - vm) / d
-        b1, b2 = -a1, -a2
-        wm = wn = 0.5
-        wi = 0.0
+    alpha, d = (x - a) / r, x - u3
+    if t - t3 - abs(d) > _ACTIVE:
+        w = 0.5
+    elif abs(d) <= _ACTIVE:
+        w = 0.5 / (1.0 + abs(alpha))
     else:
-        c1, c2 = ki
-        det = (b1 * c2 - c1 * b2) - (a1 * c2 - c1 * a2) + (a1 * b2 - b1 * a2)
-        if det == 0.0:
-            return None
-        wm = (b1 * c2 - c1 * b2) / det
-        wn = (c1 * a2 - a1 * c2) / det
-        wi = 1.0 - wm - wn
-    if min(wm, wn, wi) < -_ACTIVE:
-        return None
-    h_m = (0.5 * wm, -0.5 * wm * a1, -0.5 * wm * a2)
-    h_n = (0.5 * wn, -0.5 * wn * b1, -0.5 * wn * b2)
-    return h_m, h_n
+        sigma = math.copysign(1.0, d)
+        w = 0.5 * sigma / (sigma - alpha)
+    h_m = (0.5 * w, -0.5 * w * alpha, 0.5 * w * h / r)
+    return h_m, (h_m[0], h_m[1], -h_m[2])
 
 
 def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float):
@@ -353,7 +331,7 @@ def _dual_bound(m0: np.ndarray, n0: np.ndarray, p_inc: float):
         """(value, Y, λ, tester, the tester's rate or None)."""
         cones = _at(base, lam)
         t, x, y = _one_center(cones)
-        tester = _slack_tester(cones, t, x, y)
+        tester = _slack_tester(cones, t, x)
         rate = None if tester is None else _trace(_rest(*tester), base[2])
         return t - lam * p_inc, (t, x, y), lam, tester, rate
 

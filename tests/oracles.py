@@ -7,7 +7,8 @@ single-qubit protocols, scipy's convex hull and a plain monotone chain,
 high-precision differencing with mpmath, a
 branch-by-branch expectation model of the Monte Carlo bench, a
 trial-by-trial sampler of that bench, the Lagrange dual over every
-single-qubit protocol, the general three-cone 1-center, and the
+single-qubit protocol, the general three-cone 1-center and the
+complementary-slackness tester solved as a 3x3 system, and the
 process-tester formalism. `stress_sweep`
 lists the seeded inputs on which the tester search is stress-tested.
 Tests compare the two routes; nothing in this module imports the package
@@ -659,6 +660,74 @@ def one_center_reference(cones):
                 candidates.append((x, y))
                 candidates.append(_polish_center(cones, x, y))
     return min((cone_top(cones, x, y), x, y) for x, y in candidates)
+
+
+# A slack within ACTIVE of singular is active; an active slack whose axis is
+# shorter than ACTIVE is zero (the library's threshold, restated).
+ACTIVE = 1e-9
+
+
+def kernel_axis(cone, t, x, y):
+    """Kernel of the slack Y - A, for Y = (t, x, y) and A = `cone`.
+
+    Y - A = (t - t_A) I + (p_Y - p_A).sigma has eigenvalues t - t_A +- r
+    with r = ||p_Y - p_A||; the kernel projector is (I - n.sigma)/2 with
+    n = (p_Y - p_A)/r. Returns n, () when the slack is zero (the kernel is
+    the whole plane), or None when the slack is positive definite.
+    """
+    ta, ua, va = cone
+    du, dv = x - ua, y - va
+    r = math.hypot(du, dv)
+    if t - ta - r > ACTIVE:
+        return None
+    if r <= ACTIVE:
+        return ()
+    return du / r, dv / r
+
+
+def slack_tester_reference(cones, t, x, y):
+    """The complementary-slackness tester at Y = (t, x, y), for any three cones.
+
+    A general route that uses no mirror symmetry: H_k = w_k (I - n_k.sigma)/2
+    on the kernel of each slack, with Sum w = 1 and Sum w n = 0.
+    - I slack positive definite: w_M = w_N = 1/2 on the opposite kernels
+      given by the M and N apexes.
+    - All three slacks of rank one: the 3x3 system, by Cramer's rule.
+    - I slack zero: w_M = w_N = w, the largest that keeps H_I PSD,
+      w = 1/(2 + ||n_M + n_N||).
+    Returns (H_M, H_N) as cone triples, or None where a slack of M or N is
+    positive definite or zero, a determinant vanishes, or a weight is below
+    -ACTIVE.
+    """
+    km, kn, ki = (kernel_axis(cone, t, x, y) for cone in cones)
+    if not km or not kn:
+        return None
+    (a1, a2), (b1, b2) = km, kn
+    if ki == ():
+        wm = wn = 1.0 / (2.0 + math.hypot(a1 + b1, a2 + b2))
+        wi = 0.0
+    elif ki is None:
+        (_, um, vm), (_, un, vn) = cones[0], cones[1]
+        d = math.hypot(un - um, vn - vm)
+        if d == 0.0:
+            return None
+        a1, a2 = (un - um) / d, (vn - vm) / d
+        b1, b2 = -a1, -a2
+        wm = wn = 0.5
+        wi = 0.0
+    else:
+        c1, c2 = ki
+        det = (b1 * c2 - c1 * b2) - (a1 * c2 - c1 * a2) + (a1 * b2 - b1 * a2)
+        if det == 0.0:
+            return None
+        wm = (b1 * c2 - c1 * b2) / det
+        wn = (c1 * a2 - a1 * c2) / det
+        wi = 1.0 - wm - wn
+    if min(wm, wn, wi) < -ACTIVE:
+        return None
+    h_m = (0.5 * wm, -0.5 * wm * a1, -0.5 * wm * a2)
+    h_n = (0.5 * wn, -0.5 * wn * b1, -0.5 * wn * b2)
+    return h_m, h_n
 
 
 def stress_sweep() -> list[tuple[float, float]]:

@@ -924,7 +924,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "1e5a2d2ff7d8b34f591fd29f87232693cb6228a5cc69a153dd040caac441cd85"},
+        {"simulate.json": "71d031310a59ef230261ce46be4bd68b0eb79b9eae4d04ba96829d8c7f1fdd15"},
     ),
 }
 
@@ -939,7 +939,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.11. Their headers and manifests carry the version and the
+# at version 0.1.12. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -954,36 +954,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # from 1.1e-16 to -1.1e-16. At 0.1.11 H_I's two off-diagonal cells in the
 # oracle report changed from -0.0 to 0.0, when H_I stopped negating a sum
 # that cancels to +0.0; the closed-form axis 1-center of the same version
-# moved no byte of that report. No other output moved beyond its header.
+# moved no byte of that report. At 0.1.12 the tester's weights came from
+# the closed form on the axis instead of a 3×3 solve: the oracle report's
+# floats moved by at most 1.7e-16, p_inc from 0.3 to 0.30000000000000016.
+# No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "353446828db54ab687eb548dc653e8a9b0ff9573ead1128f847ccbfa41cfcef5",
-            "hull_vertices.csv": "cec2a37b1d69ea67e0c90d84a0d4258a96203a5ce11ab723eb5a7854967ad950",
-            "manifest.json": "044d33246bcf7a7c26a710b602dde01798ceffd31ea3f88fd9ea826459b367a4",
+            "hull_report.json": "27452690b1c1f9688522bfe6b562da956a8a29fc8bac1f52d26978659294f943",
+            "hull_vertices.csv": "02f6191e28fe22dcb8b59417e62f4566bb9044512acd37077749e74c9f185af9",
+            "manifest.json": "771100ef3a541b95fe20e276096ef957e2c255e6c4c6ab42b56287edac52c3ec",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "eeaf3feb16c382e818b81bcbf872b75c190657e5a5d8452b796c9780d8c56f86",
-            "manifest.json": "49bbc891f4f01a3d769912484894ece9a4d4870eb4d414e97908225fff2e3635",
+            "oracle_report.json": "c37281e711e71d742ef977690f2cee4ceb8e0683fb81c987c01fe2b629d7d8f4",
+            "manifest.json": "28b327f7f888bd1490aa54e10ae004c86f3546c7a23e4516edf0559329b879ab",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "10be16ef3874137a47fc516430fcc2ebbdbcdade4abdf4d004cbc3ef2e2228e7",
-            "manifest.json": "ddd5734cb34482f77c7e2e8bb2c80eb6da2051fa7b7a43eb3f3e797c1070b3db",
+            "curves.csv": "842045ab0292a6ed34b35c9145ef06373eb73eaba053613f6e9d8e580e9e371e",
+            "manifest.json": "6f69338237ae94bd6edd24607305a671717e4a4eb342294eb54f36b2d0173677",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "22b805f9c9998e900769292d901386f5ebf3d216a2afb3aea5f7b9f47254b41b",
-            "manifest.json": "10d67aa831734fadf149665112bc78aa9265ba147b89df6f87356be1c26a49b5",
+            "convexity.json": "276217f0de172deb75e6b063af07b55e5485471a26c4efe011fc43e17934b2d0",
+            "manifest.json": "e085767f82d45b25db3aa901832cfc364a40b8db60d5f6c3f3388b4969a029c3",
         },
     ),
 }

@@ -158,6 +158,21 @@ def test_povm_triple_validation():
     np.testing.assert_allclose(triple.rho, 0.5 * EYE2, atol=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "cells", [((0, 0),), ((0, 1), (1, 0)), ((1, 0),)], ids=["diagonal", "off-diagonals", "one-off-diagonal"]
+)
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_povm_triple_rejects_non_finite_cells(block, cells, value):
+    # NaN compares false against every bound, so a check written as
+    # "value > bound" lets it through
+    blocks = [0.3 * EYE2, 0.1 * EYE2, 0.1 * EYE2]
+    for cell in cells:
+        blocks[block][cell] = value
+    with pytest.raises(ValidationError, match="finite"):
+        md.PovmTriple(*blocks)
+
+
 # --- the numeric POVM search ---
 
 
@@ -543,6 +558,72 @@ def test_a_wrong_axis_point_loosens_the_certificate_but_never_breaks_it(
 
 
 # --- the tester from the dual point ---
+
+
+def test_slack_tester_matches_the_3x3_solve_in_each_weight_case():
+    # the closed form on the axis against the general route: the kernel axes
+    # of all three slacks and Cramer's rule, with no mirror symmetry assumed
+    hits = {"i_slack_inactive": 0, "i_slack_vanishes": 0, "rank_one": 0}
+    worst = 0.0
+    for theta, lam in center_rows():
+        pair = measurement_pair(theta)
+        cones = oracle_module._at(oracle_module._cones(pair.m0, pair.n0), lam)
+        t, x, y = oracle_module._one_center(cones)
+        expected = oracles.slack_tester_reference(cones, t, x, y)
+        if expected is None:
+            continue
+        tester = oracle_module._slack_tester(cones, t, x)
+        assert tester is not None, (theta, lam)
+        axis = oracles.kernel_axis(cones[2], t, x, y)
+        hits["i_slack_inactive" if axis is None else "i_slack_vanishes" if axis == () else "rank_one"] += 1
+        worst = max(worst, *(abs(p - q) for a, b in zip(tester, expected) for p, q in zip(a, b)))
+    assert min(hits.values()) > 0, hits
+    assert worst <= 1e-12, worst
+
+
+def test_a_wrong_tester_weight_is_reported_unconverged(tmp_path, monkeypatch):
+    # H_M and H_N are linear in w, so a weight off by a factor 1 + 1e-3 pushes
+    # H_I out of the PSD cone; the search must say so, not certify it
+    slack_tester = oracle_module._slack_tester
+
+    def off(*args):
+        tester = slack_tester(*args)
+        return None if tester is None else tuple(tuple((1.0 + 1e-3) * v for v in h) for h in tester)
+
+    monkeypatch.setattr(oracle_module, "_slack_tester", off)
+    theta = math.pi / 6.0
+    result = md.optimize_povm(measurement_pair(theta), 0.3)
+    assert not result.converged
+    assert math.isfinite(result.gap) and result.gap > 1e-4
+    argv = ["oracle", "--theta", repr(theta), "--pi", "0.3", "--out", str(tmp_path)]
+    assert main(argv) == 3
+
+
+NEAR_QUARTER = math.pi / 4.0 - 1e-11
+
+
+@pytest.mark.parametrize("share", [1.0, 1.0 - 1e-6])
+def test_search_converges_next_to_identical_bases(share):
+    # c = cos 2θ ≈ 2e-11, so a = c/2 and u₃ = λc lie within 1e-9 of each
+    # other and the I slack is taken to vanish at every 1-center between them
+    c = math.cos(2.0 * NEAR_QUARTER)
+    tol = 1e-12
+    result = md.optimize_povm(measurement_pair(NEAR_QUARTER), share * c, tol=tol)
+    assert result.converged
+    assert result.p_inc_error <= tol and result.gap <= tol
+
+
+def test_slack_tester_at_the_unambiguous_end_next_to_identical_bases():
+    # at λ = 1 the 1-center is the scaled apex, x = u₃ exactly, so sign(x − u₃)
+    # is sign(0); the tester must still be the unambiguous one, at rate c
+    pair = measurement_pair(NEAR_QUARTER)
+    base = oracle_module._cones(pair.m0, pair.n0)
+    cones = oracle_module._at(base, 1.0)
+    t, x, _ = oracle_module._one_center(cones)
+    assert x == cones[2][1]
+    tester = oracle_module._slack_tester(cones, t, x)
+    rate = oracle_module._trace(oracle_module._rest(*tester), base[2])
+    assert abs(rate - math.cos(2.0 * NEAR_QUARTER)) <= 1e-15
 
 
 def assert_recovered_tester_is_optimal(theta, p_inc):
