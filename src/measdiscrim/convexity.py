@@ -129,12 +129,14 @@ def _concave_curvature(c, p_inc):
 
 
 def concave_second_derivative(c: float, p_inc: float) -> float:
-    """Curvature of the q = 0 arc; strictly negative on its domain."""
+    """Curvature of the q = 0 arc; strictly negative on its domain.
+
+    There c² - (1 - 2P_I)² > 0: 1 - 2P_I lies in (-c², (1 - sqrt(1 + 8c²))/4),
+    inside (-c, 0) as sqrt(1 + 8c²) < 1 + 4c.
+    """
     _check_overlap_inside(c)
     if not _pib(c) < p_inc < _p_top(c):
         raise DomainError("budget outside (boundary_PIB, (1 + c^2)/2)")
-    if c * c - (1.0 - 2.0 * p_inc) ** 2 <= 0.0:
-        raise DomainError("q = 0 arc curvature undefined: c^2 - (1-2*p_inc)^2 <= 0")
     return float(_concave_curvature(c, p_inc))
 
 

@@ -92,8 +92,8 @@ def _trace(a, b) -> float:
 
 
 def _rest(h_m, h_n):
-    """H_I = 𝕀/2 − H_M − H_N."""
-    return 0.5 - h_m[0] - h_n[0], -h_m[1] - h_n[1], -h_m[2] - h_n[2]
+    """H_I = 𝕀/2 − H_M − H_N; 0.0 − a − b keeps −0.0 out where a + b cancels."""
+    return 0.5 - h_m[0] - h_n[0], 0.0 - h_m[1] - h_n[1], 0.0 - h_m[2] - h_n[2]
 
 
 def _floor(cone):

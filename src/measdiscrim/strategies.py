@@ -21,16 +21,18 @@ Both budgets are (1 + c²)/2 minus a gap. As 1 + 2 sqrt(1 + 3c²) ≥ sqrt(1 + 8
 boundary_PIB's gap is at least 1.25 times tangent_PIT's, and rounded subtraction
 is monotone, so boundary_PIB ≤ tangent_PIT ≤ (1 + c²)/2 holds in floats too.
 
-`hull_verify` rebuilds that hull numerically from sampled protocols;
-`advantage` measures how much the entangled family wins by.
+`hull_verify` certifies that curve at the budgets of sampled protocols by
+the single-qubit Lagrange dual h(λ), which bounds every protocol, sampled or
+not; `advantage` measures how much the entangled family wins by.
 
 Each public closed form checks and clamps its inputs once, on entry
 (`check_theta`, `_check_budget`, `_check_overlap`), then calls private kernels
 (`_entangled`, `_p_top`, `_pib`, `_pit`, `_arc_kernel`, `_pure_kernel`,
-`_optimal_kernel`) that check nothing: they take clamped float arrays, flat
-where they index by branch, with c = cos 2θ computed once by the caller. The
-`_array` curves broadcast angles against budgets and return `CurveSamples`;
-the scalar ones return `StrategyPoint`s and `SingleQubitStrategy`s.
+`_optimal_kernel`, `_dual`, `_optimal_slope`) that check nothing: they take
+clamped float arrays, flat where they index by branch, with c = cos 2θ
+computed once by the caller. The `_array` curves broadcast angles against
+budgets and return `CurveSamples`; the scalar ones return `StrategyPoint`s
+and `SingleQubitStrategy`s.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .geometry import GRID_SNAP, TOL, check_integer, check_theta
 # Below this overlap the measurements are effectively orthogonal and the
 # single-qubit formulas are replaced by their analytic limits.
 DEGENERATE_C = 1e-12
-# Most protocols hull_verify samples; their working arrays take about 200 MB.
+# Most protocols hull_verify samples; `hull` at this size peaks at about 140 MiB.
 MAX_SAMPLES = 1_000_000
 # Spacing of the default budget grid of the curves.
 PI_GRID_STEP = 0.01
@@ -120,15 +122,17 @@ def _scalar(value: np.ndarray):
 
 
 def _check_overlap(c) -> np.ndarray:
+    """Reject overlaps more than TOL outside [0, 1]; clamp the rest."""
     c = np.asarray(c, dtype=float)
     if not np.all((c >= -TOL) & (c <= 1.0 + TOL)):
         raise DomainError("overlap c outside [0, 1]")
-    return c
+    return np.clip(c, 0.0, 1.0)
 
 
 def _check_budget(p_inc, upper, message: str) -> np.ndarray:
     """Reject NaN, budgets that do not broadcast against the angles' `upper`
-    and budgets more than TOL outside [0, upper]; clamp the rest."""
+    and budgets more than TOL outside [0, upper], naming the end they pass
+    (`message` names the upper one); clamp the rest."""
     p_inc = np.asarray(p_inc, dtype=float)
     try:
         inside = (p_inc >= -TOL) & (p_inc <= upper + TOL)
@@ -140,6 +144,8 @@ def _check_budget(p_inc, upper, message: str) -> np.ndarray:
     if not np.all(inside):
         if np.isnan(p_inc).any():
             raise DomainError("budget is not a number")
+        if np.any(p_inc < -TOL):
+            raise DomainError("budget is below 0")
         raise DomainError(message)
     return np.clip(p_inc, 0.0, upper)
 
@@ -411,85 +417,61 @@ def q_strategy_points(
     return p_inc, p_success
 
 
-# Every HULL_STRIDE-th row in input order, plus the rows of least and
-# greatest budget, forms the coarse hull that `upper_hull` prefilters with,
-# once there are more than HULL_PREFILTER rows.
-HULL_STRIDE = 32
-HULL_PREFILTER = 128
-# Points more than this below the coarse hull are dropped. It covers the
-# rounding of `np.interp` for coordinates up to about 1e3; callers pass
-# probabilities.
-HULL_MARGIN = 1e-12
-# Cross products within this of 0 count as collinear: a few ulps of 1, their rounding.
-COLLINEAR_TOL = 1e-15
+def _dual(sin2, c, lam):
+    """The single-qubit Lagrange dual h(λ): the most P_S + λ P_I of any protocol.
 
-
-def _monotone_chain(xs: list, ys: list) -> list[int]:
-    """Andrew's monotone chain over points sorted by strictly increasing x.
-
-    Returns the positions of the upper-hull vertices, left to right;
-    vertices that are collinear within COLLINEAR_TOL are dropped.
+    A deterministic rule maps each outcome of the probed measurement to M, N
+    or inconclusive, so P_S + λ P_I is affine in the probe's Bloch vector and
+    its best probe gives the constant term plus the vector's length. Guessing
+    by the outcome gives ½(1 + s), always discarding λ, guessing on one
+    outcome and discarding the other ¼(1 + 2λ + hypot(s, c(1 - 2λ))), and
+    the other rules no more. Mixtures add nothing, so h(λ) - λ P_I bounds the
+    P_S of every protocol at budget P_I, for each λ (weak duality).
     """
-    hull: list[int] = []
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a])
-            if cross >= -COLLINEAR_TOL:
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return hull
+    third = 0.25 * (1.0 + 2.0 * lam + np.hypot(sin2, c * (1.0 - 2.0 * lam)))
+    return np.maximum(np.maximum(0.5 * (1.0 + sin2), lam), third)
 
 
-def _chain(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The upper-hull vertices among `rows`, left to right.
+def _optimal_slope(sin2, c, p_inc):
+    """λ = -dP_S/dP_I of the optimal curve, where h(λ) - λ P_I touches it:
+    the chord's slope up to tangent_PIT, the arc's beyond it, 1 on the line
+    below DEGENERATE_C, clipped to [0, 1]."""
+    pit = _pit(c)
+    chord = (0.5 * (1.0 + sin2) - _arc_success(c, sin2, pit)) / pit
+    u = 1.0 - 2.0 * p_inc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arc = 0.5 - 0.5 * sin2 * u / (c * np.sqrt(c * c - u * u))
+    lam = np.where(c < DEGENERATE_C, 1.0, np.where(p_inc <= pit, chord, arc))
+    # fmin takes 1 for a NaN slope, such as the arc's 0/0 at c = P_I = 1, where 1 is tight
+    return np.fmax(np.fmin(lam, 1.0), 0.0)
 
-    The rows are sorted by budget, and only the highest point at each budget
-    is kept (of equal points, the one listed first), before the chain runs.
-    """
-    order = rows[np.lexsort((-points[rows, 1], points[rows, 0]))]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = np.diff(points[order, 0]) > 0.0
-    order = order[keep]
-    return order[_monotone_chain(points[order, 0].tolist(), points[order, 1].tolist())]
 
-
-def upper_hull(points: np.ndarray) -> np.ndarray:
-    """Indices into `points` of its upper convex hull, left to right.
-
-    Keeps the highest point at each budget (P_I, column 0). Past
-    `HULL_PREFILTER` points, the Akl–Toussaint throw-away step runs first,
-    before any full sort: the chain runs on every `HULL_STRIDE`-th row in
-    input order plus the rows of least and greatest budget, and every point
-    more than `HULL_MARGIN` below that coarse hull is dropped. The coarse
-    hull spans the whole budget range, and a vertex of the full hull never
-    lies below the hull of a subset, so the highest points at the least and
-    greatest budget survive and this changes no result. The survivors are
-    then sorted and chained (`_monotone_chain`, on Python floats).
-    """
-    rows = np.arange(len(points))
-    if len(points) > HULL_PREFILTER:
-        xs, ys = points[:, 0], points[:, 1]
-        sample = np.append(rows[::HULL_STRIDE], [np.argmin(xs), np.argmax(xs)])
-        coarse = _chain(points, sample)
-        rows = np.flatnonzero(ys >= np.interp(xs, xs[coarse], ys[coarse]) - HULL_MARGIN)
-    return _chain(points, rows)
+def _cloud(theta, p_max, grid, n_samples, seed):
+    """(P_I, P_S) rows: the pure curve on `grid`, then seeded random (ϑ, q)
+    protocols up to n_samples, less those past the budget p_max. Its draws
+    are freed on return, before hull_verify's full-size certificate pass."""
+    curve_pts = np.column_stack([grid, single_pure_curve_array(theta, grid).p_success])
+    rng = np.random.default_rng(seed)
+    n_rand = max(n_samples - len(curve_pts), 0)
+    angles = rng.uniform(0.0, math.pi / 2.0, n_rand)
+    qs = rng.uniform(0.0, 1.0, n_rand)
+    pi_r, ps_r = q_strategy_points(theta, angles, qs)
+    rand_pts = np.column_stack([pi_r, ps_r])[pi_r <= p_max + TOL]
+    return np.vstack([curve_pts, rand_pts])
 
 
 @dataclass(frozen=True)
 class HullReport:
-    """Result of numerically convexifying sampled single-qubit protocols."""
+    """Sampled single-qubit protocols and two checks of the closed-form
+    optimum at their budgets: the largest gap between it and the dual bound
+    h(λ) - λ P_I at its own slope, and the most any sample exceeds it."""
 
     c: float
     n_samples: int
     seed: int
     degenerate: bool
-    max_deviation: float
-    tangent_p_inc: float | None
-    tangent_error: float | None
-    vertices: np.ndarray
+    certificate_gap: float
+    sample_excess: float
     points: np.ndarray
     point_a: tuple[float, float]
     point_t: tuple[float, float] | None
@@ -497,14 +479,16 @@ class HullReport:
 
 
 def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
-    """Rebuild the single-qubit hull from samples and compare to closed form.
+    """Certify the single-qubit optimum at the budgets of sampled protocols.
 
-    Samples n protocols (an exact on-curve budget grid including the
-    branch and tangency budgets, plus seeded random (ϑ, q) draws), takes
-    the planar upper hull of their (P_I, P_S) pairs, and reports the worst
-    vertex deviation from the piecewise analytic boundary along with the
-    location of the tangency vertex. Degenerate overlaps (c near 0 or 1)
-    yield a straight-segment report without a tangency point.
+    Samples n protocols: an exact pure-curve budget grid including the
+    branch and tangency budgets, plus seeded random (ϑ, q) draws. At their
+    budgets, `certificate_gap` is the largest |h(λ) - λ P_I - P_S| between
+    the closed-form optimum and the Lagrange dual bound at the optimum's
+    own slope (`_dual`, `_optimal_slope`). The dual bounds every protocol,
+    so a zero gap shows that no protocol beats the closed form.
+    `sample_excess` is the most any sample beats it. Degenerate overlaps
+    (c near 0 or 1) yield a report without a tangency point.
     """
     n_samples = check_integer(
         n_samples, "n_samples", 100, MAX_SAMPLES,
@@ -512,7 +496,7 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
         above=f"hull verification takes at most {MAX_SAMPLES} samples",
     )
     seed = check_integer(seed, "seed")
-    c = min(max(float(_check_overlap(c)), 0.0), 1.0)
+    c = float(_check_overlap(c))
     theta = 0.5 * math.acos(c)
     p_max = _p_top(c)
     degenerate = c < DEGENERATE_C or c > 1.0 - DEGENERATE_C
@@ -522,29 +506,19 @@ def hull_verify(c: float, n_samples: int, seed: int) -> HullReport:
         pit = tangent_PIT(c)
         grid = np.sort(np.concatenate([grid, [boundary_PIB(c), pit]]))
         grid = grid[np.append(True, np.diff(grid) > 0.0)]  # np.unique loads numpy.ma
-    curve_pts = np.column_stack([grid, single_pure_curve_array(theta, grid).p_success])
+    points = _cloud(theta, p_max, grid, n_samples, seed)
 
-    rng = np.random.default_rng(seed)
-    n_rand = max(n_samples - len(curve_pts), 0)
-    angles = rng.uniform(0.0, math.pi / 2.0, n_rand)
-    qs = rng.uniform(0.0, 1.0, n_rand)
-    pi_r, ps_r = q_strategy_points(theta, angles, qs)
-    rand_pts = np.column_stack([pi_r, ps_r])[pi_r <= p_max + TOL]
-
-    points = np.vstack([curve_pts, rand_pts])
-    vertices = points[upper_hull(points)]
-    closed_form = single_optimal_array(theta, np.clip(vertices[:, 0], 0.0, p_max))
-    max_deviation = float(np.max(np.abs(vertices[:, 1] - closed_form.p_success)))
+    optimal = single_optimal_array(theta, points[:, 0])
+    sin2 = math.sin(2.0 * theta)
+    lam = _optimal_slope(sin2, c, optimal.p_inc)
+    bound = _dual(sin2, c, lam) - lam * optimal.p_inc
+    certificate_gap = float(np.max(np.abs(bound - optimal.p_success)))
+    sample_excess = float(np.max(points[:, 1] - optimal.p_success))
 
     point_a = (0.0, helstrom_point(theta).p_success)
     point_u = (p_max, 0.5 * (1.0 - c * c))
-    point_t = tangent_p_inc = tangent_error = None
-    if not degenerate:
-        point_t = (pit, float(curve_pts[np.searchsorted(grid, pit), 1]))
-        if len(vertices) > 1:
-            tangent_p_inc = float(vertices[1][0])
-            tangent_error = abs(tangent_p_inc - pit)
+    point_t = None if degenerate else (pit, float(points[np.searchsorted(grid, pit), 1]))
     return HullReport(
-        c, n_samples, seed, degenerate, max_deviation, tangent_p_inc, tangent_error,
-        vertices, points, point_a, point_t, point_u,
+        c, n_samples, seed, degenerate, certificate_gap, sample_excess,
+        points, point_a, point_t, point_u,
     )

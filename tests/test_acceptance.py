@@ -79,24 +79,36 @@ def test_criterion_2_hull_verification(capsys):
     worst_dev = 0.0
     worst_tangent = 0.0
     worst_dual = 0.0
+    worst_certificate = 0.0
     for c in (0.3, 0.5, 0.7, 0.9):
         rep = md.hull_verify(c, 10_000, seed=0)
-        worst_dev = max(worst_dev, rep.max_deviation)
-        worst_tangent = max(worst_tangent, rep.tangent_error)
-        # the dual bound at the curve's slope, against the closed form
+        worst_certificate = max(worst_certificate, rep.certificate_gap, rep.sample_excess)
+        # a generic hull of the samples, against the closed form and its tangency
         theta = 0.5 * math.acos(c)
-        p_inc = np.linspace(0.0, 0.5 * (1.0 + c * c), 2001)
+        vertices = rep.points[oracles.upper_hull_chain(rep.points)]
+        closed = md.single_optimal_array(theta, vertices[:, 0]).p_success
+        worst_dev = max(worst_dev, float(np.abs(vertices[:, 1] - closed).max()))
         pit = md.tangent_PIT(c)
+        worst_tangent = max(worst_tangent, abs(vertices[1, 0] - pit))
+        # the dual bound at the curve's slope, against the closed form
+        p_inc = np.linspace(0.0, 0.5 * (1.0 + c * c), 2001)
         ps_pit = md.single_optimal(theta, pit)[0].p_success
         bound = oracles.single_qubit_bound(theta, p_inc, pit, ps_pit)
         dual_gap = bound - md.single_optimal_array(theta, p_inc).p_success
         worst_dual = max(worst_dual, float(np.abs(dual_gap).max()))
     elapsed = time.perf_counter() - start
-    ok = worst_dev <= 1e-6 and worst_tangent <= 1e-6 and worst_dual <= 1e-12 and elapsed < 30.0
+    ok = (
+        worst_dev <= 1e-6
+        and worst_tangent <= 1e-6
+        and worst_dual <= 1e-12
+        and worst_certificate <= 1e-12
+        and elapsed < 30.0
+    )
     report(
         capsys, 2, ok,
         f"max hull deviation {worst_dev:.2e}, max tangency error "
-        f"{worst_tangent:.2e}, worst single-qubit dual gap {worst_dual:.1e}, {elapsed:.1f}s",
+        f"{worst_tangent:.2e}, worst single-qubit dual gap {worst_dual:.1e}, "
+        f"worst certificate gap or sample excess {worst_certificate:.1e}, {elapsed:.1f}s",
     )
 
 

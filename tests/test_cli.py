@@ -11,8 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from measdiscrim import PovmTriple, __version__, boundary_PIB, tangent_PIT
-from measdiscrim import cli, oracle
+from measdiscrim import (
+    PovmTriple, __version__, boundary_PIB, single_optimal_array, tangent_PIT,
+)
+from measdiscrim import cli, oracle, strategies
 from measdiscrim.cli import MAX_SAMPLES, main
 
 from oracles import FROZEN
@@ -139,13 +141,14 @@ def test_hull_report(tmp_path):
     assert main(["hull", "--c", "0.9", "--samples", "2000", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "hull_report.json").read_text())
     assert not report["degenerate"]
-    assert report["max_deviation"] <= 1e-6
-    assert report["tangent_p_inc"] == pytest.approx(tangent_PIT(0.9), abs=1e-6)
+    assert report["certificate_gap"] <= 1e-12
+    assert report["sample_excess"] <= 1e-12
+    assert report["point_t"][0] == tangent_PIT(0.9)
     assert report["point_a"][0] == 0.0
     assert report["point_u"] == [pytest.approx(0.905), pytest.approx(0.095)]
-    _, vertices = read_csv(tmp_path / "hull_vertices.csv")
-    assert vertices[0]["p_inc"] == 0.0
-    assert len(vertices) == report["n_vertices"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hull_points.csv", "hull_report.json", "manifest.json"
+    ]
     # random draws past the endpoint budget are discarded, so at most 2000
     _, points = read_csv(tmp_path / "hull_points.csv")
     assert 1900 <= len(points) <= 2000
@@ -168,8 +171,35 @@ def test_hull_degenerate_overlap(tmp_path):
     assert main(["hull", "--c", "1.0", "--samples", "500", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "hull_report.json").read_text())
     assert report["degenerate"]
-    assert report["tangent_p_inc"] is None
     assert report["point_t"] is None
+    assert report["certificate_gap"] <= 1e-12
+
+
+def shifted_optimum(delta):
+    """single_optimal_array with its success moved by delta."""
+    def curve(theta, p_inc):
+        samples = single_optimal_array(theta, p_inc)
+        return samples._replace(p_success=samples.p_success + delta)
+    return curve
+
+
+def scaled_dual(sin2, c, lam):
+    """h(λ) with its third term scaled by 1 - 1e-3."""
+    third = 0.25 * (1.0 + 2.0 * lam + np.hypot(sin2, c * (1.0 - 2.0 * lam)))
+    return np.maximum(np.maximum(0.5 * (1.0 + sin2), lam), (1.0 - 1e-3) * third)
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("single_optimal_array", shifted_optimum(1e-3)),
+     ("single_optimal_array", shifted_optimum(-1e-3)),
+     ("_dual", scaled_dual)],
+)
+def test_hull_fails_on_a_wrong_optimum_or_dual(tmp_path, monkeypatch, name, wrong):
+    argv = ["hull", "--c", "0.5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    monkeypatch.setattr(strategies, name, wrong)
+    assert main(argv) == 4
 
 
 def test_hull_rejects_bad_overlap(tmp_path, capsys):
@@ -894,7 +924,8 @@ def test_csv_body_blocks_join_seamlessly():
 # default budgets, moved in the last bit, and at 0.1.8, where the
 # five-point stencil came to read the pure curve at c itself and the probe
 # x = y/c, moving 104 of its 760 rows in `d2_numeric` and `rel_err` at 12
-# digits. A JSON body carries the version
+# digits. `hull_vertices.csv` is no longer written since 0.1.13, when the
+# sampled upper hull left `hull`. A JSON body carries the version
 # and the checksum, so its digest changes with every version. The JSON one
 # pins NaN as null (the ideal T = 0 row has no conclusive event) and the
 # JSON float text.
@@ -903,7 +934,6 @@ GOLDEN_BODIES = {
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
             "hull_points.csv": "33a04ec3ca927fc58d9b850da15d71d37e9648efd8cd053c8828819f90194c96",
-            "hull_vertices.csv": "72a4c41bf1520738ea3ea96a2507a5e18667186f0a776a1f26760f52ebb867d0",
         },
     ),
     "convexity": (
@@ -924,7 +954,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "71d031310a59ef230261ce46be4bd68b0eb79b9eae4d04ba96829d8c7f1fdd15"},
+        {"simulate.json": "a9c8780dbd55dece448761c52b093f9235476f8d0dede1b19f3846e98dd7ed3b"},
     ),
 }
 
@@ -939,7 +969,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.12. Their headers and manifests carry the version and the
+# at version 0.1.13. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -957,36 +987,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # moved no byte of that report. At 0.1.12 the tester's weights came from
 # the closed form on the axis instead of a 3×3 solve: the oracle report's
 # floats moved by at most 1.7e-16, p_inc from 0.3 to 0.30000000000000016.
+# At 0.1.13 the hull report lost "max_deviation", "tangent_p_inc",
+# "tangent_error" and "n_vertices" and gained "certificate_gap" and
+# "sample_excess", and `hull` stopped writing hull_vertices.csv, when the
+# sampled upper hull gave way to the single-qubit dual certificate.
 # No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "27452690b1c1f9688522bfe6b562da956a8a29fc8bac1f52d26978659294f943",
-            "hull_vertices.csv": "02f6191e28fe22dcb8b59417e62f4566bb9044512acd37077749e74c9f185af9",
-            "manifest.json": "771100ef3a541b95fe20e276096ef957e2c255e6c4c6ab42b56287edac52c3ec",
+            "hull_report.json": "a9c58d45f10b1ef57c7b5cb0536210ccd6c3464a6d39146202e96aad86a1f286",
+            "manifest.json": "7f62739ea834da70f347acbc0c33d3819f585ab09219d5da02ea6508c8206a2f",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "c37281e711e71d742ef977690f2cee4ceb8e0683fb81c987c01fe2b629d7d8f4",
-            "manifest.json": "28b327f7f888bd1490aa54e10ae004c86f3546c7a23e4516edf0559329b879ab",
+            "oracle_report.json": "8603321094393659658c8e375ee5a751b44128e08cd6da37090ee51bdbdc27da",
+            "manifest.json": "6479557f0a2d3a837c5335f02f3520bc49629c02ed252f31c04f8d8961f4cf25",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "842045ab0292a6ed34b35c9145ef06373eb73eaba053613f6e9d8e580e9e371e",
-            "manifest.json": "6f69338237ae94bd6edd24607305a671717e4a4eb342294eb54f36b2d0173677",
+            "curves.csv": "89d16a1f06ef6f7bd654e1164bd5c900c13305decb3436857fe8adf1ec158558",
+            "manifest.json": "baf74ca02c2ad60b3810b36dbf45d44af00fc6402e048169b39353ddb33c380b",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "276217f0de172deb75e6b063af07b55e5485471a26c4efe011fc43e17934b2d0",
-            "manifest.json": "e085767f82d45b25db3aa901832cfc364a40b8db60d5f6c3f3388b4969a029c3",
+            "convexity.json": "2423c42f56c682038a25c7afa59849e23c388db85ea718afb53d7bc7aa4cbf96",
+            "manifest.json": "c00820aee57ff04aad5f49bcba7067fdf9abbf8d41ffe41a4dbb589a398c82d0",
         },
     ),
 }

@@ -1,5 +1,6 @@
 """Process testers for the discrimination experiment and the POVM search."""
 
+import json
 import math
 import subprocess
 import sys
@@ -366,10 +367,19 @@ def test_search_returns_a_checkable_certificate(theta, p_inc):
 
 def test_criterion_1_testers_carry_no_negative_zeros():
     # H_I's off-diagonal is the sum of two mirrored ones that cancel; a
-    # negated +0.0 there would print as -0.0 in the oracle report
-    for theta, p_inc in CRITERION_1_POINTS:
+    # negated +0.0 there would print as -0.0 in the oracle report. At θ = 0
+    # both are zero, and the blind tester's H_I is diagonal.
+    for theta, p_inc in CRITERION_1_POINTS + [(0.0, 0.3)]:
         h_i = md.optimize_povm(measurement_pair(theta), p_inc).triple.h_i
         assert not np.signbit(h_i[h_i == 0.0]).any(), (theta, p_inc, h_i)
+
+
+def test_blind_tester_report_carries_no_negative_zeros(tmp_path):
+    assert main(["oracle", "--theta", "0", "--pi", "0.3", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    cells = np.array(report["blocks"]["h_i"], dtype=float)
+    assert cells[0, 1] == cells[1, 0] == 0.0
+    assert not np.signbit(cells).any()
 
 
 def test_search_runs_no_eigensolver_or_matrix_product(monkeypatch):

@@ -209,6 +209,28 @@ def test_budget_beyond_unambiguous_endpoint_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "curve", [entangled_success, single_optimal, single_pure_curve_array, advantage]
+)
+def test_negative_budget_is_named_as_below_zero(curve):
+    # the lower end is named, not the upper one the budget stays below
+    with pytest.raises(DomainError, match="budget is below 0") as caught:
+        curve(0.3, -0.5)
+    assert "exceeds" not in str(caught.value)
+    assert curve(0.3, -1e-13) == curve(0.3, 0.0)
+
+
+def test_checked_overlaps_are_clamped():
+    # within TOL of [0, 1] an overlap counts as its end
+    assert boundary_PIB(-1e-13) == boundary_PIB(0.0)
+    assert boundary_PIB(1.0 + 1e-13) == boundary_PIB(1.0) == 0.75
+    assert tangent_PIT(1.0 + 1e-13) == tangent_PIT(1.0) == 0.8
+    for c in (0.0, -1e-13):
+        with pytest.raises(DomainError, match="tangent point undefined"):
+            tangent_PIT(c)
+    assert hull_verify(1.0 + 1e-13, 100, 0).c == 1.0
+
+
+@pytest.mark.parametrize(
     "curve", [entangled_success, single_optimal, single_pure_curve, concave_branch]
 )
 def test_nan_budget_is_named_as_not_a_number(curve):
@@ -346,6 +368,26 @@ def test_single_qubit_dual_meets_the_optimal_curve():
         assert excess.max() <= above
 
 
+def test_closed_form_dual_matches_the_nine_rules():
+    # the three-term h of `hull_verify` against the maximum over every
+    # deterministic rule, with both ends of θ and λ crossed
+    rng = np.random.default_rng(33)
+    theta = np.concatenate([rng.uniform(0.0, math.pi / 4.0, 200_000), [0.0, math.pi / 4.0] * 2])
+    lam = np.concatenate([rng.uniform(0.0, 1.0, 200_000), [0.0, 0.0, 1.0, 1.0]])
+    closed = strategies._dual(np.sin(2.0 * theta), np.cos(2.0 * theta), lam)
+    assert np.abs(closed - oracles.single_qubit_dual(theta, lam)).max() <= 4.5e-16
+
+
+@pytest.mark.parametrize(
+    "c", [0.0, 2e-13, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-13, 1.0]
+)
+def test_hull_verify_certifies_the_optimum_at_every_overlap(c):
+    for seed in range(4):
+        report = hull_verify(c, 10_000, seed)
+        assert report.certificate_gap <= 1e-12
+        assert report.sample_excess <= 1e-12
+
+
 @pytest.mark.parametrize("c", [0.0, 0.3, 0.5, 0.7, 0.9, 1.0])
 def test_no_sampled_protocol_beats_the_single_qubit_dual(c):
     report = hull_verify(c, 10_000, seed=5)
@@ -395,32 +437,44 @@ def test_q_strategy_points_match_the_four_relabelings():
                 assert ps <= ceiling + 1e-12
 
 
+def sampled_hull(report):
+    """The vertices of a generic upper hull of the report's samples."""
+    return report.points[oracles.upper_hull_chain(report.points)]
+
+
 def test_hull_verify_report():
     report = hull_verify(0.5, 2000, seed=4)
     assert not report.degenerate
-    assert report.max_deviation <= 1e-6
-    assert report.tangent_error <= 1e-6
+    assert report.certificate_gap <= 1e-12
+    assert report.sample_excess <= 1e-12
     assert report.point_a[0] == 0.0
     assert report.point_a[1] == pytest.approx(
         helstrom_point(theta_for_overlap(0.5)).p_success, abs=1e-15
     )
     assert report.point_u == (pytest.approx(0.625), pytest.approx(0.375))
     assert report.point_t[0] == pytest.approx(FROZEN["pit_c05"], abs=1e-12)
-    # vertices are strictly increasing in budget, starting at the anchor
-    assert report.vertices[0][0] == pytest.approx(0.0, abs=1e-12)
-    assert np.all(np.diff(report.vertices[:, 0]) > 0)
+    # a hull of the samples has strictly increasing budgets from the anchor,
+    # lies on the closed form and turns at the tangency
+    vertices = sampled_hull(report)
+    assert vertices[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert np.all(np.diff(vertices[:, 0]) > 0)
+    closed = single_optimal_array(theta_for_overlap(0.5), vertices[:, 0]).p_success
+    assert np.abs(vertices[:, 1] - closed).max() <= 1e-6
+    assert abs(vertices[1][0] - report.point_t[0]) <= 1e-6
 
 
 def test_hull_verify_matches_generic_convex_hull():
     report = hull_verify(0.7, 3000, seed=2)
     query = np.linspace(0.0, 0.5 * (1.0 + 0.49) - 1e-9, 250)
-    oracle_heights = oracles.upper_hull_interp(
+    scipy_heights = oracles.upper_hull_interp(
         report.points[:, 0], report.points[:, 1], query
     )
-    production_heights = np.interp(
-        query, report.vertices[:, 0], report.vertices[:, 1]
-    )
-    np.testing.assert_allclose(production_heights, oracle_heights, atol=1e-12)
+    vertices = sampled_hull(report)
+    chain_heights = np.interp(query, vertices[:, 0], vertices[:, 1])
+    np.testing.assert_allclose(chain_heights, scipy_heights, atol=1e-12)
+    closed = single_optimal_array(theta_for_overlap(0.7), query).p_success
+    assert np.all(scipy_heights <= closed + 1e-12)
+    assert np.abs(scipy_heights - closed).max() <= 1e-6
 
 
 def test_hull_verify_degenerate_overlaps():
@@ -428,7 +482,11 @@ def test_hull_verify_degenerate_overlaps():
         report = hull_verify(c, 500, seed=0)
         assert report.degenerate
         assert report.point_t is None
-        assert report.max_deviation <= 1e-9
+        assert report.certificate_gap <= 1e-12
+        assert report.sample_excess <= 1e-12
+        vertices = sampled_hull(report)
+        closed = single_optimal_array(theta_for_overlap(c), vertices[:, 0]).p_success
+        assert np.abs(vertices[:, 1] - closed).max() <= 1e-9
     with pytest.raises(DomainError, match="at least 100 samples"):
         hull_verify(0.5, 50, seed=0)
 
@@ -452,115 +510,6 @@ def test_hull_verify_reads_the_tangent_point_off_its_grid(c, seed):
     curve = single_pure_curve_array(theta, np.array(grid)).p_success
     assert rows[:, 1].tobytes() == curve.tobytes()
 
-
-def hull_case(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
-    """A seeded point set of one of the shapes the hull must handle."""
-    x = rng.uniform(0.0, 1.0, n)
-    if kind == "random":
-        return np.column_stack([x, rng.uniform(0.0, 1.0, n)])
-    if kind == "grid":
-        # few grid levels: repeated budgets, duplicate points, collinear runs
-        k = int(rng.integers(2, 40))
-        return np.round(rng.uniform(0.0, 1.0, (n, 2)) * k) / k
-    if kind == "arc":
-        # most points on a concave arc, the rest below it
-        drop = rng.uniform(0.0, 0.2, n) * (rng.uniform(size=n) < 0.3)
-        return np.column_stack([x, np.sqrt(1.0 - (x - 0.5) ** 2) - drop])
-    if kind == "line":
-        # points on one line, so only rounding decides the hull's vertices;
-        # scaled so that the chain keeps some of them
-        scale = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
-        a, b = rng.uniform(-1.0, 1.0, 2)
-        return np.column_stack([x, a + b * x]) * scale
-    # the samples hull_verify builds: an on-curve grid plus random protocols
-    c = float(rng.uniform(0.05, 0.95))
-    theta = theta_for_overlap(c)
-    grid = np.linspace(0.0, 0.5 * (1.0 + c * c), n // 2 + 1)
-    m = n - len(grid)
-    pi_r, ps_r = q_strategy_points(
-        theta, rng.uniform(0.0, math.pi / 2.0, m), rng.uniform(0.0, 1.0, m)
-    )
-    ps = np.concatenate([single_pure_curve_array(theta, grid).p_success, ps_r])
-    return np.column_stack([np.concatenate([grid, pi_r]), ps])
-
-
-HULL_KINDS = ("random", "grid", "arc", "line", "protocols")
-
-
-def test_upper_hull_matches_the_plain_chain():
-    # the coarse-hull prefilter must leave every vertex index unchanged
-    rng = np.random.default_rng(2718)
-    sizes = [1, 2, 3, 127, 128, 129]
-    cases = [
-        (HULL_KINDS[k % 5], sizes[k // 3 % 6] if k % 3 == 0 else None) for k in range(2000)
-    ]
-    cases += [(kind, 10_000) for kind in HULL_KINDS]
-    for kind, n in cases:
-        n = n if n is not None else int(rng.integers(4, 500))
-        points = hull_case(rng, kind, n)
-        expected = oracles.upper_hull_chain(points)
-        assert strategies.upper_hull(points).tolist() == expected, (kind, n)
-
-
-
-def arranged(rng: np.random.Generator, points: np.ndarray, how: str) -> np.ndarray:
-    """The rows of `points` in an order the hull's coarse sample must survive."""
-    if how == "shuffled":
-        return points[rng.permutation(len(points))]
-    if how == "reversed":
-        return points[::-1]
-    x = points[:, 0]
-    extreme = (x == x.min()) | (x == x.max())
-    if how == "extremes off the stride":
-        # rows at the least and greatest budget fill the slots between
-        # stride rows first, so only argmin and argmax can sample them
-        rows = np.concatenate(
-            [rng.permutation(np.flatnonzero(extreme)), rng.permutation(np.flatnonzero(~extreme))]
-        )
-        slots = np.argsort(np.arange(len(x)) % strategies.HULL_STRIDE == 0, kind="stable")
-        order = np.empty_like(rows)
-        order[slots] = rows
-        return points[order]
-    # "tied extremes": the first row at the least and at the greatest
-    # budget, where argmin and argmax look, lies below the highest one
-    lo, hi = np.argmin(x), np.argmax(x)
-    ties = points[[lo, hi]] - [[0.0, 0.25], [0.0, 0.5]]
-    return np.vstack([ties, points[rng.permutation(len(points))]])
-
-
-HULL_ORDERS = ("shuffled", "reversed", "extremes off the stride", "tied extremes")
-
-
-def test_upper_hull_prefilter_needs_no_sorted_rows():
-    # the coarse sample is taken in input order, so no row order may change
-    # the vertices; the least and greatest budget rows are always sampled
-    rng = np.random.default_rng(1414)
-    cases = [(kind, how, 10_000) for kind in HULL_KINDS for how in HULL_ORDERS]
-    cases += [
-        (HULL_KINDS[k % 5], HULL_ORDERS[k // 5 % 4], 129 if k % 2 else int(rng.integers(130, 600)))
-        for k in range(400)
-    ]
-    for kind, how, n in cases:
-        points = arranged(rng, hull_case(rng, kind, n), how)
-        expected = oracles.upper_hull_chain(points)
-        assert strategies.upper_hull(points).tolist() == expected, (kind, how, n)
-
-
-@pytest.mark.parametrize("n", [129, 10_000])
-def test_upper_hull_of_collinear_rows(n):
-    rng = np.random.default_rng(n)
-    x = rng.integers(0, 64, n) / 64.0
-    lines = {
-        "sloped": np.column_stack([x, 0.25 + 0.5 * x]),  # exact in binary
-        "flat": np.column_stack([x, np.full(n, 0.375)]),
-        "one budget": np.column_stack([np.full(n, 0.5), rng.uniform(0.0, 1.0, n)]),
-    }
-    for name, points in lines.items():
-        for how in HULL_ORDERS[:3]:
-            rows = arranged(rng, points, how)
-            expected = oracles.upper_hull_chain(rows)
-            assert strategies.upper_hull(rows).tolist() == expected, (name, how)
-            assert len(expected) <= 2
 
 # --- small containers ---
 
