@@ -6,12 +6,11 @@ Monte Carlo model of the bench experiment. The `*_array` curve functions
 take numpy arrays of angles and budgets.
 """
 
-__version__ = "0.1.13"
+__version__ = "0.1.14"
 
 from .errors import (
     BranchCrossingError,
     DomainError,
-    SingularityError,
     ValidationError,
 )
 from .geometry import (
@@ -40,7 +39,6 @@ from .strategies import (
     unambiguous_points,
 )
 from .convexity import (
-    DerivativeBundle,
     concave_second_derivative,
     finite_difference_check,
     second_derivative,
@@ -68,7 +66,6 @@ __all__ = [
     "__version__",
     "BranchCrossingError",
     "DomainError",
-    "SingularityError",
     "ValidationError",
     "MeasurementPair",
     "measurement_pair",
@@ -91,7 +88,6 @@ __all__ = [
     "single_pure_curve_array",
     "tangent_PIT",
     "unambiguous_points",
-    "DerivativeBundle",
     "concave_second_derivative",
     "finite_difference_check",
     "second_derivative",

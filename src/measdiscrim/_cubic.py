@@ -12,7 +12,9 @@ in y = c*x, where x = cos 2ϑ is the probe and c the overlap. For
   so one root lies in [c^2, 1] and one in [1, ∞);
 * f(-c) = -c (1 + c)(1 + c - P_I) ≤ 0, so the third root lies in
   [-c, c^2]. All three roots are real, and this one is the least; for
-  0 < c < 1 both bounds are strict, so it is simple.
+  0 < c < 1 both bounds are strict, so it is simple;
+* f(0) = P_I c^2 ≥ 0, so the least root lies in [-c, 0]. The code clips
+  to the looser [-c, c^2], which holds the same root.
 
 The success of the probe x, ½(1 - P_I) + ½ sqrt((1 - c^2)(1 - x^2)) *
 (1 - P_I/(1 - xc)), has slope -f(cx) sqrt((1 - c^2)(1 - x^2)) /
@@ -40,12 +42,12 @@ _LEAST = 4.0 * math.pi / 3.0
 
 
 def least_root(c, p_inc) -> np.ndarray:
-    """Least root y of y^3 - 2y^2 + (1 - P_I) y + P_I c^2 per row, in [-c, c^2].
+    """Least root y of y^3 - 2y^2 + (1 - P_I) y + P_I c^2 per row, in [-c, 0].
 
     c and p_inc are float arrays that broadcast, with c in (0, 1] and
     P_I in [0, 1]. The root is the trigonometric column
     m cos(φ - 4π/3) + 2/3 of the depressed cubic t^3 + p t + q, y = t + 2/3,
-    whose p = (1 - P_I) - 4/3 is never 0; it is clipped to the bracket,
+    whose p = (1 - P_I) - 4/3 is never 0; it is clipped to [-c, c^2],
     polished by three Newton steps (none where the derivative vanishes) and
     clipped again.
     """

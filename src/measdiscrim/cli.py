@@ -404,7 +404,7 @@ def _run_convexity(parameters: dict, seed: int) -> tuple[dict, int]:
     )
     margin = np.where(convex, np.minimum(p, pib - p), np.minimum(p - pib, p_top - p))
     fd = ~near_edge
-    # NaN marks the empty cells of boundary rows and of singular rows.
+    # NaN marks the empty cells of boundary rows.
     analytic, numeric, rel_err = (np.full(len(p), np.nan) for _ in range(3))
     analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(
         c[fd], p[fd], np.minimum(h, 0.4 * margin[fd])

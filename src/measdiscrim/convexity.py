@@ -1,65 +1,75 @@
-"""Analytic curvature of the single-qubit pure curve, with FD validation.
+"""Closed-form curvature of the single-qubit pure curve, with FD validation.
 
-The conclusive-rate cubic in y = c*x, y^3 - 2y^2 + (1 - P_I)y + P_I c^2 = 0,
-is the one cubic `_cubic.least_root` solves; its least root, in [-c, c^2]
-(proved there), gives the pure-curve success as
+Below boundary_PIB the pure curve's probe is x* = y/c, with y the least root
+of the conclusive-rate cubic f(y) = y^3 - 2y^2 + (1 - P_I)y + P_I c^2
+(`_cubic.least_root`), and its success is F(x*, P_I), where
 
-    P_S = (1 - P_I)/2 + (sqrt(1-c^2)/2c) * sqrt(c^2-y^2) * [1 - P_I/(1-y)].
+    F(x, P) = ½(1 - P) + ½R(x)(1 - P/(1 - xc)),  R(x) = sqrt((1-c^2)(1-x^2)).
 
-Implicit differentiation yields y', y'' and an explicit second derivative
-d2 P_S / d P_I^2 = (sqrt(1-c^2)/2c) * (alpha*y' + beta*y'^2 + gamma*y''),
-which is non-negative up to the q = 0 boundary budget; past it the curve
-follows the q = 0 arc whose curvature -c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2)
-is strictly negative. finite_difference_check validates either branch
-numerically.
+Convexity. By the sign argument in `_cubic`, F rises from x = -1 to
+x₁ = y/c, falls until the next root, and F(±1) = ½(1 - P) ≤ F(x₁); so
+F(x₁, P) is the maximum of F(x, P) over x ∈ [-1, 1]. At fixed x, F is affine
+in P, so below boundary_PIB the pure curve is a pointwise maximum of affine
+functions of P_I, and is convex (Boyd and Vandenberghe, Convex Optimization,
+§3.2.3).
+
+Curvature. By the envelope theorem dP_S/dP = F_P(x*, P). With F_x = 0 at
+x*, x*' = -F_xP/F_xx and d2 P_S / d P^2 = F_xP x*' = -F_xP^2/F_xx, where
+
+    F_xP = -½ sqrt(1-c^2)(c - x) / (sqrt(1-x^2)(1 - xc)^2),
+    F_xx = -f'(y) R / (2(1-x^2)(1 - xc)^2)
+
+(the second from the slope formula in `_cubic`, whose factor f(cx) vanishes
+at x*). In y = cx this is `_convex_curvature`:
+
+    d2 P_S / d P_I^2 = sqrt(1-c^2)(c^2 - y)^2
+                       / (2c f'(y) sqrt(c^2 - y^2) (1 - y)^2),
+    f'(y) = 3y^2 - 4y + 1 - P_I.
+
+No denominator of it vanishes. boundary_PIB = (3 + sqrt(1 + 8c^2))/8 is at
+most (1 + c/2)^2/(1 + 2c), that is sqrt(1 + 8c^2)(1 + 2c) ≤ 5 + 2c + 2c^2,
+as (5 + 2c + 2c^2)^2 - (1 + 8c^2)(1 + 2c)^2 = (24 + 16c)(1 - c^3) +
+12c^2(1 - c^2) ≥ 0, zero only at c = 1. So f(-c/2) = (c/2)(P_I(1 + 2c) -
+(1 + c/2)^2) ≤ 0 ≤ f(0) = P_I c^2 on the convex domain, and -c/2 ≤ y ≤ 0.
+Hence f'(y) ≥ 1 - P_I > ¼ (boundary_PIB ≤ ¾), c^2 - y^2 ≥ ¾c^2 and
+(1 - y)^2 ≥ 1; and c^2 - y > 0, so the curvature is strictly positive.
+
+Past boundary_PIB the curve follows the q = 0 arc, whose curvature
+-c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2) is strictly negative.
+finite_difference_check validates either branch numerically.
 
 `finite_difference_check_array` takes arrays: one array call of
-`_cubic.least_root` gives the analytic curvature of every row, and one
-call of the pure-curve kernel, at the row's own c, evaluates every
-five-point stencil. Each
-public function runs one domain check on entry, the budget's before any
-stencil is formed; the private helpers and the `strategies` kernels they
-call (`_p_top`, `_pib`, `_pure_kernel`) assume checked, flat float arrays.
+`_cubic.least_root` gives the analytic curvature of every convex row, and
+one call of the pure-curve kernel, at the row's own c, evaluates every
+five-point stencil. Each public function runs one domain check on entry,
+the budget's before any stencil is formed; the private helpers and the
+`strategies` kernels they call (`_p_top`, `_pib`, `_pure_kernel`) assume
+checked, flat float arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _cubic
-from .errors import BranchCrossingError, DomainError, SingularityError
+from .errors import BranchCrossingError, DomainError
 from .geometry import TOL
 from .strategies import _p_top, _pib, _pure_kernel
 
-DENOM_FLOOR = 1e-10
-# Floor of c² - y² under its root, which rounding can leave ≤ 0: a tiny normal double.
-SQUARE_FLOOR = 1e-300
 # Least |curvature| rel_err divides by: far below the least tabled one, 5e-7 at c = 0.001.
 REL_ERR_FLOOR = 1e-12
 # The least step whose square is a normal double.
 MIN_STEP = math.sqrt(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """y and its budget-derivatives plus the assembled curvature."""
-
-    y: float
-    y_prime: float
-    y_double_prime: float
-    alpha: float
-    beta: float
-    gamma: float
-    d2PS_dPI2: float
-
-
-def _check_convex_domain(c, p_inc) -> None:
+def _check_convex_domain(c, p_inc):
+    """Reject budgets outside [-TOL, boundary_PIB); clamp the rest to [0, boundary_PIB)."""
     _check_overlap_inside(c)
     if not np.all((p_inc >= -TOL) & (p_inc < _pib(c))):
         raise DomainError("budget outside [0, boundary_PIB)")
+    return np.maximum(p_inc, 0.0)
 
 
 def _check_overlap_inside(c) -> None:
@@ -80,48 +90,30 @@ def check_step(h):
 def y_root(c: float, p_inc: float) -> float:
     """The maximizing root y = c*x of the substituted cubic.
 
-    It is the least root, which lies in [-c, c^2] (see `_cubic`); its
+    It is the least root, which lies in [-c, 0] (see `_cubic`); its
     x = y/c is the probe of the pure curve.
     """
-    _check_convex_domain(c, p_inc)
+    p_inc = _check_convex_domain(c, p_inc)
     return float(_cubic.least_root(np.array([c]), np.array([p_inc]))[0])
 
 
-def _derivatives(c: np.ndarray, p_inc: np.ndarray) -> tuple[np.ndarray, ...]:
-    """y, y', y'', alpha, beta, gamma, the curvature and the implicit
-    denominator on 1-D arrays inside the convex domain."""
+def _convex_curvature(c, p_inc):
+    """d2 P_S / d P_I^2 of the pure curve below boundary_PIB (module docstring)."""
     y = _cubic.least_root(c, p_inc)
-    denom = 3.0 * y * y - 4.0 * y + 1.0 - p_inc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y_prime = (y - c * c) / denom
-        y_double_prime = 2.0 * (y_prime + y_prime * y_prime * (2.0 - 3.0 * y)) / denom
+    df = (3.0 * y - 4.0) * y + 1.0 - p_inc
     c2 = c * c
-    one = 1.0 - y
-    sq = np.sqrt(np.maximum(SQUARE_FLOOR, c2 - y * y))
-    alpha = 2.0 * (y - c2) / (sq * one * one)
-    beta = (
-        p_inc * (3.0 * c2 * y * y + c2 - 2.0 * c2 * c2 - 2.0 * y**3)
-        - c2 * one**3
-    ) / (sq**3 * one**3)
-    gamma = (y - c2) * p_inc / (sq * one * one) - y / sq
-    d2 = (np.sqrt(1.0 - c2) / (2.0 * c)) * (
-        alpha * y_prime + beta * y_prime * y_prime + gamma * y_double_prime
+    return (
+        np.sqrt(1.0 - c2) * (c2 - y) ** 2
+        / (2.0 * c * df * np.sqrt(c2 - y * y) * (1.0 - y) ** 2)
     )
-    return y, y_prime, y_double_prime, alpha, beta, gamma, d2, denom
 
 
-def second_derivative(c: float, p_inc: float) -> DerivativeBundle:
-    """Curvature of the pure curve below the q = 0 boundary budget."""
-    _check_convex_domain(c, p_inc)
+def second_derivative(c: float, p_inc: float) -> float:
+    """Curvature of the pure curve below the q = 0 boundary budget; strictly positive."""
+    p_inc = _check_convex_domain(c, p_inc)
     if p_inc <= TOL:
         raise DomainError("budget outside the open interval (0, boundary_PIB)")
-    *values, denom = (float(v[0]) for v in _derivatives(np.array([c]), np.array([p_inc])))
-    if abs(denom) <= DENOM_FLOOR:
-        raise SingularityError(
-            f"implicit-derivative denominator 3y^2-4y+1-P_I = {denom:.3e} "
-            f"vanishes at c = {c}, p_inc = {p_inc}"
-        )
-    return DerivativeBundle(*values)
+    return float(_convex_curvature(np.array([c]), np.array([p_inc]))[0])
 
 
 def _concave_curvature(c, p_inc):
@@ -147,10 +139,8 @@ def finite_difference_check_array(
 
     The arguments broadcast to one shape. One array call of the pure curve
     evaluates the stencils of all rows, and one array call of the least
-    root gives the analytic curvature of every convex row. A convex row
-    whose implicit denominator vanishes comes back NaN in all three
-    outputs, where finite_difference_check raises SingularityError. Every
-    other error is raised for the whole call when any row commits it.
+    root gives the analytic curvature of every convex row. An error is
+    raised for the whole call when any row commits it.
     """
     shape = np.broadcast(c, p_inc, h).shape
     c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))
@@ -177,15 +167,12 @@ def finite_difference_check_array(
 
     analytic = np.empty(p_inc.shape)
     analytic[~convex] = _concave_curvature(c[~convex], p_inc[~convex])
-    if convex.any():
-        *_, d2, denom = _derivatives(c[convex], p_inc[convex])
-        analytic[convex] = np.where(np.abs(denom) <= DENOM_FLOOR, np.nan, d2)
+    analytic[convex] = _convex_curvature(c[convex], p_inc[convex])
     s = 0.5 * h
     stencil = p_inc + np.array([-h, -s, np.zeros_like(h), s, h])
     theta = 0.5 * np.arccos(c)
     f = _pure_kernel(np.tile(theta, 5), np.tile(c, 5), stencil.ravel())[0].reshape(5, -1)
     numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
-    numeric[np.isnan(analytic)] = np.nan
     rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), REL_ERR_FLOOR)
     return analytic.reshape(shape), numeric.reshape(shape), rel_err.reshape(shape)
 
@@ -201,7 +188,4 @@ def finite_difference_check(
     rel_err) with rel_err = |a - n| / max(|a|, REL_ERR_FLOOR).
     finite_difference_check_array takes arrays.
     """
-    analytic, numeric, rel_err = map(float, finite_difference_check_array(c, p_inc, h))
-    if math.isnan(analytic):
-        second_derivative(c, p_inc)  # raises SingularityError naming the denominator
-    return analytic, numeric, rel_err
+    return tuple(map(float, finite_difference_check_array(c, p_inc, h)))

@@ -11,7 +11,3 @@ class ValidationError(ValueError):
 
 class BranchCrossingError(DomainError):
     """A finite-difference stencil straddles the curve's branch boundary."""
-
-
-class SingularityError(DomainError):
-    """A closed-form expression degenerates (vanishing denominator)."""

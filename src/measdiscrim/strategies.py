@@ -49,7 +49,7 @@ from .geometry import GRID_SNAP, TOL, check_integer, check_theta
 # Below this overlap the measurements are effectively orthogonal and the
 # single-qubit formulas are replaced by their analytic limits.
 DEGENERATE_C = 1e-12
-# Most protocols hull_verify samples; `hull` at this size peaks at about 140 MiB.
+# Most protocols hull_verify samples; `hull` at this size peaks at about 120 MiB.
 MAX_SAMPLES = 1_000_000
 # Spacing of the default budget grid of the curves.
 PI_GRID_STEP = 0.01
@@ -248,16 +248,15 @@ def _pure_probe_success(c, p_inc, x):
 
 
 def _single_domain(theta, p_inc):
-    """The broadcast shape and flat, checked θ, c = cos 2θ and P_I."""
+    """Checked θ, c = cos 2θ and P_I, unbroadcast."""
     theta = check_theta(theta)
     c = np.cos(2.0 * theta)
     p_inc = _check_budget(p_inc, _p_top(c), "budget exceeds the unambiguous endpoint (1 + c^2)/2")
-    theta, c, p_inc = np.broadcast_arrays(theta, c, p_inc)
-    return p_inc.shape, theta.ravel(), c.ravel(), p_inc.ravel()
+    return theta, c, p_inc
 
 
 def _arc_kernel(sin2theta, c, p_inc):
-    """P_S, x and q on the q = 0 arc, on flat, checked arrays; below
+    """P_S, x and q on the q = 0 arc, on checked arrays that broadcast; below
     DEGENERATE_C, on the straight P_S = 1 - P_I with x = 0, q = 1 - 2 P_I."""
     live = c >= DEGENERATE_C
     ps = np.where(live, _arc_success(c, sin2theta, p_inc), 1.0 - p_inc)
@@ -282,8 +281,9 @@ def _pure_kernel(theta, c, p_inc):
 
 def single_pure_curve_array(theta, p_inc) -> CurveSamples:
     """single_pure_curve at arrays of angles and budgets (broadcast), with x and q."""
-    shape, theta, c, p_inc = _single_domain(theta, p_inc)
-    ps, x, q = _pure_kernel(theta, c, p_inc)
+    theta, c, p_inc = np.broadcast_arrays(*_single_domain(theta, p_inc))
+    shape, p_inc = p_inc.shape, p_inc.ravel()
+    ps, x, q = _pure_kernel(theta.ravel(), c.ravel(), p_inc)
     return CurveSamples(*(a.reshape(shape) for a in (p_inc, ps, x, q)))
 
 
@@ -304,24 +304,23 @@ def single_pure_curve(
 
 
 def _optimal_kernel(theta, c, p_inc):
-    """P_S and tangent weight of the optimal curve on flat, checked θ, c and
-    P_I, with the x and q of the pure probe each row uses, all read off the
-    q = 0 arc with no cubic: a chord row below tangent_PIT reads it at the
-    tangent budget and mixes it with the P_I = 0 point, an arc row at its own."""
+    """P_S and tangent weight of the optimal curve on checked θ, c and P_I
+    that broadcast, read off the q = 0 arc with no cubic: a chord row below
+    tangent_PIT reads it at the tangent budget and mixes it with the P_I = 0
+    point, an arc row at its own."""
     pit = _pit(c)
     chord = (c >= DEGENERATE_C) & (p_inc < pit)
     sin2 = np.sin(2.0 * theta)
-    ps, x, q = _arc_kernel(sin2, c, np.where(chord, pit, p_inc))
+    ps = _arc_kernel(sin2, c, np.where(chord, pit, p_inc))[0]
     w_t = np.where(chord, p_inc / pit, np.nan)
-    ps = np.where(chord, (1.0 - w_t) * (0.5 * (1.0 + sin2)) + w_t * ps, ps)
-    return ps, w_t, x, q
+    return np.where(chord, (1.0 - w_t) * (0.5 * (1.0 + sin2)) + w_t * ps, ps), w_t
 
 
 def single_optimal_array(theta, p_inc) -> CurveSamples:
     """single_optimal at arrays of angles and budgets (broadcast)."""
-    shape, theta, c, p_inc = _single_domain(theta, p_inc)
-    ps, w_t = (a.reshape(shape) for a in _optimal_kernel(theta, c, p_inc)[:2])
-    return CurveSamples(p_inc.reshape(shape), ps, w_tangent=w_t)
+    theta, c, p_inc = _single_domain(theta, p_inc)
+    ps, w_t = _optimal_kernel(theta, c, p_inc)
+    return CurveSamples(np.broadcast_to(p_inc, ps.shape), ps, w_tangent=w_t)
 
 
 def single_optimal(
@@ -334,14 +333,16 @@ def single_optimal(
     point on, the pure q = 0 arc is already optimal.
     single_optimal_array takes arrays.
     """
-    shape, theta, c, p_inc = _single_domain(theta, p_inc)
-    p_success, w_t, x, q = (float(v.reshape(shape)) for v in _optimal_kernel(theta, c, p_inc))
+    theta, c, p_inc = _single_domain(theta, p_inc)
+    p_success, w_t = map(float, _optimal_kernel(theta, c, p_inc))
+    p_probe = p_inc if math.isnan(w_t) else _pit(c)
+    x, q = (float(v) for v in _arc_kernel(np.sin(2.0 * theta), c, p_probe)[1:])
     strat = SingleQubitStrategy(probe_angle=0.5 * math.acos(x), x=x, q=q)
     if not math.isnan(w_t):
         strat_a = SingleQubitStrategy(probe_angle=math.pi / 4.0, x=0.0, q=1.0)
         mixture = ((1.0 - w_t, strat_a), (w_t, strat))
         strat = SingleQubitStrategy(probe_angle=None, x=None, q=None, mixture=mixture)
-    return _point(p_success, float(p_inc.reshape(shape))), strat
+    return _point(p_success, float(p_inc)), strat
 
 
 def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
@@ -369,8 +370,8 @@ def advantage(theta: float, p_inc: float) -> float:
     ent = _point(float(_entangled(theta, p_ent)), float(p_ent))
     # The single-qubit family clamps the budget into its own, wider domain.
     p_single = np.clip(np.asarray(p_inc, dtype=float), 0.0, _p_top(c))
-    ps_single = _optimal_kernel(*(np.ravel(a) for a in (theta, c, p_single)))[0]
-    return ent.p_success - _point(float(ps_single[0]), float(p_single)).p_success
+    ps_single = float(_optimal_kernel(theta, c, p_single)[0])
+    return ent.p_success - _point(ps_single, float(p_single)).p_success
 
 
 def default_pi_grid(upper: float) -> np.ndarray:

@@ -924,8 +924,11 @@ def test_csv_body_blocks_join_seamlessly():
 # default budgets, moved in the last bit, and at 0.1.8, where the
 # five-point stencil came to read the pure curve at c itself and the probe
 # x = y/c, moving 104 of its 760 rows in `d2_numeric` and `rel_err` at 12
-# digits. `hull_vertices.csv` is no longer written since 0.1.13, when the
-# sampled upper hull left `hull`. A JSON body carries the version
+# digits, and at 0.1.14, where the curvature became one closed form and
+# 459 of its 760 rows moved in `rel_err` alone (`d2_analytic` by at most
+# 1.43e-15 relative, below the 12 digits written). `hull_vertices.csv` is no
+# longer written since 0.1.13, when the sampled upper hull left `hull`.
+# A JSON body carries the version
 # and the checksum, so its digest changes with every version. The JSON one
 # pins NaN as null (the ideal T = 0 row has no conclusive event) and the
 # JSON float text.
@@ -938,7 +941,7 @@ GOLDEN_BODIES = {
     ),
     "convexity": (
         ["convexity"],
-        {"convexity.csv": "a49f85da6a24fc4fa396a0a91b37604a6196c549595655ae69d275b8220f5eeb"},
+        {"convexity.csv": "0a6e0a110ef4241088aad401a7ce61798755c04010b65f186669afb2f4640dd1"},
     ),
     "curves": (
         ["curves", "--theta", PI6],
@@ -954,7 +957,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "a9c8780dbd55dece448761c52b093f9235476f8d0dede1b19f3846e98dd7ed3b"},
+        {"simulate.json": "d754924a6388ac43a6dbfa92c1bc4f9eaee6bb13c91c1635dd67cc4287643552"},
     ),
 }
 
@@ -969,7 +972,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.13. Their headers and manifests carry the version and the
+# at version 0.1.14. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -990,36 +993,38 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # At 0.1.13 the hull report lost "max_deviation", "tangent_p_inc",
 # "tangent_error" and "n_vertices" and gained "certificate_gap" and
 # "sample_excess", and `hull` stopped writing hull_vertices.csv, when the
-# sampled upper hull gave way to the single-qubit dual certificate.
+# sampled upper hull gave way to the single-qubit dual certificate. At
+# 0.1.14 the convexity JSON's 12 `d2_analytic` cells moved by at most
+# 4.8e-16 relative, when the convex curvature became one closed form.
 # No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "a9c58d45f10b1ef57c7b5cb0536210ccd6c3464a6d39146202e96aad86a1f286",
-            "manifest.json": "7f62739ea834da70f347acbc0c33d3819f585ab09219d5da02ea6508c8206a2f",
+            "hull_report.json": "c2bc1bc479f1d41dd81b61406c335c68216ae7bfbf96128294c8d2788cfeb4d0",
+            "manifest.json": "c0cdd85bf82aa141f4f43a7616bb81a7237f7201c1038f377bc33812836c88d9",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "8603321094393659658c8e375ee5a751b44128e08cd6da37090ee51bdbdc27da",
-            "manifest.json": "6479557f0a2d3a837c5335f02f3520bc49629c02ed252f31c04f8d8961f4cf25",
+            "oracle_report.json": "7a65b3fff484fd052bbdf0023ac76cc20c6f057b5c16138c8656bfc001d7f375",
+            "manifest.json": "868c7f412b04a28cd293bf7ddb43a416e312688f49663de698a8cf5d8d309766",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "89d16a1f06ef6f7bd654e1164bd5c900c13305decb3436857fe8adf1ec158558",
-            "manifest.json": "baf74ca02c2ad60b3810b36dbf45d44af00fc6402e048169b39353ddb33c380b",
+            "curves.csv": "456ef9497d891f7d195ba7c2d096df679d29960bbdb434a838e718ceb5f0795e",
+            "manifest.json": "a81aa3d856255a58a54d722194d667fa11a2aa3d63169cbaeea276d5db980378",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "2423c42f56c682038a25c7afa59849e23c388db85ea718afb53d7bc7aa4cbf96",
-            "manifest.json": "c00820aee57ff04aad5f49bcba7067fdf9abbf8d41ffe41a4dbb589a398c82d0",
+            "convexity.json": "c465fee8e36386c8e7e329a3426da561a69f4063e577ca98524a0bb199f830dc",
+            "manifest.json": "4f074a9aa4dc7be603c2f6df872559847ea37ed946aeb226918315345152cabe",
         },
     ),
 }

@@ -8,14 +8,14 @@ import pytest
 from measdiscrim import (
     BranchCrossingError,
     DomainError,
-    SingularityError,
     boundary_PIB,
     concave_second_derivative,
     finite_difference_check,
     second_derivative,
     y_root,
 )
-from measdiscrim.strategies import _pure_probe_success, single_pure_curve
+from measdiscrim import _cubic
+from measdiscrim.strategies import _pib, _pure_probe_success, single_pure_curve
 
 import oracles
 from oracles import FROZEN
@@ -57,31 +57,39 @@ def test_substituted_root_is_c_times_the_pure_curve_probe():
             assert abs(y_root(c, float(p)) - c * x) <= 1e-10
 
 
-@pytest.mark.parametrize("c,p", [(0.5, 0.3), (0.9, 0.1), (0.2, 0.35), (0.7, 0.5)])
+@pytest.mark.parametrize(
+    "c,p",
+    [(0.5, 0.3), (0.9, 0.1), (0.2, 0.35), (0.7, 0.5)]
+    + [
+        (c, round(fraction * boundary_PIB(c), 6))
+        for c in (0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99)
+        for fraction in (0.1, 0.5, 0.9)
+    ],
+)
 def test_curvature_matches_high_precision_differencing(c, p):
-    bundle = second_derivative(c, p)
     reference = oracles.mp_second_derivative(c, p)
-    assert bundle.d2PS_dPI2 == pytest.approx(reference, rel=1e-6)
-
-
-@pytest.mark.parametrize("c", [0.3, 0.6, 0.9])
-def test_implicit_derivatives_match_finite_differences(c):
-    h = 1e-5
-    for p in np.linspace(0.05, boundary_PIB(c) - 0.05, 8):
-        p = float(p)
-        bundle = second_derivative(c, p)
-        y_lo, y_hi = y_root(c, p - h), y_root(c, p + h)
-        first = (y_hi - y_lo) / (2.0 * h)
-        second = (y_hi - 2.0 * bundle.y + y_lo) / (h * h)
-        assert bundle.y_prime == pytest.approx(first, rel=1e-4, abs=1e-9)
-        assert bundle.y_double_prime == pytest.approx(second, rel=1e-3, abs=1e-5)
+    assert second_derivative(c, p) == pytest.approx(reference, rel=1e-13)
 
 
 def test_convex_branch_curvature_is_non_negative():
     for c in C_GRID:
         pib = boundary_PIB(float(c))
         for p in np.linspace(1e-3, pib - 1e-3, 30):
-            assert second_derivative(float(c), float(p)).d2PS_dPI2 >= -1e-9
+            assert second_derivative(float(c), float(p)) > 0.0
+
+
+@pytest.mark.parametrize("c", [1e-6, 0.001, 0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9])
+def test_pure_curve_is_the_maximum_of_affine_functions(c):
+    # The convexity proof's premise: below boundary_PIB the pure curve is
+    # F(x₁, P) = max over x in [-1, 1] of F(x, P), each F(x, ·) affine in P.
+    theta = 0.5 * math.acos(c)
+    x = np.linspace(-1.0, 1.0, 4001)
+    step = x[1] - x[0]
+    for p in np.linspace(0.0, boundary_PIB(c), 25, endpoint=False):
+        point, strat = single_pure_curve(theta, float(p))
+        f = _pure_probe_success(c, float(p), x)
+        assert f.max() - point.p_success <= 1e-15
+        assert abs(x[np.argmax(f)] - strat.x) <= step
 
 
 def test_concave_branch_frozen_values():
@@ -113,9 +121,7 @@ def test_finite_difference_check_convex():
     analytic, numeric, rel_err = finite_difference_check(0.5, 0.3, h=1e-4)
     assert rel_err <= 1e-3
     assert analytic == pytest.approx(numeric, rel=1e-3)
-    assert analytic == pytest.approx(
-        second_derivative(0.5, 0.3).d2PS_dPI2, abs=1e-15
-    )
+    assert analytic == pytest.approx(second_derivative(0.5, 0.3), abs=1e-15)
 
 
 def test_finite_difference_check_concave():
@@ -138,22 +144,29 @@ def test_finite_difference_stencil_must_stay_inside_one_branch():
 
 
 def test_implicit_denominator_stays_regular_on_domain():
-    # double roots of the substituted cubic would need a negative budget,
-    # so the implicit denominator is bounded away from zero everywhere
-    for c in C_GRID:
-        pib = boundary_PIB(float(c))
-        for p in np.linspace(1e-3, pib - 1e-3, 15):
-            bundle = second_derivative(float(c), float(p))
-            denom = 3.0 * bundle.y**2 - 4.0 * bundle.y + 1.0 - float(p)
-            assert abs(denom) > 1e-3
+    # On the convex domain -c/2 <= y <= 0 (the convexity docstring), so the
+    # curvature's denominators keep f'(y) >= 1 - P_I and c² - y² >= ¾c².
+    rng = np.random.default_rng(3401)
+    n = 50_000
+    c = np.concatenate([
+        10.0 ** rng.uniform(-12.0, 0.0, n),
+        1.0 - 10.0 ** rng.uniform(-12.0, -1.0, n),
+        rng.uniform(1e-12, 1.0 - 1e-12, n),
+    ])
+    c = np.clip(c, 1e-12, 1.0 - 1e-12)
+    pib = _pib(c)
+    near_top = pib * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0, c.size))
+    p = np.where(rng.uniform(size=c.size) < 0.5, rng.uniform(size=c.size) * pib, near_top)
+    assert np.all(p < pib) and p.max() > 0.7
+    y = _cubic.least_root(c, p)
+    assert np.all((y <= 0.0) & (y >= -0.5 * c))
+    assert np.all((3.0 * y - 4.0) * y + 1.0 - p >= 1.0 - p)
+    assert np.all(c * c - y * y >= 0.75 * c * c)
 
 
-def test_singularity_guard_fires_when_tripped(monkeypatch):
-    import measdiscrim.convexity as convexity
-
-    monkeypatch.setattr(convexity, "DENOM_FLOOR", 10.0)
-    with pytest.raises(SingularityError, match="denominator"):
-        second_derivative(0.5, 0.3)
+@pytest.mark.parametrize("c", [1e-6, 0.5, 1.0 - 1e-9])
+def test_a_budget_just_below_zero_is_clamped_to_zero(c):
+    assert y_root(c, -1e-13) == y_root(c, 0.0) == 0.0
 
 
 def test_domain_validation():
