@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import check_step, finite_difference_check_array
+from .convexity import FD_BOUNDARY, finite_difference_check_array, near_branch_end
 from .errors import DomainError, ValidationError
 from .geometry import GRID_SNAP, TOL, check_integer, check_theta, measurement_pair, overlap
 from .oracle import optimize_povm
@@ -61,8 +61,6 @@ EXIT_THRESHOLD = 4
 HULL_DEVIATION_LIMIT = 1e-6
 CONVEX_FLOOR = -1e-9
 REL_ERR_LIMIT = 1e-3
-# Budgets closer than this to a branch boundary get no finite difference.
-FD_BOUNDARY = 1e-7
 # Largest number of points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 100_000
 
@@ -371,12 +369,10 @@ def _convexity_default_budgets(c: float) -> list[float]:
 
 def _convexity_parameters(args) -> dict:
     pi_grid = None if args.pi_grid is None else _parse_grid(args.pi_grid)
-    return {"c_grid": _parse_grid(args.c_grid), "pi_grid": pi_grid, "h": args.h,
-            "format": args.format}
+    return {"c_grid": _parse_grid(args.c_grid), "pi_grid": pi_grid, "format": args.format}
 
 
 def _run_convexity(parameters: dict, seed: int) -> tuple[dict, int]:
-    h = check_step(parameters["h"])
     c_grid = parameters["c_grid"]
     if not all(0.0 < c < 1.0 for c in c_grid):
         raise DomainError("overlap grid must stay strictly inside (0, 1)")
@@ -397,18 +393,11 @@ def _run_convexity(parameters: dict, seed: int) -> tuple[dict, int]:
         raise DomainError("budget grid outside the achievable range [0, (1+c^2)/2]")
     p = np.clip(p, 0.0, p_top)
     convex = p < pib
-    near_edge = (
-        (np.abs(p - pib) < FD_BOUNDARY)
-        | (p < FD_BOUNDARY)
-        | (p > p_top - FD_BOUNDARY)
-    )
-    margin = np.where(convex, np.minimum(p, pib - p), np.minimum(p - pib, p_top - p))
+    near_edge = near_branch_end(c, p)
     fd = ~near_edge
     # NaN marks the empty cells of boundary rows.
     analytic, numeric, rel_err = (np.full(len(p), np.nan) for _ in range(3))
-    analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(
-        c[fd], p[fd], np.minimum(h, 0.4 * margin[fd])
-    )
+    analytic[fd], numeric[fd], rel_err[fd] = finite_difference_check_array(c[fd], p[fd])
     branch = np.where(near_edge, "boundary", np.where(convex, "convex", "concave"))
     breach = bool(
         np.any(convex & (analytic < CONVEX_FLOOR)) or np.any(rel_err > REL_ERR_LIMIT)
@@ -608,14 +597,17 @@ def _add_flags(sub, *flags: str) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Flags match whole, never by prefix: a removed flag such as --h must
+    # not read as --help.
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="measdiscrim",
         description="Optimal discrimination of a pair of qubit measurements.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("curves", help="tabulate the analytic trade-off curves")
     p.add_argument("--theta", type=float, required=True)
@@ -632,7 +624,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convexity", help="second-derivative certification table")
     p.add_argument("--c-grid", default="0.05:0.95:0.05")
     p.add_argument("--pi-grid", default=None)
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
     _add_flags(p, "--format")
 
     p = sub.add_parser("oracle", help="numerically re-derive one optimal point")

@@ -35,33 +35,38 @@ Hence f'(y) ≥ 1 - P_I > ¼ (boundary_PIB ≤ ¾), c^2 - y^2 ≥ ¾c^2 and
 (1 - y)^2 ≥ 1; and c^2 - y > 0, so the curvature is strictly positive.
 
 Past boundary_PIB the curve follows the q = 0 arc, whose curvature
--c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2) is strictly negative.
-finite_difference_check validates either branch numerically.
+-c*sqrt(1-c^2)*(c^2-(1-2P_I)^2)^(-3/2) is strictly negative. So the sign of
+the curvature is proved on both branches; the finite differences check the
+closed forms' values.
 
-`finite_difference_check_array` takes arrays: one array call of
-`_cubic.least_root` gives the analytic curvature of every convex row, and
-one call of the pure-curve kernel, at the row's own c, evaluates every
-five-point stencil. Each public function runs one domain check on entry,
-the budget's before any stencil is formed; the private helpers and the
-`strategies` kernels they call (`_p_top`, `_pib`, `_pure_kernel`) assume
-checked, flat float arrays.
+finite_difference_check differences the closed-form slope S = dP_S/dP_I,
+F_P(x*, P) = -½ - ½R(x*)/(1 - x*c) on the cubic branch and
+`strategies._arc_slope` on the arc, by the four-point stencil
+(S(p - h) - 8S(p - h/2) + 8S(p + h/2) - S(p + h))/(6h), whose rounding
+grows as ε/h, not as the ε/h² of a second difference of P_S. A row's step is
+h = min(FD_STEP, 0.4·margin), its margin the distance to the nearer end of
+its branch (0, boundary_PIB or (1 + c²)/2), so no stencil leaves its
+branch; a budget within FD_BOUNDARY of an end (`near_branch_end`) has no
+difference. Each public function runs one domain check on entry; the
+private helpers and the `strategies` kernels they call (`_p_top`, `_pib`,
+`_arc_slope`) assume checked, flat float arrays.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import _cubic
 from .errors import BranchCrossingError, DomainError
 from .geometry import TOL
-from .strategies import _p_top, _pib, _pure_kernel
+from .strategies import _arc_slope, _p_top, _pib
 
 # Least |curvature| rel_err divides by: far below the least tabled one, 5e-7 at c = 0.001.
 REL_ERR_FLOOR = 1e-12
-# The least step whose square is a normal double.
-MIN_STEP = math.sqrt(np.finfo(float).tiny)
+# The largest finite-difference step; a row nearer a branch end takes 0.4 of its margin.
+FD_STEP = 1e-4
+# Budgets closer than this to a branch end get no finite difference.
+FD_BOUNDARY = 1e-7
 
 
 def _check_convex_domain(c, p_inc):
@@ -77,14 +82,14 @@ def _check_overlap_inside(c) -> None:
         raise DomainError("overlap c must lie strictly inside (0, 1)")
 
 
-def check_step(h):
-    """The finite-difference step(s), which must be finite and at least
-    MIN_STEP: the stencil divides by 3h², which must not underflow."""
-    if not np.all(np.isfinite(h) & (np.asarray(h) >= MIN_STEP)):
-        raise DomainError(
-            f"step h must be finite and positive, at least {MIN_STEP:.3g}, got {h}"
-        )
-    return h
+def _branch_margin(c, p_inc):
+    """Distance to the nearer end of the budget's branch: 0, boundary_PIB or (1 + c²)/2."""
+    return np.minimum(np.minimum(p_inc, np.abs(p_inc - _pib(c))), _p_top(c) - p_inc)
+
+
+def near_branch_end(c, p_inc):
+    """Budgets within FD_BOUNDARY of an end of their branch; arrays broadcast."""
+    return _branch_margin(c, p_inc) < FD_BOUNDARY
 
 
 def y_root(c: float, p_inc: float) -> float:
@@ -116,6 +121,12 @@ def second_derivative(c: float, p_inc: float) -> float:
     return float(_convex_curvature(np.array([c]), np.array([p_inc]))[0])
 
 
+def _convex_slope(c, p_inc):
+    """dP_S/dP_I of the pure curve below boundary_PIB: F_P(x*, P_I), x* = y/c."""
+    y = _cubic.least_root(c, p_inc)
+    return -0.5 - 0.5 * np.sqrt((1.0 - c * c) * (1.0 - (y / c) ** 2)) / (1.0 - y)
+
+
 def _concave_curvature(c, p_inc):
     return -c * np.sqrt(1.0 - c * c) * (c * c - (1.0 - 2.0 * p_inc) ** 2) ** -1.5
 
@@ -132,60 +143,47 @@ def concave_second_derivative(c: float, p_inc: float) -> float:
     return float(_concave_curvature(c, p_inc))
 
 
-def finite_difference_check_array(
-    c, p_inc, h=1e-4
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """finite_difference_check at arrays of overlaps, budgets and steps.
+def finite_difference_check_array(c, p_inc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """finite_difference_check at arrays of overlaps and budgets.
 
-    The arguments broadcast to one shape. One array call of the pure curve
-    evaluates the stencils of all rows, and one array call of the least
-    root gives the analytic curvature of every convex row. An error is
-    raised for the whole call when any row commits it.
+    The arguments broadcast to one shape. One array call of the least root
+    gives the analytic curvature of every convex row, and one more the
+    slopes of all their stencils. An error is raised for the whole call
+    when any row commits it.
     """
-    shape = np.broadcast(c, p_inc, h).shape
-    c, p_inc, h = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc, h))
-    check_step(h)
+    shape = np.broadcast(c, p_inc).shape
+    c, p_inc = (np.ravel(a) for a in np.broadcast_arrays(c, p_inc))
     _check_overlap_inside(c)
     p_top = _p_top(c)
     if not np.all((p_inc >= 0.0) & (p_inc <= p_top)):
         raise DomainError("budget must be finite and lie in [0, (1 + c^2)/2]")
-    pib = _pib(c)
-    straddle = ((p_inc - h < pib) & (pib < p_inc + h)) | (np.abs(p_inc - pib) <= TOL)
-    if straddle.any():
-        k = int(np.argmax(straddle))
+    if np.any(near := near_branch_end(c, p_inc)):
         raise BranchCrossingError(
-            f"stencil [{p_inc[k] - h[k]}, {p_inc[k] + h[k]}] straddles the branch "
-            f"boundary at {pib[k]}"
+            f"budget {p_inc[np.argmax(near)]} lies within {FD_BOUNDARY:g} of a branch end"
         )
-    convex = p_inc < pib
-    if np.any(convex & (p_inc - h <= 0.0)):
-        raise BranchCrossingError("stencil leaves the convex branch at 0")
-    if np.any(~convex & (p_inc + h >= p_top)):
-        raise BranchCrossingError(
-            "stencil leaves the q = 0 arc at the unambiguous endpoint"
-        )
-
+    convex = p_inc < _pib(c)
+    h = np.minimum(FD_STEP, 0.4 * _branch_margin(c, p_inc))
     analytic = np.empty(p_inc.shape)
     analytic[~convex] = _concave_curvature(c[~convex], p_inc[~convex])
     analytic[convex] = _convex_curvature(c[convex], p_inc[convex])
-    s = 0.5 * h
-    stencil = p_inc + np.array([-h, -s, np.zeros_like(h), s, h])
-    theta = 0.5 * np.arccos(c)
-    f = _pure_kernel(np.tile(theta, 5), np.tile(c, 5), stencil.ravel())[0].reshape(5, -1)
-    numeric = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (3.0 * h * h)
+    stencil = p_inc + np.array([[-1.0], [-0.5], [0.5], [1.0]]) * h
+    slope = np.empty(stencil.shape)
+    slope[:, convex] = _convex_slope(c[convex], stencil[:, convex])
+    ca = c[~convex]
+    slope[:, ~convex] = _arc_slope(ca, np.sqrt(1.0 - ca * ca), stencil[:, ~convex])
+    numeric = (slope[0] - 8.0 * slope[1] + 8.0 * slope[2] - slope[3]) / (6.0 * h)
     rel_err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), REL_ERR_FLOOR)
     return analytic.reshape(shape), numeric.reshape(shape), rel_err.reshape(shape)
 
 
-def finite_difference_check(
-    c: float, p_inc: float, h: float = 1e-4
-) -> tuple[float, float, float]:
-    """Compare analytic curvature against a central second difference.
+def finite_difference_check(c: float, p_inc: float) -> tuple[float, float, float]:
+    """Compare the analytic curvature against a difference of the slope.
 
-    Uses a five-point stencil at half steps, so exactly [p_inc - h,
-    p_inc + h] must stay inside one branch; straddling the q = 0 boundary
-    budget raises BranchCrossingError. Returns (analytic, numeric,
-    rel_err) with rel_err = |a - n| / max(|a|, REL_ERR_FLOOR).
+    The four-point stencil spans [p_inc - h, p_inc + h] with
+    h = min(FD_STEP, 0.4·margin) and stays inside the budget's branch; a
+    budget within FD_BOUNDARY of a branch end raises BranchCrossingError.
+    Returns (analytic, numeric, rel_err) with
+    rel_err = |a - n| / max(|a|, REL_ERR_FLOOR).
     finite_difference_check_array takes arrays.
     """
-    return tuple(map(float, finite_difference_check_array(c, p_inc, h)))
+    return tuple(map(float, finite_difference_check_array(c, p_inc)))

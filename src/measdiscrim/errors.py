@@ -10,4 +10,4 @@ class ValidationError(ValueError):
 
 
 class BranchCrossingError(DomainError):
-    """A finite-difference stencil straddles the curve's branch boundary."""
+    """A budget lies within FD_BOUNDARY of a branch end, too near for a finite difference."""

@@ -140,15 +140,17 @@ def load_imperfections(source: str) -> ImperfectionModel:
         from importlib.resources import files
 
         resource = files("measdiscrim").joinpath("presets", f"{source}.cfg")
-        if resource.is_file():
-            return ImperfectionModel.from_mapping(
-                _parse_config_text(resource.read_text())
-            )
-        raise DomainError(f"unknown noise preset: {source}")
-    path = Path(source)
-    if not path.is_file():
-        raise DomainError(f"noise configuration not found: {source}")
-    return ImperfectionModel.from_mapping(_parse_config_text(path.read_text()))
+        if not resource.is_file():
+            raise DomainError(f"unknown noise preset: {source}")
+    else:
+        resource = Path(source)
+        if not resource.is_file():
+            raise DomainError(f"noise configuration not found: {source}")
+    try:
+        text = resource.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"noise configuration {source} is not UTF-8: {exc}") from None
+    return ImperfectionModel.from_mapping(_parse_config_text(text))
 
 
 def _check_bench(theta, transmittance, trials, seed):

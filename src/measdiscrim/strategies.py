@@ -27,12 +27,12 @@ not; `advantage` measures how much the entangled family wins by.
 
 Each public closed form checks and clamps its inputs once, on entry
 (`check_theta`, `_check_budget`, `_check_overlap`), then calls private kernels
-(`_entangled`, `_p_top`, `_pib`, `_pit`, `_arc_kernel`, `_pure_kernel`,
-`_optimal_kernel`, `_dual`, `_optimal_slope`) that check nothing: they take
-clamped float arrays, flat where they index by branch, with c = cos 2θ
-computed once by the caller. The `_array` curves broadcast angles against
-budgets and return `CurveSamples`; the scalar ones return `StrategyPoint`s
-and `SingleQubitStrategy`s.
+(`_entangled`, `_p_top`, `_pib`, `_pit`, `_arc_kernel`, `_arc_slope`,
+`_pure_kernel`, `_optimal_kernel`, `_dual`, `_optimal_slope`) that check
+nothing: they take clamped float arrays, flat where they index by branch, with
+c = cos 2θ computed once by the caller. The `_array` curves broadcast angles
+against budgets and return `CurveSamples`; the scalar ones return
+`StrategyPoint`s and `SingleQubitStrategy`s.
 """
 
 from __future__ import annotations
@@ -230,6 +230,12 @@ def _arc_success(c, sin2theta, p_inc):
     return 0.5 * (1.0 - p_inc) + 0.25 * sin2theta * np.sqrt(arg)
 
 
+def _arc_slope(c, sin2theta, p_inc):
+    """dP_S/dP_I on the q = 0 arc, -½ + s u/(2c sqrt(c² - u²)), u = 1 - 2P_I, s = sin 2θ."""
+    u = 1.0 - 2.0 * p_inc
+    return 0.5 * sin2theta * u / (c * np.sqrt(c * c - u * u)) - 0.5
+
+
 def concave_branch(theta: float, p_inc: float) -> StrategyPoint:
     """The q = 0 single-qubit arc: sqrt requires |1 - 2 P_I| ≤ cos 2θ."""
     theta = float(check_theta(theta))
@@ -361,8 +367,12 @@ def unambiguous_points(theta: float) -> tuple[StrategyPoint, StrategyPoint]:
 def advantage(theta: float, p_inc: float) -> float:
     """Entangled-minus-single-qubit success at the same budget.
 
-    Strictly positive whenever p_inc > 0, exactly zero at p_inc = 0 where
-    both families reduce to minimum-error discrimination.
+    In exact arithmetic it is strictly positive for 0 < p_inc ≤ cos 2θ (the
+    paper's claim; criterion 5 samples it) and zero at p_inc = 0, where both
+    families reduce to minimum-error discrimination. In floats it subtracts
+    two successes near ½(1 + sin 2θ) and cancels, to 0 or just below, where
+    it is under their rounding: at tiny budgets (advantage(0.7853971, 1e-11)
+    is 0.0) and within about 1e-6·cos 2θ of cos 2θ.
     """
     theta = check_theta(theta)
     c = np.cos(2.0 * theta)
@@ -439,9 +449,8 @@ def _optimal_slope(sin2, c, p_inc):
     below DEGENERATE_C, clipped to [0, 1]."""
     pit = _pit(c)
     chord = (0.5 * (1.0 + sin2) - _arc_success(c, sin2, pit)) / pit
-    u = 1.0 - 2.0 * p_inc
     with np.errstate(divide="ignore", invalid="ignore"):
-        arc = 0.5 - 0.5 * sin2 * u / (c * np.sqrt(c * c - u * u))
+        arc = -_arc_slope(c, sin2, p_inc)
     lam = np.where(c < DEGENERATE_C, 1.0, np.where(p_inc <= pit, chord, arc))
     # fmin takes 1 for a NaN slope, such as the arc's 0/0 at c = P_I = 1, where 1 is tight
     return np.fmax(np.fmin(lam, 1.0), 0.0)

@@ -389,27 +389,38 @@ def mp_least_root(c, p_inc, dps: int = 40):
         return min(mp.re(r) for r in roots)
 
 
+def _mp_curve(c, concave: bool):
+    """P_S of the pure curve (or of the q = 0 arc) as an mpmath function of P_I."""
+    import mpmath as mp
+
+    cc = mp.mpf(c)
+    if concave:
+        return lambda t: (1 - t) / 2 + mp.sqrt(
+            (1 - cc * cc) * (cc * cc - (1 - 2 * t) ** 2)
+        ) / (4 * cc)
+    return lambda t: mp_pure_success(c, t, dps=mp.mp.dps)
+
+
 def mp_second_derivative(c, p_inc, concave: bool = False, dps: int = 60) -> float:
     """d^2 P_S / d P_I^2 by a high-precision central stencil."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        cc = mp.mpf(c)
-        if concave:
-
-            def func(t):
-                return (1 - t) / 2 + mp.sqrt(
-                    (1 - cc * cc) * (cc * cc - (1 - 2 * t) ** 2)
-                ) / (4 * cc)
-
-        else:
-
-            def func(t):
-                return mp_pure_success(c, t, dps=dps)
-
+        func = _mp_curve(c, concave)
         p0 = mp.mpf(p_inc)
         h = mp.mpf("1e-15")
         return float((func(p0 - h) - 2 * func(p0) + func(p0 + h)) / (h * h))
+
+
+def mp_slope(c, p_inc, concave: bool = False, dps: int = 60) -> float:
+    """d P_S / d P_I by a high-precision central difference."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        func = _mp_curve(c, concave)
+        p0 = mp.mpf(p_inc)
+        h = mp.mpf("1e-20")
+        return float((func(p0 + h) - func(p0 - h)) / (2 * h))
 
 
 def bench_expectations(

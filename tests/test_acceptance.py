@@ -113,6 +113,8 @@ def test_criterion_2_hull_verification(capsys):
 
 
 def test_criterion_3_curvature_certificate(capsys):
+    # The curvature's sign is proved on both branches (the convexity module
+    # docstring); the slope differences check the closed forms' values.
     start = time.perf_counter()
     min_convex = math.inf
     max_concave = -math.inf
@@ -123,7 +125,7 @@ def test_criterion_3_curvature_certificate(capsys):
         pib = md.boundary_PIB(c)
         p_top = 0.5 * (1.0 + c * c)
         for p in np.linspace(1e-3, pib - 1e-3, 30):
-            analytic, _, rel_err = finite_difference_check(c, float(p), 1e-4)
+            analytic, _, rel_err = finite_difference_check(c, float(p))
             min_convex = min(min_convex, analytic)
             worst_rel = max(worst_rel, rel_err)
             rows += 1
@@ -131,9 +133,7 @@ def test_criterion_3_curvature_certificate(capsys):
         if band > 4e-7:
             margin = min(1e-3, 0.25 * band)
             for p in np.linspace(pib + margin, p_top - margin, 10):
-                p = float(p)
-                h = min(1e-4, 0.4 * min(p - pib, p_top - p))
-                analytic, _, rel_err = finite_difference_check(c, p, h)
+                analytic, _, rel_err = finite_difference_check(c, float(p))
                 max_concave = max(max_concave, analytic)
                 worst_rel = max(worst_rel, rel_err)
                 rows += 1
@@ -146,8 +146,10 @@ def test_criterion_3_curvature_certificate(capsys):
     )
     report(
         capsys, 3, ok,
-        f"{rows} budgets: min convex curvature {min_convex:.2e}, max concave "
-        f"{max_concave:.2e}, worst FD rel err {worst_rel:.2e}, {elapsed:.1f}s",
+        f"{rows} budgets: curvature sign proved on both branches; sampled min "
+        f"convex {min_convex:.2e}, max concave {max_concave:.2e}; worst rel err "
+        f"of the slope differences against the closed form {worst_rel:.2e}, "
+        f"{elapsed:.1f}s",
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 from measdiscrim import (
     PovmTriple, __version__, boundary_PIB, single_optimal_array, tangent_PIT,
 )
-from measdiscrim import cli, oracle, strategies
+from measdiscrim import cli, convexity, oracle, strategies
 from measdiscrim.cli import MAX_SAMPLES, main
 
 from oracles import FROZEN
@@ -255,18 +255,32 @@ def test_convexity_rejects_an_unbounded_grid(tmp_path, capsys, grid, message):
 def test_convexity_rejects_bad_inputs(tmp_path, capsys):
     assert main(["convexity", "--c-grid", "0:0.9:0.1", "--out", str(tmp_path)]) == 2
     assert "strictly inside" in capsys.readouterr().err
-    assert main(["convexity", "--h", "0", "--c-grid", "0.5", "--out", str(tmp_path)]) == 2
     assert main(["convexity", "--c-grid", "abc", "--out", str(tmp_path)]) == 2
-    # a step whose square underflows would write inf into the table
-    assert main(["convexity", "--h", "5e-324", "--c-grid", "0.5", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("h", ["nan", "-inf", "inf"])
-def test_convexity_rejects_a_non_finite_step(tmp_path, capsys, h):
-    # `--h=-inf` keeps argparse from reading the value as an option.
-    assert main(["convexity", "--c-grid", "0.5", f"--h={h}", "--out", str(tmp_path)]) == 2
-    assert "step h must be finite and positive" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+@pytest.mark.parametrize("c", ["0.001", "0.005", "0.01", "0.02", "0.999"])
+def test_convexity_certifies_overlaps_near_0_and_1(tmp_path, c):
+    # The slope differences round as eps/h, far below curvatures as small
+    # as 5e-7 (c = 0.001); each row's step stays inside its branch.
+    assert main(["convexity", "--c-grid", c, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "convexity.csv")
+    checked = [row for row in rows if row["branch"] != "boundary"]
+    assert len(checked) >= 30
+    assert all(row["rel_err"] <= 1e-5 for row in checked)
+
+
+@pytest.mark.parametrize(
+    "target, mutate",
+    [
+        # the convex curvature 0.2 % too large
+        ("_convex_curvature", lambda f: lambda c, p: f(c, p) * (1.0 + 2e-3)),
+        # the arc slope read 1e-3 off its budget
+        ("_arc_slope", lambda f: lambda c, s, p: f(c, s, p - 1e-3)),
+    ],
+)
+def test_convexity_exits_4_on_a_mutated_closed_form(tmp_path, monkeypatch, target, mutate):
+    monkeypatch.setattr(convexity, target, mutate(getattr(convexity, target)))
+    assert main(["convexity", "--out", str(tmp_path)]) == 4
 
 
 # --- oracle ---
@@ -423,6 +437,18 @@ def test_simulate_rejects_a_bad_noise_file(tmp_path, line, message):
     assert result.returncode == 2
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_simulate_rejects_a_noise_file_that_is_not_utf8(tmp_path, capsys):
+    # A UTF-16 byte-order mark is not UTF-8, whatever the locale.
+    noise = tmp_path / "noise.cfg"
+    noise.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    argv = ["simulate", "--mode", "intermediate", "--trials", "100", "--noise", str(noise),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert f"noise configuration {noise} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_with_a_noise_preset(tmp_path):
@@ -743,8 +769,6 @@ def fuzz_argv(rng, case_dir, manifests):
         argv += fuzz_flag(rng, "--c-grid", fuzz_grid(rng, -0.1, 1.1))
         if rng.random() < 0.4:
             argv += fuzz_flag(rng, "--pi-grid", fuzz_grid(rng, -0.1, 1.1))
-        if rng.random() < 0.5:
-            argv += fuzz_flag(rng, "--h", fuzz_number(rng, 1e-6, 1e-2))
     elif command == "oracle":
         argv += fuzz_flag(rng, "--theta", fuzz_number(rng, -0.1, 0.9))
         argv += fuzz_flag(rng, "--pi", fuzz_number(rng, -0.1, 1.0))
@@ -926,7 +950,9 @@ def test_csv_body_blocks_join_seamlessly():
 # x = y/c, moving 104 of its 760 rows in `d2_numeric` and `rel_err` at 12
 # digits, and at 0.1.14, where the curvature became one closed form and
 # 459 of its 760 rows moved in `rel_err` alone (`d2_analytic` by at most
-# 1.43e-15 relative, below the 12 digits written). `hull_vertices.csv` is no
+# 1.43e-15 relative, below the 12 digits written), and at 0.1.15, where the
+# check came to difference the closed-form slope and every one of its 760
+# rows moved in `d2_numeric` and `rel_err` alone. `hull_vertices.csv` is no
 # longer written since 0.1.13, when the sampled upper hull left `hull`.
 # A JSON body carries the version
 # and the checksum, so its digest changes with every version. The JSON one
@@ -941,7 +967,7 @@ GOLDEN_BODIES = {
     ),
     "convexity": (
         ["convexity"],
-        {"convexity.csv": "0a6e0a110ef4241088aad401a7ce61798755c04010b65f186669afb2f4640dd1"},
+        {"convexity.csv": "dc328b41330683a63c121393535145bdf2d383854b38b5c7074c3797ff01a39f"},
     ),
     "curves": (
         ["curves", "--theta", PI6],
@@ -957,7 +983,7 @@ GOLDEN_BODIES = {
     ),
     "simulate-json": (
         ["simulate", "--mode", "unambiguous", "--format", "json", "--seed", "3"],
-        {"simulate.json": "d754924a6388ac43a6dbfa92c1bc4f9eaee6bb13c91c1635dd67cc4287643552"},
+        {"simulate.json": "107d861752bce035000e60c87182ff4c34210d341712f46ce3b7580e5c52f8b9"},
     ),
 }
 
@@ -972,7 +998,7 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 
 
 # SHA-256 of whole files, header lines included, and of the manifests, taken
-# at version 0.1.14. Their headers and manifests carry the version and the
+# at version 0.1.15. Their headers and manifests carry the version and the
 # parameter checksum, so these change with every version. At 0.1.7 the
 # oracle report's floats also moved, by at most 1.5e-15, when the tester
 # came to be read off the dual point in light-cone form. At 0.1.8 the hull
@@ -995,36 +1021,39 @@ def test_table_bodies_match_their_golden_digests(tmp_path, command):
 # "sample_excess", and `hull` stopped writing hull_vertices.csv, when the
 # sampled upper hull gave way to the single-qubit dual certificate. At
 # 0.1.14 the convexity JSON's 12 `d2_analytic` cells moved by at most
-# 4.8e-16 relative, when the convex curvature became one closed form.
+# 4.8e-16 relative, when the convex curvature became one closed form. At
+# 0.1.15 its 12 `d2_numeric` and `rel_err` cells moved, when the check came
+# to difference the closed-form slope, and the convexity manifest lost its
+# "h" parameter with the --h flag.
 # No other output moved beyond its header.
 GOLDEN_FILES = {
     "hull": (
         ["hull", "--c", "0.5", "--samples", "10000", "--seed", "3"],
         {
-            "hull_report.json": "c2bc1bc479f1d41dd81b61406c335c68216ae7bfbf96128294c8d2788cfeb4d0",
-            "manifest.json": "c0cdd85bf82aa141f4f43a7616bb81a7237f7201c1038f377bc33812836c88d9",
+            "hull_report.json": "50db994e702009136eff591c39497cbd0b67d00929f68cd7904c05c933ce0242",
+            "manifest.json": "4bb12b476ea823cb81690a91e9df9e3169cf1b4e2ea33056b614514fb508ebe3",
         },
     ),
     "oracle": (
         ["oracle", "--theta", PI6, "--pi", "0.3"],
         {
-            "oracle_report.json": "7a65b3fff484fd052bbdf0023ac76cc20c6f057b5c16138c8656bfc001d7f375",
-            "manifest.json": "868c7f412b04a28cd293bf7ddb43a416e312688f49663de698a8cf5d8d309766",
+            "oracle_report.json": "1c17d8971acd735cf5449912ba20198b60fa30cc4f76164586e6f9e0490fd1a8",
+            "manifest.json": "48dc35e61ba57756ef365bdaae42eb98af6f70a56b5c4df57330297623196403",
         },
     ),
     "curves": (
         ["curves", "--theta", PI6],
         {
-            "curves.csv": "456ef9497d891f7d195ba7c2d096df679d29960bbdb434a838e718ceb5f0795e",
-            "manifest.json": "a81aa3d856255a58a54d722194d667fa11a2aa3d63169cbaeea276d5db980378",
+            "curves.csv": "a28ca1ac65f53b96e5bdaf9293266d66f69d5648a88af16652e1aaca526e97a3",
+            "manifest.json": "dad1624c1d90c34b41fcd064671ba4746dd66c922afaa5a2ae17fff1df8fee05",
         },
     ),
     "convexity-json": (
         ["convexity", "--c-grid", "0.3:0.7:0.2", "--pi-grid", "0.1:0.4:0.1",
          "--format", "json"],
         {
-            "convexity.json": "c465fee8e36386c8e7e329a3426da561a69f4063e577ca98524a0bb199f830dc",
-            "manifest.json": "4f074a9aa4dc7be603c2f6df872559847ea37ed946aeb226918315345152cabe",
+            "convexity.json": "ec7e04df91a5703b5aa21b32e66865e8cefe5cb7c18665f77c3d62ab9098b520",
+            "manifest.json": "a24cfdafa225c5a8b4fd79abbfce21da88615942406d7192358e5b4e2da1c6f9",
         },
     ),
 }
@@ -1043,8 +1072,7 @@ FLAGS = {
     "curves": {"--theta": "0.3", "--pi-grid": "0:0.2:0.1", "--out": "o",
                "--format": "json", "--degrees": None},
     "hull": {"--c": "0.5", "--samples": "100", "--out": "o", "--seed": "2"},
-    "convexity": {"--c-grid": "0.5", "--pi-grid": "0.1", "--h": "1e-4", "--out": "o",
-                  "--format": "json"},
+    "convexity": {"--c-grid": "0.5", "--pi-grid": "0.1", "--out": "o", "--format": "json"},
     "oracle": {"--theta": "0.3", "--pi": "0.2", "--tol": "1e-4", "--out": "o",
                "--degrees": None},
     "simulate": {"--mode": "unambiguous", "--theta": "0.3", "--t-grid": "0.5",
@@ -1058,6 +1086,7 @@ REMOVED_FLAGS = [
     ("hull", "--format", "csv"),
     ("hull", "--degrees", None),
     ("convexity", "--degrees", None),
+    ("convexity", "--h", "1e-4"),
     ("oracle", "--format", "json"),
     ("oracle", "--restarts", "3"),
     ("oracle", "--seed", "1"),
@@ -1073,7 +1102,7 @@ def test_every_flag_of_a_command_parses(command):
     args = cli._build_parser().parse_args([command, *flag_argv(FLAGS[command])])
     expected = {flag[2:].replace("-", "_") for flag in FLAGS[command]}
     assert set(vars(args)) == expected | {"command"}
-    assert sum(len(flags) for flags in FLAGS.values()) == 28
+    assert sum(len(flags) for flags in FLAGS.values()) == 27
 
 
 @pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)

@@ -23,7 +23,7 @@ EDGES = (math.nan, math.inf, -math.inf, -0.1, 1e308, -1e-13, 0.0, 5e-324, 1.0, 0
 
 # The words by which an error message may name each argument.
 THETA = ("theta",)
-BUDGET = ("budget", "p_inc", "stencil", "target")
+BUDGET = ("budget", "p_inc", "target")
 OVERLAP = ("overlap", "c =", "c must")
 
 PAIR = md.measurement_pair(0.3)
@@ -46,9 +46,7 @@ SCALAR_CALLS = {
     "concave_second_derivative": (
         md.concave_second_derivative, (0.5, 0.61), (OVERLAP, BUDGET)
     ),
-    "finite_difference_check": (
-        md.finite_difference_check, (0.5, 0.2, 1e-4), (OVERLAP, BUDGET, ("step",))
-    ),
+    "finite_difference_check": (md.finite_difference_check, (0.5, 0.2), (OVERLAP, BUDGET)),
     # The tol check has its own test (test_oracle.py).
     "optimize_povm": (lambda p: md.optimize_povm(PAIR, p), (0.2,), (BUDGET,)),
 }

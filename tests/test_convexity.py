@@ -15,7 +15,8 @@ from measdiscrim import (
     y_root,
 )
 from measdiscrim import _cubic
-from measdiscrim.strategies import _pib, _pure_probe_success, single_pure_curve
+from measdiscrim.convexity import FD_BOUNDARY, _convex_slope
+from measdiscrim.strategies import _arc_slope, _pib, _pure_probe_success, single_pure_curve
 
 import oracles
 from oracles import FROZEN
@@ -118,29 +119,46 @@ def test_concave_branch_curvature_is_negative():
 
 
 def test_finite_difference_check_convex():
-    analytic, numeric, rel_err = finite_difference_check(0.5, 0.3, h=1e-4)
+    analytic, numeric, rel_err = finite_difference_check(0.5, 0.3)
     assert rel_err <= 1e-3
     assert analytic == pytest.approx(numeric, rel=1e-3)
     assert analytic == pytest.approx(second_derivative(0.5, 0.3), abs=1e-15)
 
 
 def test_finite_difference_check_concave():
-    analytic, numeric, rel_err = finite_difference_check(0.5, 0.61, h=1e-4)
+    analytic, numeric, rel_err = finite_difference_check(0.5, 0.61)
     assert rel_err <= 1e-3
     assert analytic < 0.0
     assert analytic == pytest.approx(FROZEN["d2_concave_c05_p061"], abs=1e-12)
 
 
 def test_finite_difference_stencil_must_stay_inside_one_branch():
+    # A budget within FD_BOUNDARY of a branch end has no difference; one
+    # just outside it takes a step of 0.4 of its margin, and its stencil
+    # stays on its own branch.
     pib = boundary_PIB(0.5)
-    with pytest.raises(BranchCrossingError, match="straddles"):
-        finite_difference_check(0.5, pib, h=1e-4)
-    with pytest.raises(BranchCrossingError, match="straddles"):
-        finite_difference_check(0.5, pib - 5e-5, h=1e-4)
-    with pytest.raises(BranchCrossingError, match="at 0"):
-        finite_difference_check(0.5, 5e-5, h=1e-4)
-    with pytest.raises(BranchCrossingError, match="unambiguous endpoint"):
-        finite_difference_check(0.5, 0.625 - 5e-5, h=1e-4)
+    for p in (pib, pib - 0.5 * FD_BOUNDARY, pib + 0.5 * FD_BOUNDARY,
+              0.5 * FD_BOUNDARY, 0.625 - 0.5 * FD_BOUNDARY):
+        with pytest.raises(BranchCrossingError, match="of a branch end"):
+            finite_difference_check(0.5, p)
+    for p in (pib - 5e-5, pib + 5e-5, 5e-5, 0.625 - 5e-5, pib - 2.0 * FD_BOUNDARY):
+        analytic, _, rel_err = finite_difference_check(0.5, p)
+        assert (analytic > 0.0) == (p < pib)
+        assert rel_err <= 1e-5
+
+
+@pytest.mark.parametrize("c", [0.001, 0.05, 0.5, 0.9, 0.999])
+def test_closed_form_slopes_match_high_precision_differencing(c):
+    # The slopes that finite_difference_check differences: F_P(x*, P) on the
+    # cubic branch (the envelope theorem) and the arc's own derivative.
+    pib = boundary_PIB(c)
+    p_top = 0.5 * (1.0 + c * c)
+    for p in (0.1 * pib, 0.5 * pib, 0.9 * pib):
+        slope = float(_convex_slope(np.array([c]), np.array([p]))[0])
+        assert slope == pytest.approx(oracles.mp_slope(c, p), rel=1e-13)
+    for p in (pib + 0.1 * (p_top - pib), 0.5 * (pib + p_top)):
+        slope = float(_arc_slope(c, math.sqrt(1.0 - c * c), p))
+        assert slope == pytest.approx(oracles.mp_slope(c, p, concave=True), rel=1e-13)
 
 
 def test_implicit_denominator_stays_regular_on_domain():
@@ -182,19 +200,17 @@ def test_domain_validation():
         concave_second_derivative(0.5, 0.3)
     with pytest.raises(DomainError, match="outside"):
         concave_second_derivative(0.5, 0.63)
-    with pytest.raises(DomainError, match="step h"):
-        finite_difference_check(0.5, 0.3, h=0.0)
 
 
 def test_budget_is_range_checked_before_the_stencil():
-    # A budget outside [0, (1 + c^2)/2] is outside the domain, whatever the
-    # step; no stencil is formed from it, so nothing overflows.
+    # A budget outside [0, (1 + c^2)/2] is outside the domain; no stencil
+    # is formed from it, so nothing overflows.
     for p_inc in (1e308, math.nan, math.inf, -1e-13, 0.625 + 1e-12):
         with pytest.raises(DomainError, match="budget must be finite and lie in") as err:
-            finite_difference_check(0.5, p_inc, h=1e308)
+            finite_difference_check(0.5, p_inc)
         assert not isinstance(err.value, BranchCrossingError)
-    # The endpoints themselves are in the domain; their stencils leave it.
-    with pytest.raises(BranchCrossingError, match="at 0"):
+    # The endpoints themselves are in the domain, but at a branch end.
+    with pytest.raises(BranchCrossingError, match="0.0 lies within 1e-07 of a branch end"):
         finite_difference_check(0.5, 0.0)
-    with pytest.raises(BranchCrossingError, match="unambiguous endpoint"):
+    with pytest.raises(BranchCrossingError, match="0.625 lies within 1e-07 of a branch end"):
         finite_difference_check(0.5, 0.625)
