@@ -258,6 +258,18 @@ def test_convexity_rejects_bad_inputs(tmp_path, capsys):
     assert main(["convexity", "--c-grid", "abc", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("h", ["nan", "-inf", "inf"])
+def test_convexity_rejects_a_non_finite_step(tmp_path, capsys, h):
+    # The step is derived per row, so any `--h`, non-finite or not, is refused
+    # before a file is written. `--h=-inf` keeps argparse from reading the
+    # value as an option.
+    with pytest.raises(SystemExit) as exc:
+        main(["convexity", "--c-grid", "0.5", f"--h={h}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --h={h}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("c", ["0.001", "0.005", "0.01", "0.02", "0.999"])
 def test_convexity_certifies_overlaps_near_0_and_1(tmp_path, c):
     # The slope differences round as eps/h, far below curvatures as small
